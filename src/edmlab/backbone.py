@@ -1,10 +1,11 @@
 """A minimal multilayer rectifier classifier with SGD-momentum training.
 
 The model is a fully connected network ``d -> hidden... -> K`` with rectifier
-activations between layers and linear outputs.  Two forward paths exist: a
-plain numpy one for inference, and a :class:`~edmlab.autodiff.Tensor` one for
-training, whose gradients are exercised against finite differences in the
-test suite.
+activations between layers and linear outputs.  Inference and every no-grad
+pass (loss scans, label guessing, relabelling) use the plain numpy forward;
+whole datasets go through it in bounded chunks.  SGD steps build the same
+network as a :class:`~edmlab.autodiff.Tensor` graph, whose gradients are
+exercised against finite differences in the test suite.
 
 Parameters live in float64 in memory.  Checkpoints are written as float32
 (little-endian) with a textual header and a trailing length checksum, so a
@@ -30,6 +31,9 @@ AUGMENT_NONE = "none"
 AUGMENT_JITTER = "gaussian_jitter"
 
 CKPT_MAGIC = "EDMCKPT1"
+
+#: rows per call in :func:`forward_logits_chunked`
+FORWARD_CHUNK = 4096
 
 
 @dataclass
@@ -103,16 +107,20 @@ def init_model(widths, seed: int, role: str = ROLE_NETD) -> ModelParams:
 
 def forward_logits(params: ModelParams, batch: np.ndarray) -> np.ndarray:
     """Plain-numpy forward pass; pure function of (params, batch)."""
-    x = np.asarray(batch, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != params.input_dim:
-        raise ValueError(f"batch shape {x.shape} incompatible with input width "
-                         f"{params.input_dim}")
-    last = len(params.weights) - 1
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        x = x @ w + b
-        if i != last:
-            x = np.maximum(x, 0.0)
-    return x
+    return hidden_features(params, batch) @ params.weights[-1] + params.biases[-1]
+
+
+def forward_logits_chunked(params: ModelParams, batch: np.ndarray) -> np.ndarray:
+    """:func:`forward_logits` over a whole dataset, FORWARD_CHUNK rows at a time.
+
+    Chunking bounds the hidden activations held at once on large manifests.
+    """
+    n = batch.shape[0]
+    out = np.empty((n, params.num_classes), dtype=np.float64)
+    for start in range(0, n, FORWARD_CHUNK):
+        out[start:start + FORWARD_CHUNK] = forward_logits(
+            params, batch[start:start + FORWARD_CHUNK])
+    return out
 
 
 def hidden_features(params: ModelParams, batch: np.ndarray) -> np.ndarray:

@@ -135,10 +135,6 @@ class DatasetManifest:
             int(np.count_nonzero(self.provenance == Provenance.OPEN)),
         )
 
-    @property
-    def ids(self) -> np.ndarray:
-        return np.arange(len(self), dtype=np.int64)
-
     def one_hot_observed(self) -> np.ndarray:
         """(n, num_classes) float64 one-hot matrix of observed labels."""
         eye = np.eye(self.num_classes, dtype=np.float64)

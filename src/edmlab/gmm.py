@@ -8,6 +8,13 @@ captures out-of-distribution inputs.  Summing component responsibilities
 over those bands gives each sample a (clean, open, closed) posterior
 triple; a strict-max rule then partitions the dataset into a labeled set,
 an unlabeled set, and a discard set.
+
+EM is vectorized numpy.  The E-step works in log space: per-sample,
+per-component log densities, a row-wise log-sum-exp for the likelihood, and
+normalized responsibilities.  The M-step is the closed-form
+weight/mean/variance update with floored variances; a component whose
+responsibility mass vanishes keeps its old mean and variance instead of
+dividing by ~0.
 """
 
 from __future__ import annotations
@@ -16,15 +23,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import gmm_kernels
+_LOG_2PI = float(np.log(2.0 * np.pi))
+_WEIGHT_FLOOR = 1e-300
+_DEAD_MASS = 1e-12
 
 
 @dataclass(frozen=True)
 class GmmConfig:
     """Mixture size, band thresholds, and EM stopping controls.
 
-    ``seed`` is recorded for provenance but does not influence fitting:
-    initialization is deterministic by quantiles.
+    Fitting has no randomness: initialization is deterministic by quantiles.
     """
 
     num_components: int = 20
@@ -33,7 +41,6 @@ class GmmConfig:
     max_iters: int = 100
     tol: float = 1e-6
     variance_floor: float = 1e-6
-    seed: int = 0
 
     def validate(self) -> None:
         if self.num_components < 1:
@@ -127,6 +134,39 @@ def normalize_losses(raw: np.ndarray) -> np.ndarray:
     return (x - lo) / (hi - lo)
 
 
+def _init_params(x: np.ndarray, num_components: int,
+                 variance_floor: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Deterministic starting point.
+
+    Means sit at the ``num_components`` evenly spaced quantiles (midpoints
+    of equal probability bands), variances all start at the data variance
+    split across components (floored), weights uniform.
+    """
+    psi = num_components
+    qs = (np.arange(psi, dtype=np.float64) + 0.5) / psi
+    means = np.quantile(x, qs)
+    var0 = max(float(x.var()) / psi, variance_floor)
+    variances = np.full(psi, var0, dtype=np.float64)
+    weights = np.full(psi, 1.0 / psi, dtype=np.float64)
+    return weights, means, variances
+
+
+def _loglik_resp(x, weights, means, variances) -> tuple[float, np.ndarray]:
+    """E-step: data log-likelihood and (n, psi) responsibilities."""
+    # per-component constants are hoisted out of the per-sample work
+    log_const = (np.log(np.maximum(weights, _WEIGHT_FLOOR))
+                 - 0.5 * (_LOG_2PI + np.log(variances)))
+    inv_two_var = 0.5 / variances
+    logp = log_const[None, :] \
+        - (x[:, None] - means[None, :]) ** 2 * inv_two_var[None, :]
+    top = logp.max(axis=1, keepdims=True)
+    resp = np.exp(logp - top)
+    norm = resp.sum(axis=1)
+    ll = float((top[:, 0] + np.log(norm)).sum())
+    resp /= norm[:, None]
+    return ll, resp
+
+
 def fit_em(losses: np.ndarray, cfg: GmmConfig) -> GmmModel:
     """Fit the mixture by EM with deterministic quantile initialization."""
     cfg.validate()
@@ -138,19 +178,36 @@ def fit_em(losses: np.ndarray, cfg: GmmConfig) -> GmmModel:
             f"need at least {cfg.num_components} samples to fit "
             f"{cfg.num_components} components, got {x.shape[0]}"
         )
-    weights, means, variances, trace = gmm_kernels.run_em(
-        x, cfg.num_components, cfg.max_iters, cfg.tol, cfg.variance_floor
-    )
+    n = x.shape[0]
+    weights, means, variances = _init_params(x, cfg.num_components,
+                                             cfg.variance_floor)
+    ll, resp = _loglik_resp(x, weights, means, variances)
+    trace = [ll]
+    for _ in range(cfg.max_iters):
+        nk = resp.sum(axis=0)
+        alive = nk > _DEAD_MASS
+        new_means = means.copy()
+        new_vars = variances.copy()
+        safe_nk = np.where(alive, nk, 1.0)
+        new_means[alive] = ((resp * x[:, None]).sum(axis=0) / safe_nk)[alive]
+        sq = (resp * (x[:, None] - new_means[None, :]) ** 2).sum(axis=0) / safe_nk
+        new_vars[alive] = np.maximum(sq, cfg.variance_floor)[alive]
+        weights = nk / n
+        means = new_means
+        variances = new_vars
+
+        ll, resp = _loglik_resp(x, weights, means, variances)
+        trace.append(ll)
+        if ll - trace[-2] < cfg.tol:
+            break
     return GmmModel(weights=weights, means=means, variances=variances,
-                    log_likelihood_trace=trace)
+                    log_likelihood_trace=np.asarray(trace, dtype=np.float64))
 
 
 def responsibilities(model: GmmModel, losses: np.ndarray) -> np.ndarray:
     """(n, psi) posterior component memberships under the fitted model."""
     x = np.asarray(losses, dtype=np.float64)
-    _, resp = gmm_kernels._loglik_resp_numpy(
-        x, model.weights, model.means, model.variances
-    )
+    _, resp = _loglik_resp(x, model.weights, model.means, model.variances)
     return resp
 
 

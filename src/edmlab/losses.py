@@ -1,11 +1,12 @@
 """Training objectives: evidence-based loss, cross-entropy, consistency
-penalties, and the weighted combination used for the noise-robust network.
+penalty, uniformity regularizer, and their weighted combination.
 
-Two parallel implementations live here.  The plain-numpy functions define
-the numeric contracts on single rows or whole arrays and back the
-per-sample loss scans.  The ``*_t`` functions build the same quantities as
-:class:`~edmlab.autodiff.Tensor` graphs for gradient-based training; both
-agree to float precision.
+Each objective has one implementation: a batched function over
+:class:`~edmlab.autodiff.Tensor` graphs (the ``*_t`` functions) that the
+training loop differentiates.  The per-sample loss scan evaluates the same
+evidence-loss graph on constant tensors, and the single-sample functions
+(``sl_loss``, ``ce_loss``, ``unlabeled_mse``, ``reg_loss``, ``dm_loss``) are
+one-row wrappers that validate their inputs and return a float.
 
 The evidence loss treats rectified logits plus one as the concentration of
 a Dirichlet opinion; its value decomposes into a squared error between the
@@ -22,17 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor
+from .backbone import forward_logits_chunked
 
 #: probability floor applied inside every logarithm
 EPS = 1e-12
-
-
-@dataclass(frozen=True)
-class DirichletEvidence:
-    """Concentration vector and its total strength."""
-
-    alpha: np.ndarray
-    strength: float
 
 
 @dataclass(frozen=True)
@@ -47,6 +41,10 @@ class LossWeights:
             raise ValueError(f"lambda_u must be finite and >= 0, got {self.lambda_u}")
         if not np.isfinite(self.lambda_reg) or self.lambda_reg < 0:
             raise ValueError(f"lambda_reg must be finite and >= 0, got {self.lambda_reg}")
+
+    def combine(self, labeled, unlabeled, regularizer):
+        """labeled + lambda_u·unlabeled + lambda_reg·regularizer (floats or tensors)."""
+        return labeled + self.lambda_u * unlabeled + self.lambda_reg * regularizer
 
 
 def _check_distribution(p: np.ndarray, name: str) -> np.ndarray:
@@ -63,113 +61,7 @@ def _check_one_hot(y: np.ndarray) -> np.ndarray:
     return y
 
 
-# -- evidence loss -----------------------------------------------------
-
-
-def evidence(logits: np.ndarray) -> DirichletEvidence:
-    """alpha(c) = max(logit_c, 0) + 1, with its total strength."""
-    alpha = np.maximum(np.asarray(logits, dtype=np.float64), 0.0) + 1.0
-    return DirichletEvidence(alpha=alpha, strength=float(alpha.sum()))
-
-
-def sl_loss(logits: np.ndarray, y: np.ndarray) -> float:
-    """Evidence loss of one sample: label-fit error plus predictive variance."""
-    y = _check_one_hot(y)
-    ev = evidence(logits)
-    if y.shape != ev.alpha.shape:
-        raise ValueError(f"label length {y.shape} != logit length {ev.alpha.shape}")
-    p = ev.alpha / ev.strength
-    err = np.sum((y - p) ** 2)
-    var = np.sum(p * (1.0 - p)) / (ev.strength + 1.0)
-    return float(err + var)
-
-
-def sl_losses_from_logits(logits: np.ndarray, labels_one_hot: np.ndarray) -> np.ndarray:
-    """Vectorized per-row evidence losses for an (N, K) logit matrix."""
-    logits = np.asarray(logits, dtype=np.float64)
-    labels = np.asarray(labels_one_hot, dtype=np.float64)
-    alpha = np.maximum(logits, 0.0) + 1.0
-    strength = alpha.sum(axis=1, keepdims=True)
-    p = alpha / strength
-    err = ((labels - p) ** 2).sum(axis=1)
-    var = (p * (1.0 - p)).sum(axis=1) / (strength[:, 0] + 1.0)
-    return err + var
-
-
-def sl_dataset_loss(model, dataset) -> tuple[float, np.ndarray]:
-    """Mean and per-sample evidence losses over a whole manifest.
-
-    Per-sample values are ordered by sample id.  ``model`` is a
-    :class:`~edmlab.backbone.ModelParams`; the forward pass is chunked so
-    large manifests do not blow up memory.
-    """
-    from .backbone import forward_logits
-
-    n = len(dataset)
-    if n == 0:
-        raise ValueError("dataset is empty")
-    labels = dataset.one_hot_observed()
-    per_sample = np.empty(n, dtype=np.float64)
-    chunk = 4096
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
-        logits = forward_logits(model, dataset.features[start:stop])
-        per_sample[start:stop] = sl_losses_from_logits(logits, labels[start:stop])
-    return float(per_sample.mean()), per_sample
-
-
-# -- cross-entropy, consistency, and the combined objective ------------
-
-
-def ce_loss(probs: np.ndarray, label: np.ndarray) -> float:
-    """−Σ label·log(probs), probabilities floored at EPS; accepts soft labels."""
-    probs = _check_distribution(probs, "probs")
-    label = _check_distribution(label, "label")
-    return float(-np.sum(label * np.log(np.maximum(probs, EPS))))
-
-
-def unlabeled_mse(guess: np.ndarray, probs: np.ndarray) -> float:
-    """Squared Euclidean distance between two distributions."""
-    guess = _check_distribution(guess, "guess")
-    probs = _check_distribution(probs, "probs")
-    if guess.shape != probs.shape:
-        raise ValueError(f"length mismatch: {guess.shape} vs {probs.shape}")
-    return float(np.sum((guess - probs) ** 2))
-
-
-def reg_loss(mean_probs: np.ndarray) -> float:
-    """Divergence of the batch-mean prediction from the uniform distribution.
-
-    Zero exactly when the mean prediction is uniform; grows as mass
-    collapses onto few classes.
-    """
-    pbar = np.asarray(mean_probs, dtype=np.float64)
-    k = pbar.shape[-1]
-    pi = 1.0 / k
-    return float(np.sum(pi * (np.log(pi) - np.log(np.maximum(pbar, EPS)))))
-
-
-def dm_loss(labeled_loss: float, unlabeled_loss: float, mean_probs: np.ndarray,
-            weights: LossWeights) -> float:
-    """labeled + lambda_u·unlabeled + lambda_reg·uniformity penalty."""
-    return float(labeled_loss
-                 + weights.lambda_u * unlabeled_loss
-                 + weights.lambda_reg * reg_loss(mean_probs))
-
-
-def temp_sharpen(p: np.ndarray, temperature: float) -> np.ndarray:
-    """Raise a distribution to 1/T and renormalize along the last axis."""
-    if temperature <= 0:
-        raise ValueError(f"temperature must be > 0, got {temperature}")
-    p = np.asarray(p, dtype=np.float64)
-    powered = p ** (1.0 / temperature)
-    total = powered.sum(axis=-1, keepdims=True)
-    if np.any(total == 0.0):
-        raise ValueError("cannot sharpen an all-zero distribution")
-    return powered / total
-
-
-# -- differentiable batch versions -------------------------------------
+# -- batched objectives (what training differentiates) -----------------
 
 
 def softmax_t(logits: Tensor) -> Tensor:
@@ -179,15 +71,24 @@ def softmax_t(logits: Tensor) -> Tensor:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def sl_batch_loss_t(logits: Tensor, labels_one_hot: np.ndarray) -> Tensor:
-    """Mean evidence loss of a batch, as a scalar tensor."""
+def sl_row_losses_t(logits: Tensor, labels_one_hot: np.ndarray) -> Tensor:
+    """Per-row evidence losses: label-fit error plus predictive variance.
+
+    alpha = max(logit, 0) + 1 is the Dirichlet concentration, its sum the
+    opinion's strength.
+    """
     labels = np.asarray(labels_one_hot, dtype=np.float64)
     alpha = logits.relu() + 1.0
     strength = alpha.sum(axis=1, keepdims=True)
     p = alpha / strength
     err = ((p - labels) ** 2).sum(axis=1)
     var = (p * (1.0 - p)).sum(axis=1) / (strength.sum(axis=1) + 1.0)
-    return (err + var).mean()
+    return err + var
+
+
+def sl_batch_loss_t(logits: Tensor, labels_one_hot: np.ndarray) -> Tensor:
+    """Mean evidence loss of a batch, as a scalar tensor."""
+    return sl_row_losses_t(logits, labels_one_hot).mean()
 
 
 def ce_batch_loss_t(probs: Tensor, labels: np.ndarray) -> Tensor:
@@ -202,12 +103,14 @@ def mse_batch_loss_t(probs: Tensor, targets: np.ndarray) -> Tensor:
     return (diff ** 2).sum(axis=1).mean()
 
 
-def reg_loss_t(probs_all: Tensor) -> Tensor:
-    """Uniformity penalty on the batch-mean predicted distribution."""
-    k = probs_all.shape[-1]
-    pi = 1.0 / k
-    pbar = probs_all.mean(axis=0)
-    return (pi * (np.log(pi) - pbar.clip_min(EPS).log())).sum()
+def reg_loss_t(mean_probs: Tensor) -> Tensor:
+    """Divergence of a mean prediction from the uniform distribution.
+
+    Zero exactly when the mean prediction is uniform; grows as mass
+    collapses onto few classes.
+    """
+    pi = 1.0 / mean_probs.shape[-1]
+    return (pi * (np.log(pi) - mean_probs.clip_min(EPS).log())).sum()
 
 
 def dm_batch_loss_t(logits_x: Tensor | None, labels_x: np.ndarray | None,
@@ -235,14 +138,84 @@ def dm_batch_loss_t(logits_x: Tensor | None, labels_x: np.ndarray | None,
     row_sums = parts[0].sum(axis=0)
     for p in parts[1:]:
         row_sums = row_sums + p.sum(axis=0)
-    pbar = row_sums * (1.0 / total_rows)
-    pi = 1.0 / parts[0].shape[-1]
-    l_reg = (pi * (np.log(pi) - pbar.clip_min(EPS).log())).sum()
+    l_reg = reg_loss_t(row_sums * (1.0 / total_rows))
 
-    total = l_x + weights.lambda_u * l_u + weights.lambda_reg * l_reg
+    total = weights.combine(l_x, l_u, l_reg)
     components = {
         "labeled": float(l_x.value),
         "unlabeled": float(l_u.value),
         "regularizer": float(l_reg.value),
     }
     return total, components
+
+
+# -- per-sample scan ---------------------------------------------------
+
+
+def sl_losses_from_logits(logits: np.ndarray, labels_one_hot: np.ndarray) -> np.ndarray:
+    """Per-row evidence losses for an (N, K) logit matrix, as an array."""
+    return sl_row_losses_t(Tensor(logits), labels_one_hot).value
+
+
+def sl_dataset_loss(model, dataset) -> tuple[float, np.ndarray]:
+    """Mean and per-sample evidence losses over a whole manifest.
+
+    Per-sample values are ordered by sample id.  ``model`` is a
+    :class:`~edmlab.backbone.ModelParams`.
+    """
+    if len(dataset) == 0:
+        raise ValueError("dataset is empty")
+    logits = forward_logits_chunked(model, dataset.features)
+    per_sample = sl_losses_from_logits(logits, dataset.one_hot_observed())
+    return float(per_sample.mean()), per_sample
+
+
+# -- single-sample contracts -------------------------------------------
+
+
+def sl_loss(logits: np.ndarray, y: np.ndarray) -> float:
+    """Evidence loss of one sample against a one-hot label."""
+    y = _check_one_hot(y)
+    logits = np.asarray(logits, dtype=np.float64)
+    if y.shape != logits.shape:
+        raise ValueError(f"label length {y.shape} != logit length {logits.shape}")
+    return float(sl_losses_from_logits(logits[None, :], y[None, :])[0])
+
+
+def ce_loss(probs: np.ndarray, label: np.ndarray) -> float:
+    """−Σ label·log(probs), probabilities floored at EPS; accepts soft labels."""
+    probs = _check_distribution(probs, "probs")
+    label = _check_distribution(label, "label")
+    return float(ce_batch_loss_t(Tensor(probs[None, :]), label[None, :]).value)
+
+
+def unlabeled_mse(guess: np.ndarray, probs: np.ndarray) -> float:
+    """Squared Euclidean distance between two distributions."""
+    guess = _check_distribution(guess, "guess")
+    probs = _check_distribution(probs, "probs")
+    if guess.shape != probs.shape:
+        raise ValueError(f"length mismatch: {guess.shape} vs {probs.shape}")
+    return float(mse_batch_loss_t(Tensor(probs[None, :]), guess[None, :]).value)
+
+
+def reg_loss(mean_probs: np.ndarray) -> float:
+    """Uniformity penalty of one mean prediction; see :func:`reg_loss_t`."""
+    return float(reg_loss_t(Tensor(mean_probs)).value)
+
+
+def dm_loss(labeled_loss: float, unlabeled_loss: float, mean_probs: np.ndarray,
+            weights: LossWeights) -> float:
+    """labeled + lambda_u·unlabeled + lambda_reg·uniformity penalty."""
+    return float(weights.combine(labeled_loss, unlabeled_loss, reg_loss(mean_probs)))
+
+
+def temp_sharpen(p: np.ndarray, temperature: float) -> np.ndarray:
+    """Raise a distribution to 1/T and renormalize along the last axis."""
+    if temperature <= 0:
+        raise ValueError(f"temperature must be > 0, got {temperature}")
+    p = np.asarray(p, dtype=np.float64)
+    powered = p ** (1.0 / temperature)
+    total = powered.sum(axis=-1, keepdims=True)
+    if np.any(total == 0.0):
+        raise ValueError("cannot sharpen an all-zero distribution")
+    return powered / total

@@ -23,7 +23,8 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -36,6 +37,7 @@ from .backbone import (
     augment,
     backward,
     forward_logits,
+    forward_logits_chunked,
     forward_logits_t,
     init_model,
     init_optim,
@@ -146,20 +148,7 @@ class EpochReport:
     confusion: list[list[int]] | None = None
 
     def to_record(self) -> dict:
-        return {
-            "epoch": self.epoch,
-            "n_x": self.n_x,
-            "n_u": self.n_u,
-            "n_o": self.n_o,
-            "test_accuracy": self.test_accuracy,
-            "learning_rate": self.learning_rate,
-            "mean_sl_loss": self.mean_sl_loss,
-            "mean_labeled_loss": self.mean_labeled_loss,
-            "mean_unlabeled_loss": self.mean_unlabeled_loss,
-            "mean_reg_loss": self.mean_reg_loss,
-            "split_balanced_accuracy": self.split_balanced_accuracy,
-            "confusion": self.confusion,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -202,56 +191,49 @@ def _seed_bundle(seed: int):
     return netd_ss, nets_ss, np.random.default_rng(run_ss)
 
 
-# -- contract-level single-sample operations ---------------------------
+# -- MixMatch steps ----------------------------------------------------
 
 
-def co_refine(label: np.ndarray, clean_weight: float, mean_probs: np.ndarray,
+def co_refine(labels: np.ndarray, clean_weight: np.ndarray, mean_probs: np.ndarray,
               temperature: float) -> np.ndarray:
-    """Blend a label with the model's averaged prediction, then sharpen."""
-    if not 0.0 <= clean_weight <= 1.0:
-        raise ValueError(f"clean_weight must be in [0,1], got {clean_weight}")
-    blended = clean_weight * np.asarray(label, dtype=np.float64) \
-        + (1.0 - clean_weight) * np.asarray(mean_probs, dtype=np.float64)
-    return temp_sharpen(blended, temperature)
+    """Blend each label with the model's averaged prediction, then sharpen.
+
+    Row i keeps ``clean_weight[i]`` of its label; (n, K) labels and
+    predictions, (n,) weights.
+    """
+    w = np.asarray(clean_weight, dtype=np.float64)[:, None]
+    if np.any(w < 0.0) or np.any(w > 1.0 + 1e-9):
+        raise ValueError("clean weights must lie in [0, 1]")
+    return temp_sharpen(w * labels + (1.0 - w) * mean_probs, temperature)
 
 
-def guess_unlabeled(model: ModelParams, sample: np.ndarray, num_augments: int,
-                    temperature: float, augment_spec: AugmentSpec,
-                    rng: np.random.Generator) -> np.ndarray:
-    """Sharpened average prediction over stochastic views of one sample."""
+def guess_unlabeled(model: ModelParams, feats: np.ndarray, num_augments: int,
+                    augment_spec: AugmentSpec, rng: np.random.Generator
+                    ) -> tuple[list[np.ndarray], np.ndarray]:
+    """M stochastic views of a batch and the model's average softmax over them.
+
+    The average is MixMatch's label guess: unlabeled rows train on it
+    sharpened, labeled rows blend it with their label first (:func:`co_refine`).
+    """
     if num_augments < 1:
         raise ValueError(f"num_augments must be >= 1, got {num_augments}")
-    x = np.asarray(sample, dtype=np.float64).reshape(1, -1)
-    acc = np.zeros(model.num_classes, dtype=np.float64)
+    views, acc = [], None
     for _ in range(num_augments):
-        view = augment(x, augment_spec, rng)
-        acc += softmax_probs(forward_logits(model, view))[0]
-    return temp_sharpen(acc / num_augments, temperature)
-
-
-def mixmatch_pair(a: tuple[np.ndarray, np.ndarray], b: tuple[np.ndarray, np.ndarray],
-                  mix_alpha: float, rng: np.random.Generator
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Convexly mix two (input, target) pairs, first operand dominating.
-
-    The coefficient is drawn from Beta(mix_alpha, mix_alpha) and folded to
-    its upper half, so the output stays closer to ``a``.
-    """
-    lam = float(rng.beta(mix_alpha, mix_alpha))
-    lam = max(lam, 1.0 - lam)
-    ai, at = a
-    bi, bt = b
-    mixed_input = lam * np.asarray(ai, np.float64) + (1 - lam) * np.asarray(bi, np.float64)
-    mixed_target = lam * np.asarray(at, np.float64) + (1 - lam) * np.asarray(bt, np.float64)
-    return mixed_input, mixed_target
+        v = augment(feats, augment_spec, rng)
+        views.append(v)
+        p = softmax_probs(forward_logits(model, v))
+        acc = p if acc is None else acc + p
+    return views, acc / num_augments
 
 
 def mixmatch_batch(inputs: np.ndarray, targets: np.ndarray, mix_alpha: float,
                    rng: np.random.Generator) -> RefinedBatch:
     """Mix every row against a shuffled partner from the same pool.
 
-    Draw order is fixed (partner permutation first, then the coefficient
-    vector) so runs are reproducible.
+    Each coefficient is drawn from Beta(mix_alpha, mix_alpha) and folded to
+    its upper half, so a mixed row stays closer to its own original.  Draw
+    order is fixed (partner permutation first, then the coefficient vector)
+    so runs are reproducible.
     """
     n = inputs.shape[0]
     perm = rng.permutation(n)
@@ -265,41 +247,30 @@ def mixmatch_batch(inputs: np.ndarray, targets: np.ndarray, mix_alpha: float,
 # -- epoch-level passes ------------------------------------------------
 
 
-def _ce_pass(model: ModelParams, feats: np.ndarray, labels: np.ndarray,
-             batch_size: int, opt: OptimState, rng: np.random.Generator) -> float:
-    """One shuffled minibatch epoch of cross-entropy; returns its mean loss."""
+def _minibatch_pass(what: str, head, model: ModelParams, feats: np.ndarray,
+                    labels: np.ndarray, batch_size: int, opt: OptimState,
+                    rng: np.random.Generator) -> float:
+    """One shuffled minibatch epoch of ``head(logits, labels)``; returns its mean."""
     n = feats.shape[0]
     order = rng.permutation(n)
     total, steps = 0.0, 0
     for start in range(0, n, batch_size):
         idx = order[start:start + batch_size]
         ts = param_tensors(model)
-        loss = ce_batch_loss_t(softmax_t(forward_logits_t(ts, feats[idx])),
-                               labels[idx])
+        loss = head(forward_logits_t(ts, feats[idx]), labels[idx])
         if not np.isfinite(loss.value):
-            raise NumericsError("non-finite cross-entropy loss")
+            raise NumericsError(f"non-finite {what} loss")
         sgd_step(model, backward(ts, loss), opt)
         total += float(loss.value)
         steps += 1
     return total / max(steps, 1)
 
 
-def _sl_pass(model: ModelParams, feats: np.ndarray, labels: np.ndarray,
-             batch_size: int, opt: OptimState, rng: np.random.Generator) -> float:
-    """One shuffled minibatch epoch of the evidence loss; returns its mean."""
-    n = feats.shape[0]
-    order = rng.permutation(n)
-    total, steps = 0.0, 0
-    for start in range(0, n, batch_size):
-        idx = order[start:start + batch_size]
-        ts = param_tensors(model)
-        loss = sl_batch_loss_t(forward_logits_t(ts, feats[idx]), labels[idx])
-        if not np.isfinite(loss.value):
-            raise NumericsError("non-finite evidence loss")
-        sgd_step(model, backward(ts, loss), opt)
-        total += float(loss.value)
-        steps += 1
-    return total / max(steps, 1)
+# The heads look their loss functions up at call time, through this module.
+_ce_pass = partial(_minibatch_pass, "cross-entropy",
+                   lambda logits, y: ce_batch_loss_t(softmax_t(logits), y))
+_sl_pass = partial(_minibatch_pass, "evidence",
+                   lambda logits, y: sl_batch_loss_t(logits, y))
 
 
 def warmup(netd: ModelParams, nets: ModelParams, dataset: DatasetManifest,
@@ -321,19 +292,6 @@ def warmup(netd: ModelParams, nets: ModelParams, dataset: DatasetManifest,
         for _ in range(cfg.warmup_epochs_nets):
             _sl_pass(nets, feats, labels, cfg.batch_size, opt_s, rng)
     return netd, nets
-
-
-def _mean_view_probs(model: ModelParams, feats: np.ndarray, num_views: int,
-                     spec: AugmentSpec, rng: np.random.Generator
-                     ) -> tuple[list[np.ndarray], np.ndarray]:
-    """M stochastic views of a batch and the average softmax across them."""
-    views, acc = [], None
-    for _ in range(num_views):
-        v = augment(feats, spec, rng)
-        views.append(v)
-        p = softmax_probs(forward_logits(model, v))
-        acc = p if acc is None else acc + p
-    return views, acc / num_views
 
 
 def train_netd_epoch(netd: ModelParams, dataset: DatasetManifest,
@@ -372,15 +330,14 @@ def train_netd_epoch(netd: ModelParams, dataset: DatasetManifest,
             ub = np.empty(0, dtype=np.int64)
 
         # labeled part: co-refined, sharpened targets on M views
-        views_x, p_mean = _mean_view_probs(netd, feats[xb], m, cfg.augment, rng)
-        w = split.w[xb][:, None]
-        refined = temp_sharpen(w * onehot[xb] + (1.0 - w) * p_mean, cfg.temperature)
+        views_x, p_mean = guess_unlabeled(netd, feats[xb], m, cfg.augment, rng)
+        refined = co_refine(onehot[xb], split.w[xb], p_mean, cfg.temperature)
         pool_inputs = views_x
         pool_targets = [refined] * m
 
         # unlabeled part: sharpened average-of-views pseudo-labels
         if len(ub) > 0:
-            views_u, q_mean = _mean_view_probs(netd, feats[ub], m, cfg.augment, rng)
+            views_u, q_mean = guess_unlabeled(netd, feats[ub], m, cfg.augment, rng)
             guessed = temp_sharpen(q_mean, cfg.temperature)
             pool_inputs = pool_inputs + views_u
             pool_targets = pool_targets + [guessed] * m
@@ -426,13 +383,7 @@ def relabel_for_nets(netd: ModelParams, dataset: DatasetManifest,
     """
     if len(split) != len(dataset):
         raise ValueError("split and dataset are misaligned")
-    probs = np.empty((len(dataset), dataset.num_classes))
-    chunk = 4096
-    for start in range(0, len(dataset), chunk):
-        stop = min(start + chunk, len(dataset))
-        probs[start:stop] = softmax_probs(
-            forward_logits(netd, dataset.features[start:stop])
-        )
+    probs = softmax_probs(forward_logits_chunked(netd, dataset.features))
     w_cl = split.w_cl[:, None]
     scores = w_cl * probs + (1.0 - w_cl) * dataset.one_hot_observed()
     new_labels = np.argmax(scores, axis=1).astype(np.int32)

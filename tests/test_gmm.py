@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from edmlab import gmm_kernels
 from edmlab.gmm import (
     GmmConfig,
     GmmModel,
@@ -109,23 +108,6 @@ class TestFitEm:
     def test_too_few_samples_rejected(self):
         with pytest.raises(ValueError):
             fit_em(np.array([0.1, 0.2]), GmmConfig(num_components=5))
-
-    def test_both_kernel_paths_agree(self, monkeypatch):
-        """Compiled and numpy EM produce the same fit on the same data."""
-        rng = np.random.default_rng(6)
-        x = np.concatenate([rng.normal(0.2, 0.05, 300),
-                            rng.normal(0.7, 0.05, 300)])
-        cfg = GmmConfig(num_components=6)
-        default_path = fit_em(x, cfg)
-        monkeypatch.setenv("EDM_NO_NUMBA", "1")
-        assert not gmm_kernels.use_compiled_kernel()
-        numpy_path = fit_em(x, cfg)
-        np.testing.assert_allclose(default_path.means, numpy_path.means, atol=1e-9)
-        np.testing.assert_allclose(default_path.weights, numpy_path.weights, atol=1e-9)
-        np.testing.assert_allclose(default_path.variances, numpy_path.variances,
-                                   atol=1e-9)
-        assert (len(default_path.log_likelihood_trace)
-                == len(numpy_path.log_likelihood_trace))
 
 
 def _three_band_model(sigma=0.05):

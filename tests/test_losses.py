@@ -21,7 +21,6 @@ from edmlab.losses import (
     ce_loss,
     dm_batch_loss_t,
     dm_loss,
-    evidence,
     mse_batch_loss_t,
     reg_loss,
     reg_loss_t,
@@ -36,27 +35,32 @@ from edmlab.losses import (
 
 
 class TestEvidence:
+    """alpha = max(logit, 0) + 1 inside the per-row loss the scan runs."""
+
     def test_zero_logits(self):
-        ev = evidence(np.array([0.0, 0.0]))
-        np.testing.assert_array_equal(ev.alpha, [1.0, 1.0])
-        assert ev.strength == 2.0
+        """alpha = (1, 1), strength 2: p = (0.5, 0.5) for either label."""
+        out = sl_losses_from_logits(np.zeros((2, 2)), np.eye(2))
+        np.testing.assert_allclose(out, [0.5 + 0.5 / 3, 0.5 + 0.5 / 3], atol=1e-12)
 
     def test_mixed_logits(self):
-        ev = evidence(np.array([2.0, -1.0]))
-        np.testing.assert_array_equal(ev.alpha, [3.0, 1.0])
-        assert ev.strength == 4.0
+        """alpha = (3, 1), strength 4: p = (0.75, 0.25), variance term 0.075."""
+        out = sl_losses_from_logits(np.array([[2.0, -1.0], [2.0, -1.0]]), np.eye(2))
+        np.testing.assert_allclose(out, [0.125 + 0.075, 1.125 + 0.075], atol=1e-12)
 
     def test_rectifier_floor(self):
-        ev = evidence(np.array([-5.0, -5.0, -5.0]))
-        np.testing.assert_array_equal(ev.alpha, [1.0, 1.0, 1.0])
-        assert ev.strength == 3.0
+        """Negative logits carry no evidence: they score like zero logits."""
+        labels = np.eye(3)
+        np.testing.assert_array_equal(
+            sl_losses_from_logits(np.full((3, 3), -5.0), labels),
+            sl_losses_from_logits(np.zeros((3, 3)), labels))
 
     def test_alpha_never_below_one(self):
         rng = np.random.default_rng(0)
-        for _ in range(50):
-            ev = evidence(rng.normal(scale=5, size=6))
-            assert np.all(ev.alpha >= 1.0)
-            assert abs(ev.strength - ev.alpha.sum()) <= 1e-9
+        logits = rng.normal(scale=5, size=(50, 6))
+        labels = np.eye(6)[rng.integers(0, 6, size=50)]
+        np.testing.assert_array_equal(
+            sl_losses_from_logits(logits, labels),
+            sl_losses_from_logits(np.maximum(logits, 0.0), labels))
 
 
 class TestSlLoss:
@@ -300,7 +304,7 @@ class TestTensorVersionsAgree:
 
     def test_reg_batch(self):
         probs = softmax_probs(self.logits)
-        got = reg_loss_t(softmax_t(Tensor(self.logits))).value
+        got = reg_loss_t(softmax_t(Tensor(self.logits)).mean(axis=0)).value
         np.testing.assert_allclose(got, reg_loss(probs.mean(axis=0)), rtol=1e-12)
 
     def test_dm_batch_combination(self):

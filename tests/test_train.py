@@ -18,13 +18,12 @@ from edmlab.backbone import (
 from edmlab.benchgen import DatasetManifest, NoiseSpec, inject_noise, \
     make_open_pool, make_synthetic_clean
 from edmlab.gmm import PosteriorSplit, partition
-from edmlab.losses import sl_dataset_loss
+from edmlab.losses import sl_dataset_loss, temp_sharpen
 from edmlab.train import (
     TrainConfig,
     co_refine,
     guess_unlabeled,
     mixmatch_batch,
-    mixmatch_pair,
     relabel_for_nets,
     run,
     run_baseline_ce,
@@ -114,24 +113,37 @@ class TestWarmup:
         assert means[0] < means[1] < means[2]
 
 
+def _refine_row(label, clean_weight, mean_probs, temperature):
+    """co_refine on a one-row batch."""
+    return co_refine(np.asarray(label)[None, :], np.array([clean_weight]),
+                     np.asarray(mean_probs)[None, :], temperature)[0]
+
+
 class TestCoRefine:
     def test_full_label_trust(self):
         y = np.array([1.0, 0.0])
-        np.testing.assert_allclose(co_refine(y, 1.0, np.array([0.3, 0.7]), 1.0), y,
+        np.testing.assert_allclose(_refine_row(y, 1.0, np.array([0.3, 0.7]), 1.0), y,
                                    atol=1e-12)
 
     def test_full_model_trust(self):
         p = np.array([0.3, 0.7])
-        np.testing.assert_allclose(co_refine(np.array([1.0, 0.0]), 0.0, p, 1.0), p,
+        np.testing.assert_allclose(_refine_row(np.array([1.0, 0.0]), 0.0, p, 1.0), p,
                                    atol=1e-12)
 
     def test_blend_then_sharpen(self):
-        out = co_refine(np.array([1.0, 0.0]), 0.5, np.array([0.6, 0.4]), 0.5)
+        out = _refine_row(np.array([1.0, 0.0]), 0.5, np.array([0.6, 0.4]), 0.5)
         np.testing.assert_allclose(out, [16 / 17, 1 / 17], atol=1e-12)
 
     def test_rejects_weight_out_of_range(self):
         with pytest.raises(ValueError):
-            co_refine(np.array([1.0, 0.0]), 1.5, np.array([0.5, 0.5]), 1.0)
+            _refine_row(np.array([1.0, 0.0]), 1.5, np.array([0.5, 0.5]), 1.0)
+
+
+def _guess_row(model, sample, num_augments, temperature, spec, rng):
+    """The loop's unlabeled target for a one-row batch: sharpened mean of views."""
+    views, mean = guess_unlabeled(model, sample[None, :], num_augments, spec, rng)
+    assert len(views) == num_augments
+    return temp_sharpen(mean, temperature)[0]
 
 
 class TestGuessUnlabeled:
@@ -139,7 +151,7 @@ class TestGuessUnlabeled:
         m = init_model((4, 8, 3), seed=2)
         x = np.random.default_rng(0).normal(size=4)
         spec = AugmentSpec(mode=AUGMENT_NONE, jitter_sigma=0.0)
-        out = guess_unlabeled(m, x, 1, 1.0, spec, np.random.default_rng(1))
+        out = _guess_row(m, x, 1, 1.0, spec, np.random.default_rng(1))
         want = softmax_probs(forward_logits(m, x[None, :]))[0]
         np.testing.assert_allclose(out, want, atol=1e-12)
 
@@ -147,7 +159,7 @@ class TestGuessUnlabeled:
         m = init_model((4, 8, 3), seed=2)
         x = np.random.default_rng(0).normal(size=4)
         spec = AugmentSpec(jitter_sigma=0.1)
-        out = guess_unlabeled(m, x, 2, 0.5, spec, np.random.default_rng(1))
+        out = _guess_row(m, x, 2, 0.5, spec, np.random.default_rng(1))
         assert np.all(out >= 0)
         assert abs(out.sum() - 1.0) <= 1e-9
 
@@ -155,28 +167,36 @@ class TestGuessUnlabeled:
         m = init_model((4, 8, 3), seed=2)
         x = np.random.default_rng(0).normal(size=4)
         spec = AugmentSpec(mode=AUGMENT_NONE, jitter_sigma=0.0)
-        one = guess_unlabeled(m, x, 1, 0.5, spec, np.random.default_rng(1))
-        two = guess_unlabeled(m, x, 2, 0.5, spec, np.random.default_rng(1))
+        one = _guess_row(m, x, 1, 0.5, spec, np.random.default_rng(1))
+        two = _guess_row(m, x, 2, 0.5, spec, np.random.default_rng(1))
         np.testing.assert_allclose(one, two, atol=1e-12)
 
 
-class _FixedBeta:
-    """Stub generator whose beta() is constant; for mix-rule arithmetic."""
+class _FixedDraws:
+    """Stub generator: constant beta() draws, reversed permutation()."""
 
     def __init__(self, value):
         self.value = value
 
     def beta(self, a, b, size=None):
-        if size is None:
-            return self.value
         return np.full(size, self.value)
+
+    def permutation(self, n):
+        return np.arange(n)[::-1]
+
+
+def _mix_pair(a, b, mix_alpha, rng):
+    """Row 0 of mixmatch_batch over the two-row pool [a, b]."""
+    mixed = mixmatch_batch(np.stack([a[0], b[0]]), np.stack([a[1], b[1]]),
+                           mix_alpha, rng)
+    return mixed.inputs[0], mixed.targets[0]
 
 
 class TestMixmatchPair:
     def test_self_mix_is_identity(self):
         x = np.array([1.0, 2.0])
         t = np.array([0.25, 0.75])
-        mi, mt = mixmatch_pair((x, t), (x, t), 4.0, np.random.default_rng(0))
+        mi, mt = _mix_pair((x, t), (x, t), 4.0, np.random.default_rng(0))
         np.testing.assert_allclose(mi, x, atol=1e-12)
         np.testing.assert_allclose(mt, t, atol=1e-12)
 
@@ -184,7 +204,7 @@ class TestMixmatchPair:
         """A drawn 0.3 becomes 0.7 toward the first operand."""
         a = (np.array([1.0, 0.0]), np.array([1.0, 0.0]))
         b = (np.array([0.0, 1.0]), np.array([0.0, 1.0]))
-        mi, mt = mixmatch_pair(a, b, 4.0, _FixedBeta(0.3))
+        mi, mt = _mix_pair(a, b, 4.0, _FixedDraws(0.3))
         np.testing.assert_allclose(mi, [0.7, 0.3], atol=1e-12)
         np.testing.assert_allclose(mt, [0.7, 0.3], atol=1e-12)
 
@@ -192,7 +212,7 @@ class TestMixmatchPair:
         rng = np.random.default_rng(3)
         a = (rng.normal(size=5), rng.dirichlet(np.ones(4)))
         b = (rng.normal(size=5), rng.dirichlet(np.ones(4)))
-        _, mt = mixmatch_pair(a, b, 4.0, rng)
+        _, mt = _mix_pair(a, b, 4.0, rng)
         assert np.all(mt >= 0)
         assert abs(mt.sum() - 1.0) <= 1e-9
 
