@@ -193,6 +193,10 @@ def parse_config(flag_values: dict, config_path: str | None
         raise ConfigError(
             f"--mu-min must be below --mu-max, got "
             f"{resolved['mu_min']} >= {resolved['mu_max']}")
+    if resolved["classes"] > resolved["dim"]:
+        raise ConfigError(
+            f"--classes must not exceed --dim (each class centre takes its own "
+            f"axis), got {resolved['classes']} > {resolved['dim']}")
 
     noise = NoiseSpec(rho=resolved["rho"], omega=resolved["omega"],
                       seed=resolved["seed"])
@@ -238,6 +242,13 @@ class RunManifest:
         payload = json.dumps(self.__dict__, sort_keys=True, indent=2)
         (out_dir / "run_manifest.json").write_text(payload + "\n")
 
+    def finish(self, out_dir: Path, artifacts: list) -> None:
+        """Record a successful end with its artifacts, then write."""
+        self.artifacts += artifacts
+        self.finished_at = _utc_now()
+        self.outcome = "ok"
+        self.write(out_dir)
+
 
 def _utc_now() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
@@ -275,6 +286,13 @@ def _require_file(path: str | None, flag: str) -> Path:
     if not p.is_file():
         raise DataError(f"{flag} file not found: {p}")
     return p
+
+
+def _check_fit_size(n: int, psi: int, source: str) -> None:
+    """The noise split fits psi mixture components to n per-sample losses."""
+    if n < psi:
+        raise ConfigError(f"{source} gives {n} training samples, fewer than "
+                          f"the --psi {psi} mixture components")
 
 
 def _generate_benchmark(resolved: dict) -> DatasetManifest:
@@ -337,9 +355,16 @@ def _train_into(train_ds: DatasetManifest, test_ds: DatasetManifest,
 
 
 def _eval_into(model, train_ds: DatasetManifest, test_ds: DatasetManifest,
-               gmm_cfg: GmmConfig, out_dir: Path) -> tuple[list, dict]:
-    """Score a model and export the analysis tables into ``out_dir``."""
-    _, per_sample = sl_dataset_loss(model, train_ds)
+               gmm_cfg: GmmConfig, out_dir: Path, splitter=None
+               ) -> tuple[list, dict]:
+    """Score a model and export the analysis tables into ``out_dir``.
+
+    The noise split (the confusion in eval.json, posteriors, loss histogram)
+    comes from ``splitter``'s evidence losses, as in training; test accuracy
+    and features come from ``model``.  Without a splitter, ``model`` does both.
+    """
+    _, per_sample = sl_dataset_loss(model if splitter is None else splitter,
+                                    train_ds)
     norm = normalize_losses(per_sample)
     gmodel = fit_em(norm, gmm_cfg)
     split = group_posteriors(gmodel, norm, gmm_cfg)
@@ -393,6 +418,8 @@ def cmd_train(ns: argparse.Namespace) -> int:
         raise ConfigError("--out-dir is required")
     train_ds = load_manifest(train_path)
     test_ds = load_manifest(test_path)
+    if resolved["algo"] == ALGO_EDM:
+        _check_fit_size(len(train_ds), cfg.gmm.num_components, "--manifest")
 
     out_dir = Path(resolved["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -405,10 +432,7 @@ def cmd_train(ns: argparse.Namespace) -> int:
     )
     outcome, artifacts = _train_into(train_ds, test_ds, cfg,
                                      resolved["algo"], out_dir)
-    manifest.artifacts += artifacts
-    manifest.finished_at = _utc_now()
-    manifest.outcome = "ok"
-    manifest.write(out_dir)
+    manifest.finish(out_dir, artifacts)
     acc = outcome.accuracy
     _emit({"event": "train", "out_dir": str(out_dir), "algo": resolved["algo"],
            "epochs": cfg.epochs,
@@ -427,6 +451,7 @@ def cmd_eval(ns: argparse.Namespace) -> int:
     model = load_checkpoint(ckpt_path)
     train_ds = load_manifest(train_path)
     test_ds = load_manifest(test_path)
+    _check_fit_size(len(train_ds), cfg.gmm.num_components, "--manifest")
 
     out_dir = Path(resolved["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -438,10 +463,7 @@ def cmd_eval(ns: argparse.Namespace) -> int:
         started_at=_utc_now(),
     )
     artifacts, summary = _eval_into(model, train_ds, test_ds, cfg.gmm, out_dir)
-    manifest.artifacts += artifacts
-    manifest.finished_at = _utc_now()
-    manifest.outcome = "ok"
-    manifest.write(out_dir)
+    manifest.finish(out_dir, artifacts)
     _emit({"event": "eval", "out_dir": str(out_dir),
            "test_accuracy": summary["test_accuracy"],
            "split_balanced_accuracy": summary["split_balanced_accuracy"]})
@@ -462,6 +484,11 @@ def cmd_run(ns: argparse.Namespace) -> int:
         test_path = _require_file(resolved["test_manifest"], "--test-manifest")
         train_ds = load_manifest(train_path)
         test_ds = load_manifest(test_path)
+        _check_fit_size(len(train_ds), cfg.gmm.num_components, "--manifest")
+    else:
+        per_class, classes = resolved["per_class"], resolved["classes"]
+        _check_fit_size(classes * per_class, cfg.gmm.num_components,
+                        f"--per-class {per_class} x --classes {classes}")
 
     out_dir = Path(resolved["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -485,11 +512,8 @@ def cmd_run(ns: argparse.Namespace) -> int:
     outcome, train_artifacts = _train_into(train_ds, test_ds, cfg,
                                            resolved["algo"], out_dir)
     eval_artifacts, summary = _eval_into(outcome.netd, train_ds, test_ds,
-                                         cfg.gmm, out_dir)
-    manifest.artifacts += artifacts + train_artifacts + eval_artifacts
-    manifest.finished_at = _utc_now()
-    manifest.outcome = "ok"
-    manifest.write(out_dir)
+                                         cfg.gmm, out_dir, splitter=outcome.nets)
+    manifest.finish(out_dir, artifacts + train_artifacts + eval_artifacts)
     acc = outcome.accuracy
     _emit({"event": "run", "out_dir": str(out_dir), "algo": resolved["algo"],
            "generated_benchmark": generated, "epochs": cfg.epochs,

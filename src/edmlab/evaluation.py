@@ -154,10 +154,9 @@ def export_features(model: ModelParams, manifest: DatasetManifest,
     width = feats.shape[1]
     header = "id,provenance," + ",".join(f"h{j}" for j in range(width))
     lines = [header]
-    for i in range(len(manifest)):
-        row = [str(i), str(int(manifest.provenance[i]))]
-        row.extend(repr(float(v)) for v in feats[i])
-        lines.append(",".join(row))
+    # tolist() yields Python floats, whose repr is the exported text
+    for i, (prov, values) in enumerate(zip(manifest.provenance.tolist(), feats)):
+        lines.append(",".join([str(i), str(prov), *map(repr, values.tolist())]))
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
 

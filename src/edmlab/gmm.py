@@ -9,12 +9,9 @@ over those bands gives each sample a (clean, open, closed) posterior
 triple; a strict-max rule then partitions the dataset into a labeled set,
 an unlabeled set, and a discard set.
 
-EM is vectorized numpy.  The E-step works in log space: per-sample,
-per-component log densities, a row-wise log-sum-exp for the likelihood, and
-normalized responsibilities.  The M-step is the closed-form
-weight/mean/variance update with floored variances; a component whose
-responsibility mass vanishes keeps its old mean and variance instead of
-dividing by ~0.
+EM is vectorized numpy: a log-space E-step (row-wise log-sum-exp), then
+closed-form M-step updates with floored variances; a component whose
+responsibility mass vanishes keeps its old mean and variance.
 """
 
 from __future__ import annotations
@@ -26,6 +23,7 @@ import numpy as np
 _LOG_2PI = float(np.log(2.0 * np.pi))
 _WEIGHT_FLOOR = 1e-300
 _DEAD_MASS = 1e-12
+_EXP_UNDERFLOW = -746.0  # np.exp(x) == 0.0 for every x below this
 
 
 @dataclass(frozen=True)
@@ -134,23 +132,6 @@ def normalize_losses(raw: np.ndarray) -> np.ndarray:
     return (x - lo) / (hi - lo)
 
 
-def _init_params(x: np.ndarray, num_components: int,
-                 variance_floor: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Deterministic starting point.
-
-    Means sit at the ``num_components`` evenly spaced quantiles (midpoints
-    of equal probability bands), variances all start at the data variance
-    split across components (floored), weights uniform.
-    """
-    psi = num_components
-    qs = (np.arange(psi, dtype=np.float64) + 0.5) / psi
-    means = np.quantile(x, qs)
-    var0 = max(float(x.var()) / psi, variance_floor)
-    variances = np.full(psi, var0, dtype=np.float64)
-    weights = np.full(psi, 1.0 / psi, dtype=np.float64)
-    return weights, means, variances
-
-
 def _loglik_resp(x, weights, means, variances) -> tuple[float, np.ndarray]:
     """E-step: data log-likelihood and (n, psi) responsibilities."""
     # per-component constants are hoisted out of the per-sample work
@@ -160,7 +141,11 @@ def _loglik_resp(x, weights, means, variances) -> tuple[float, np.ndarray]:
     logp = log_const[None, :] \
         - (x[:, None] - means[None, :]) ** 2 * inv_two_var[None, :]
     top = logp.max(axis=1, keepdims=True)
-    resp = np.exp(logp - top)
+    logp -= top
+    # exp is exactly 0 below -746, where numpy's exp takes a slow path; the
+    # tight loss bands of a trained splitter put many entries there
+    resp = np.zeros_like(logp)
+    np.exp(logp, out=resp, where=logp > _EXP_UNDERFLOW)
     norm = resp.sum(axis=1)
     ll = float((top[:, 0] + np.log(norm)).sum())
     resp /= norm[:, None]
@@ -178,9 +163,13 @@ def fit_em(losses: np.ndarray, cfg: GmmConfig) -> GmmModel:
             f"need at least {cfg.num_components} samples to fit "
             f"{cfg.num_components} components, got {x.shape[0]}"
         )
-    n = x.shape[0]
-    weights, means, variances = _init_params(x, cfg.num_components,
-                                             cfg.variance_floor)
+    # Deterministic start: means at the psi evenly spaced quantiles (midpoints
+    # of equal probability bands), the data variance split across components
+    # (floored), uniform weights.
+    n, psi = x.shape[0], cfg.num_components
+    means = np.quantile(x, (np.arange(psi, dtype=np.float64) + 0.5) / psi)
+    variances = np.full(psi, max(float(x.var()) / psi, cfg.variance_floor))
+    weights = np.full(psi, 1.0 / psi)
     ll, resp = _loglik_resp(x, weights, means, variances)
     trace = [ll]
     for _ in range(cfg.max_iters):

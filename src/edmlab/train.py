@@ -202,6 +202,7 @@ def co_refine(labels: np.ndarray, clean_weight: np.ndarray, mean_probs: np.ndarr
     predictions, (n,) weights.
     """
     w = np.asarray(clean_weight, dtype=np.float64)[:, None]
+    # posterior masses are sums of responsibilities and may pass 1 by rounding
     if np.any(w < 0.0) or np.any(w > 1.0 + 1e-9):
         raise ValueError("clean weights must lie in [0, 1]")
     return temp_sharpen(w * labels + (1.0 - w) * mean_probs, temperature)
@@ -266,7 +267,8 @@ def _minibatch_pass(what: str, head, model: ModelParams, feats: np.ndarray,
     return total / max(steps, 1)
 
 
-# The heads look their loss functions up at call time, through this module.
+# The heads look their losses up in this module at call time, so a wrapper
+# installed on one of these names (perfbench's tracer) sees every call.
 _ce_pass = partial(_minibatch_pass, "cross-entropy",
                    lambda logits, y: ce_batch_loss_t(softmax_t(logits), y))
 _sl_pass = partial(_minibatch_pass, "evidence",

@@ -2,10 +2,15 @@
 artifact layout, exit codes, and rerun determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from edmlab import cli
 from edmlab.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
@@ -14,7 +19,12 @@ from edmlab.cli import (
     parse_config,
 )
 from edmlab.errors import ConfigError
+from edmlab.evaluation import split_confusion
+from edmlab.gmm import GmmConfig, fit_em, group_posteriors, normalize_losses
+from edmlab.losses import sl_dataset_loss
 from edmlab.manifest_io import load_manifest
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def run_cli(*args):
@@ -278,3 +288,59 @@ class TestRun:
         baseline = self._run_once(tmp_path, "flagrun")
         assert (out_dir / "epochs.jsonl").read_bytes() \
             == (baseline / "epochs.jsonl").read_bytes()
+
+    def test_eval_splits_with_the_splitter_network(self, tmp_path, monkeypatch):
+        """eval.json scores the noise split NetS gives, as training does."""
+        outcomes = []
+        real_run = cli.run
+
+        def recording_run(*args, **kwargs):
+            outcomes.append(real_run(*args, **kwargs))
+            return outcomes[-1]
+
+        monkeypatch.setattr(cli, "run", recording_run)
+        out_dir = self._run_once(tmp_path, "r")
+        train_ds = load_manifest(out_dir / "train.manifest")
+        gmm_cfg = GmmConfig()
+        _, per_sample = sl_dataset_loss(outcomes[0].nets, train_ds)
+        norm = normalize_losses(per_sample)
+        split = group_posteriors(fit_em(norm, gmm_cfg), norm, gmm_cfg)
+        summary = json.loads((out_dir / "eval.json").read_text())
+        assert summary["confusion"] \
+            == split_confusion(split, train_ds).matrix.tolist()
+
+
+class TestBadGeometry:
+    @pytest.mark.parametrize("args, flag", [
+        (("run", "--per-class", 2), "--per-class"),
+        (("run", "--classes", 4, "--dim", 2), "--classes"),
+        (("gen", "--classes", 4, "--dim", 2), "--classes"),
+    ])
+    def test_rejected_before_anything_is_written(self, tmp_path, capsys, args, flag):
+        out = tmp_path / "out"
+        dest = ("--out", out / "x.manifest") if args[0] == "gen" \
+            else ("--out-dir", out)
+        assert run_cli(*args, *dest) == EXIT_CONFIG
+        assert flag in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+
+class TestTracedBenchmark:
+    """perfbench wraps phase functions by their module-global names."""
+
+    @pytest.mark.parametrize("algo", ["edm", "ce"])
+    def test_traced_run_records_every_phase(self, tmp_path, algo):
+        spans = tmp_path / "spans.json"
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("EDM_SEED", "PYTHONPATH")}
+        env["OPENBLAS_NUM_THREADS"] = "1"
+        proc = subprocess.run(
+            [sys.executable, str(REPO / "perfbench" / "child.py"),
+             "--src", str(REPO / "src"), "--timing", str(tmp_path / "timing.json"),
+             "--trace", str(spans), "--", "--per-class", "10", "--epochs", "2",
+             "--algo", algo, "--out-dir", str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        names = {span[0] for span in json.loads(spans.read_text())["spans"]}
+        assert {"train.warmup", "train.netd_epoch", "gmm.fit", "backbone.step",
+                "losses.batch_loss"} <= names
