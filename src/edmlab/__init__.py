@@ -1,11 +1,11 @@
 """edmlab: a desk-scale lab for learning under combined closed-set and open-set label noise.
 
 The package covers the full experimental loop: synthetic benchmark generation
-with provenance-tagged label corruption (`benchgen`), a small differentiable
-classifier (`backbone`, `autodiff`), the training objectives (`losses`),
-a one-dimensional Gaussian-mixture noise classifier (`gmm`), the dual-network
-training procedure (`train`), metrics and exports (`evaluation`), and a CLI
-(`cli`).
+with provenance-tagged label corruption (`benchgen`), a small classifier
+with a hand-written backward pass (`backbone`), the training objectives and
+their closed-form gradients (`losses`), a one-dimensional Gaussian-mixture
+noise classifier (`gmm`), the dual-network training procedure (`train`),
+metrics and exports (`evaluation`), and a CLI (`cli`).
 """
 
 __version__ = "0.1.0"

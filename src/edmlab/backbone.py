@@ -3,9 +3,10 @@
 The model is a fully connected network ``d -> hidden... -> K`` with rectifier
 activations between layers and linear outputs.  Inference and every no-grad
 pass (loss scans, label guessing, relabelling) use the plain numpy forward;
-whole datasets go through it in bounded chunks.  SGD steps build the same
-network as a :class:`~edmlab.autodiff.Tensor` graph, whose gradients are
-exercised against finite differences in the test suite.
+whole datasets go through it in bounded chunks.  An SGD step builds a graph
+of a few fused :class:`Tensor` nodes (this forward, then the loss heads in
+:mod:`edmlab.losses`), each with a hand-derived backward; the test suite
+checks those gradients against finite differences.
 
 Parameters live in float64 in memory.  Checkpoints are written as float32
 (little-endian) with a textual header and a trailing length checksum, so a
@@ -20,7 +21,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor
 from .errors import ChecksumError, DimensionError, FormatError, NumericsError
 
 ROLE_NETD = "NetD"
@@ -38,7 +38,12 @@ FORWARD_CHUNK = 4096
 
 @dataclass
 class ModelParams:
-    """Weights and biases of a rectifier network, plus its shape and role."""
+    """Weights and biases of a rectifier network, plus its shape and role.
+
+    The arrays are copied into one contiguous ``buffer`` (in :meth:`flat`
+    order) and kept as views of it, so an SGD step updates every parameter
+    with a handful of array operations.  Update them in place only.
+    """
 
     widths: tuple[int, ...]
     weights: list[np.ndarray]
@@ -65,6 +70,12 @@ class ModelParams:
         for arr in self.weights + self.biases:
             if not np.all(np.isfinite(arr)):
                 raise ValueError("non-finite model parameter")
+        self.buffer = np.concatenate([a.ravel() for a in self.flat()], dtype=np.float64)
+        views, offset = [], 0
+        for arr in self.flat():
+            views.append(self.buffer[offset:offset + arr.size].reshape(arr.shape))
+            offset += arr.size
+        self.weights, self.biases = views[0::2], views[1::2]
 
     @property
     def input_dim(self) -> int:
@@ -142,31 +153,77 @@ def softmax_probs(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+class Tensor:
+    """A node of one SGD step's graph: a value and how its gradient flows back.
+
+    A leaf (``backprop`` is None) is a parameter array or a constant.  Every
+    other node is one fused operation (the network forward, a softmax, a loss
+    head) whose ``backprop(grad)`` maps the gradient of its output to one
+    gradient per parent, in closed form from arrays cached at forward time.
+    The closure never refers to its own node, so a step's graph holds no
+    reference cycles and is freed as soon as the step drops it.
+    """
+
+    __slots__ = ("value", "grad", "parents", "backprop", "__weakref__")
+
+    def __init__(self, value, parents=(), backprop=None):
+        self.value = np.asarray(value, dtype=np.float64)
+        self.grad: np.ndarray | None = None
+        self.parents: tuple[Tensor, ...] = tuple(parents)
+        self.backprop = backprop
+
+
 def param_tensors(params: ModelParams) -> list[Tensor]:
     """Leaf tensors over the parameters, in canonical flat order."""
     return [Tensor(arr) for arr in params.flat()]
 
 
 def forward_logits_t(tensors: list[Tensor], batch: np.ndarray) -> Tensor:
-    """Differentiable forward pass through tensors from :func:`param_tensors`."""
+    """Differentiable forward pass through tensors from :func:`param_tensors`.
+
+    One node whose parents are the parameter leaves; it keeps each layer's
+    input for the backward pass.  Several forward nodes may share one set of
+    leaves; their gradients add up in :func:`backward`.
+    """
     if len(tensors) < 2 or len(tensors) % 2 != 0:
         raise ValueError("expected an even-length W,b tensor list")
-    x = Tensor(np.asarray(batch, dtype=np.float64))
-    num_layers = len(tensors) // 2
-    for i in range(num_layers):
-        w, b = tensors[2 * i], tensors[2 * i + 1]
-        x = x @ w + b
-        if i != num_layers - 1:
-            x = x.relu()
-    return x
+    weights = [t.value for t in tensors[0::2]]
+    biases = [t.value for t in tensors[1::2]]
+    inputs = [np.asarray(batch, dtype=np.float64)]
+    for w, b in zip(weights[:-1], biases[:-1]):
+        inputs.append(np.maximum(inputs[-1] @ w + b, 0.0))
+    logits = inputs[-1] @ weights[-1] + biases[-1]
+
+    def backprop(grad):
+        grads = []
+        for i in range(len(weights) - 1, -1, -1):
+            grads += [grad.sum(axis=0), inputs[i].T @ grad]
+            if i:
+                grad = (grad @ weights[i].T) * (inputs[i] > 0.0)
+        return grads[::-1]
+
+    return Tensor(logits, tensors, backprop)
 
 
 def backward(param_ts: list[Tensor], loss: Tensor) -> list[np.ndarray]:
     """Backpropagate a scalar loss and collect per-parameter gradients.
 
-    Raises if any parameter tensor is not part of the loss graph.
+    Each node's gradient is pushed to its parents as soon as it is known;
+    backprop is linear, so a node reached along two paths may pass each
+    share on separately.  Raises if any parameter tensor is not part of the
+    loss graph.
     """
-    loss.backward()
+    if loss.value.size != 1:
+        raise ValueError("backward() requires a scalar loss")
+    for t in param_ts:
+        t.grad = None
+    pending = [(loss, np.ones_like(loss.value))]
+    while pending:
+        node, grad = pending.pop()
+        if node.backprop is None:
+            node.grad = grad if node.grad is None else node.grad + grad
+            continue
+        pending.extend(zip(node.parents, node.backprop(grad)))
     grads = []
     for i, t in enumerate(param_ts):
         if t.grad is None:
@@ -177,12 +234,12 @@ def backward(param_ts: list[Tensor], loss: Tensor) -> list[np.ndarray]:
 
 @dataclass
 class OptimState:
-    """SGD-with-momentum state: one velocity buffer per parameter array."""
+    """SGD-with-momentum state: the velocity, laid out like ``ModelParams.buffer``."""
 
     learning_rate: float
     momentum: float
     weight_decay: float
-    velocities: list[np.ndarray] = field(default_factory=list)
+    velocity: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     def __post_init__(self) -> None:
         if self.learning_rate < 0 or self.momentum < 0 or self.weight_decay < 0:
@@ -195,7 +252,7 @@ def init_optim(params: ModelParams, learning_rate: float, momentum: float,
         learning_rate=learning_rate,
         momentum=momentum,
         weight_decay=weight_decay,
-        velocities=[np.zeros_like(arr) for arr in params.flat()],
+        velocity=np.zeros_like(params.buffer),
     )
 
 
@@ -207,17 +264,19 @@ def sgd_step(params: ModelParams, grads: list[np.ndarray],
     A non-finite gradient aborts the step before touching any parameter.
     """
     flat = params.flat()
-    if len(grads) != len(flat) or len(opt.velocities) != len(flat):
+    if len(grads) != len(flat) or opt.velocity.shape != params.buffer.shape:
         raise ValueError("gradient/velocity count does not match parameters")
     for i, g in enumerate(grads):
         if g.shape != flat[i].shape:
             raise ValueError(f"gradient {i} shape {g.shape} != {flat[i].shape}")
-        if not np.all(np.isfinite(g)):
-            raise NumericsError(f"non-finite gradient in parameter array {i}")
-    for theta, g, v in zip(flat, grads, opt.velocities):
-        v *= opt.momentum
-        v += g + opt.weight_decay * theta
-        theta -= opt.learning_rate * v
+    grad = np.concatenate([g.ravel() for g in grads])
+    if not np.isfinite(grad).all():
+        bad = next(i for i, g in enumerate(grads) if not np.isfinite(g).all())
+        raise NumericsError(f"non-finite gradient in parameter array {bad}")
+    v, theta = opt.velocity, params.buffer
+    v *= opt.momentum
+    v += grad + opt.weight_decay * theta
+    theta -= opt.learning_rate * v
     return params, opt
 
 

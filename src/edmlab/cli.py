@@ -288,6 +288,18 @@ def _require_file(path: str | None, flag: str) -> Path:
     return p
 
 
+def _load_test_set(path: Path) -> DatasetManifest:
+    """Load the held-out set; test accuracy needs samples, every one clean."""
+    test_ds = load_manifest(path)
+    if len(test_ds) == 0:
+        raise DataError(f"--test-manifest {path} holds no samples")
+    _, closed, open_ = test_ds.counts
+    if closed or open_:
+        raise DataError(f"--test-manifest {path} must be all-clean, but holds "
+                        f"{closed} closed-set and {open_} open-set samples")
+    return test_ds
+
+
 def _check_fit_size(n: int, psi: int, source: str) -> None:
     """The noise split fits psi mixture components to n per-sample losses."""
     if n < psi:
@@ -417,7 +429,7 @@ def cmd_train(ns: argparse.Namespace) -> int:
     if resolved["out_dir"] is None:
         raise ConfigError("--out-dir is required")
     train_ds = load_manifest(train_path)
-    test_ds = load_manifest(test_path)
+    test_ds = _load_test_set(test_path)
     if resolved["algo"] == ALGO_EDM:
         _check_fit_size(len(train_ds), cfg.gmm.num_components, "--manifest")
 
@@ -450,7 +462,7 @@ def cmd_eval(ns: argparse.Namespace) -> int:
         raise ConfigError("--out-dir is required")
     model = load_checkpoint(ckpt_path)
     train_ds = load_manifest(train_path)
-    test_ds = load_manifest(test_path)
+    test_ds = _load_test_set(test_path)
     _check_fit_size(len(train_ds), cfg.gmm.num_components, "--manifest")
 
     out_dir = Path(resolved["out_dir"])
@@ -483,7 +495,7 @@ def cmd_run(ns: argparse.Namespace) -> int:
         train_path = _require_file(resolved["manifest"], "--manifest")
         test_path = _require_file(resolved["test_manifest"], "--test-manifest")
         train_ds = load_manifest(train_path)
-        test_ds = load_manifest(test_path)
+        test_ds = _load_test_set(test_path)
         _check_fit_size(len(train_ds), cfg.gmm.num_components, "--manifest")
     else:
         per_class, classes = resolved["per_class"], resolved["classes"]

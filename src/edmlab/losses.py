@@ -1,12 +1,13 @@
 """Training objectives: evidence-based loss, cross-entropy, consistency
 penalty, uniformity regularizer, and their weighted combination.
 
-Each objective has one implementation: a batched function over
-:class:`~edmlab.autodiff.Tensor` graphs (the ``*_t`` functions) that the
-training loop differentiates.  The per-sample loss scan evaluates the same
-evidence-loss graph on constant tensors, and the single-sample functions
-(``sl_loss``, ``ce_loss``, ``unlabeled_mse``, ``reg_loss``, ``dm_loss``) are
-one-row wrappers that validate their inputs and return a float.
+Each objective has one implementation: batched numpy code for its value
+and its closed-form gradient.  The ``*_t`` functions wrap it as single
+:class:`~edmlab.backbone.Tensor` nodes for the training loop to
+differentiate; the per-sample loss scan evaluates the same evidence-loss
+rows on plain arrays, and the single-sample functions (``sl_loss``,
+``ce_loss``, ``unlabeled_mse``, ``reg_loss``, ``dm_loss``) are one-row
+wrappers that validate their inputs and return a float.
 
 The evidence loss treats rectified logits plus one as the concentration of
 a Dirichlet opinion; its value decomposes into a squared error between the
@@ -22,8 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor
-from .backbone import forward_logits_chunked
+from .backbone import Tensor, forward_logits_chunked, softmax_probs
 
 #: probability floor applied inside every logarithm
 EPS = 1e-12
@@ -62,45 +62,90 @@ def _check_one_hot(y: np.ndarray) -> np.ndarray:
 
 
 # -- batched objectives (what training differentiates) -----------------
+#
+# Each head is one graph node with a hand-derived gradient.  The private
+# helpers compute a loss value with a fixed op order, and its gradient with
+# respect to their array input (the evidence loss, whose per-sample scan
+# needs values only, leaves the gradient to its node).
 
 
-def softmax_t(logits: Tensor) -> Tensor:
-    """Row-wise softmax as a tensor graph, with a detached stability shift."""
-    shift = logits.value.max(axis=-1, keepdims=True)
-    e = (logits - shift).exp()
-    return e / e.sum(axis=-1, keepdims=True)
+def _softmax_backprop(p: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """Gradient at the logits of a row-wise softmax with output ``p``."""
+    return p * (grad - (grad * p).sum(axis=-1, keepdims=True))
 
 
-def sl_row_losses_t(logits: Tensor, labels_one_hot: np.ndarray) -> Tensor:
-    """Per-row evidence losses: label-fit error plus predictive variance.
+def _ce(p: np.ndarray, labels) -> tuple[np.floating, np.ndarray]:
+    """Mean cross-entropy against (soft) labels, log floored at EPS."""
+    labels = np.asarray(labels, dtype=np.float64)
+    floored = np.maximum(p, EPS)
+    scale = 1.0 / p.shape[0]
+    value = -((np.log(floored) * labels).sum(axis=1).sum() * scale)
+    return value, (-scale * labels / floored) * (p > EPS)
 
-    alpha = max(logit, 0) + 1 is the Dirichlet concentration, its sum the
-    opinion's strength.
+
+def _mse(p: np.ndarray, targets) -> tuple[np.floating, np.ndarray]:
+    """Mean per-row squared Euclidean distance to fixed targets."""
+    diff = p - np.asarray(targets, dtype=np.float64)
+    scale = 1.0 / p.shape[0]
+    return (diff ** 2).sum(axis=1).sum() * scale, (2.0 * scale) * diff
+
+
+def _reg(mean_probs: np.ndarray) -> tuple[np.floating, np.ndarray]:
+    """Uniformity penalty of a mean prediction; see :func:`reg_loss_t`."""
+    pi = 1.0 / mean_probs.shape[-1]
+    floored = np.maximum(mean_probs, EPS)
+    value = (pi * (np.log(pi) - np.log(floored))).sum()
+    return value, (-pi / floored) * (mean_probs > EPS)
+
+
+def _sl_parts(logits: np.ndarray, labels: np.ndarray):
+    """Per-row evidence losses and the arrays their gradient needs.
+
+    alpha = max(logit, 0) + 1 is the Dirichlet concentration, its row sum
+    the opinion's strength; a row's loss is its label-fit error plus the
+    predictive variance.
     """
-    labels = np.asarray(labels_one_hot, dtype=np.float64)
-    alpha = logits.relu() + 1.0
+    alpha = np.maximum(logits, 0.0) + 1.0
     strength = alpha.sum(axis=1, keepdims=True)
     p = alpha / strength
     err = ((p - labels) ** 2).sum(axis=1)
-    var = (p * (1.0 - p)).sum(axis=1) / (strength.sum(axis=1) + 1.0)
-    return err + var
+    var = (p * (1.0 - p)).sum(axis=1) / (strength[:, 0] + 1.0)
+    return err + var, p, strength, var
+
+
+def softmax_t(logits: Tensor) -> Tensor:
+    """Row-wise softmax node (max-shifted for overflow safety)."""
+    p = softmax_probs(logits.value)
+    return Tensor(p, (logits,), lambda g: (_softmax_backprop(p, g),))
 
 
 def sl_batch_loss_t(logits: Tensor, labels_one_hot: np.ndarray) -> Tensor:
-    """Mean evidence loss of a batch, as a scalar tensor."""
-    return sl_row_losses_t(logits, labels_one_hot).mean()
+    """Mean evidence loss of a batch, as a scalar node over the logits."""
+    labels = np.asarray(labels_one_hot, dtype=np.float64)
+    z = logits.value
+    rows, p, strength, var = _sl_parts(z, labels)
+    scale = 1.0 / rows.shape[0]
+
+    def backprop(g):
+        s1 = strength + 1.0
+        d_p = 2.0 * (p - labels) + (1.0 - 2.0 * p) / s1
+        d_alpha = ((d_p - (d_p * p).sum(axis=1, keepdims=True)) / strength
+                   - var[:, None] / s1)
+        return ((g * scale) * d_alpha * (z > 0.0),)
+
+    return Tensor(rows.sum() * scale, (logits,), backprop)
 
 
 def ce_batch_loss_t(probs: Tensor, labels: np.ndarray) -> Tensor:
     """Mean cross-entropy of a batch against (possibly soft) labels."""
-    logp = probs.clip_min(EPS).log()
-    return -((logp * np.asarray(labels, dtype=np.float64)).sum(axis=1).mean())
+    value, d_p = _ce(probs.value, labels)
+    return Tensor(value, (probs,), lambda g: (g * d_p,))
 
 
 def mse_batch_loss_t(probs: Tensor, targets: np.ndarray) -> Tensor:
     """Mean per-row squared Euclidean distance to fixed target distributions."""
-    diff = probs - np.asarray(targets, dtype=np.float64)
-    return (diff ** 2).sum(axis=1).mean()
+    value, d_p = _mse(probs.value, targets)
+    return Tensor(value, (probs,), lambda g: (g * d_p,))
 
 
 def reg_loss_t(mean_probs: Tensor) -> Tensor:
@@ -109,8 +154,8 @@ def reg_loss_t(mean_probs: Tensor) -> Tensor:
     Zero exactly when the mean prediction is uniform; grows as mass
     collapses onto few classes.
     """
-    pi = 1.0 / mean_probs.shape[-1]
-    return (pi * (np.log(pi) - mean_probs.clip_min(EPS).log())).sum()
+    value, d_mean = _reg(mean_probs.value)
+    return Tensor(value, (mean_probs,), lambda g: (g * d_mean,))
 
 
 def dm_batch_loss_t(logits_x: Tensor | None, labels_x: np.ndarray | None,
@@ -120,31 +165,38 @@ def dm_batch_loss_t(logits_x: Tensor | None, labels_x: np.ndarray | None,
 
     Either part may be absent (None); its term is then a constant zero.  The
     uniformity penalty uses the mean prediction over all rows present.
-    Returns the scalar tensor plus the float value of each component.
+    Returns one scalar node over the logits present, plus the float value
+    of each component.
     """
-    parts = []
-    if logits_x is not None:
-        parts.append(softmax_t(logits_x))
-    if logits_u is not None:
-        parts.append(softmax_t(logits_u))
+    parts = [t for t in (logits_x, logits_u) if t is not None]
     if not parts:
         raise ValueError("combined loss needs at least one batch part")
-
-    l_x = ce_batch_loss_t(parts[0], labels_x) if logits_x is not None else Tensor(0.0)
-    l_u = (mse_batch_loss_t(parts[-1], targets_u)
-           if logits_u is not None else Tensor(0.0))
-
-    total_rows = sum(p.shape[0] for p in parts)
-    row_sums = parts[0].sum(axis=0)
-    for p in parts[1:]:
+    probs = [softmax_probs(t.value) for t in parts]
+    row_sums = probs[0].sum(axis=0)
+    for p in probs[1:]:
         row_sums = row_sums + p.sum(axis=0)
-    l_reg = reg_loss_t(row_sums * (1.0 / total_rows))
+    scale = 1.0 / sum(p.shape[0] for p in probs)
+    l_reg, d_mean = _reg(row_sums * scale)
+    # every probability row feeds the mean prediction with weight ``scale``
+    d_shared = (weights.lambda_reg * scale) * d_mean
 
-    total = weights.combine(l_x, l_u, l_reg)
+    l_x = l_u = 0.0
+    d_probs = []
+    if logits_x is not None:
+        l_x, d_p = _ce(probs[0], labels_x)
+        d_probs.append(d_p + d_shared)
+    if logits_u is not None:
+        l_u, d_p = _mse(probs[-1], targets_u)
+        d_probs.append(weights.lambda_u * d_p + d_shared)
+
+    def backprop(g):
+        return [_softmax_backprop(p, g * d) for p, d in zip(probs, d_probs)]
+
+    total = Tensor(weights.combine(l_x, l_u, l_reg), parts, backprop)
     components = {
-        "labeled": float(l_x.value),
-        "unlabeled": float(l_u.value),
-        "regularizer": float(l_reg.value),
+        "labeled": float(l_x),
+        "unlabeled": float(l_u),
+        "regularizer": float(l_reg),
     }
     return total, components
 
@@ -154,7 +206,8 @@ def dm_batch_loss_t(logits_x: Tensor | None, labels_x: np.ndarray | None,
 
 def sl_losses_from_logits(logits: np.ndarray, labels_one_hot: np.ndarray) -> np.ndarray:
     """Per-row evidence losses for an (N, K) logit matrix, as an array."""
-    return sl_row_losses_t(Tensor(logits), labels_one_hot).value
+    return _sl_parts(np.asarray(logits, dtype=np.float64),
+                     np.asarray(labels_one_hot, dtype=np.float64))[0]
 
 
 def sl_dataset_loss(model, dataset) -> tuple[float, np.ndarray]:
@@ -186,7 +239,7 @@ def ce_loss(probs: np.ndarray, label: np.ndarray) -> float:
     """−Σ label·log(probs), probabilities floored at EPS; accepts soft labels."""
     probs = _check_distribution(probs, "probs")
     label = _check_distribution(label, "label")
-    return float(ce_batch_loss_t(Tensor(probs[None, :]), label[None, :]).value)
+    return float(_ce(probs[None, :], label[None, :])[0])
 
 
 def unlabeled_mse(guess: np.ndarray, probs: np.ndarray) -> float:
@@ -195,12 +248,12 @@ def unlabeled_mse(guess: np.ndarray, probs: np.ndarray) -> float:
     probs = _check_distribution(probs, "probs")
     if guess.shape != probs.shape:
         raise ValueError(f"length mismatch: {guess.shape} vs {probs.shape}")
-    return float(mse_batch_loss_t(Tensor(probs[None, :]), guess[None, :]).value)
+    return float(_mse(probs[None, :], guess[None, :])[0])
 
 
 def reg_loss(mean_probs: np.ndarray) -> float:
     """Uniformity penalty of one mean prediction; see :func:`reg_loss_t`."""
-    return float(reg_loss_t(Tensor(mean_probs)).value)
+    return float(_reg(np.asarray(mean_probs, dtype=np.float64))[0])
 
 
 def dm_loss(labeled_loss: float, unlabeled_loss: float, mean_probs: np.ndarray,

@@ -13,7 +13,8 @@ Rates are written with ``repr`` so float round-trips are exact.  Errors are
 reported distinctly: :class:`~edmlab.errors.ChecksumError` for a bad or
 missing trailer, :class:`~edmlab.errors.DimensionError` when the record body
 does not match the header's n and d, and :class:`~edmlab.errors.FormatError`
-for a malformed header or inconsistent record contents.
+for a malformed header or inconsistent record contents (a NaN or infinite
+feature included).
 """
 
 from __future__ import annotations
@@ -159,6 +160,8 @@ def load_manifest(path: str | os.PathLike) -> DatasetManifest:
             raise FormatError("open-set record carries an in-set true class")
         if np.any(records["true"][~open_mask] == NO_CLASS):
             raise FormatError("non-open record lacks a true class")
+        if not np.all(np.isfinite(records["feat"])):
+            raise FormatError("non-finite feature value in a record")
 
     spec = NoiseSpec(
         rho=header["rho"],

@@ -3,6 +3,7 @@ artifact layout, exit codes, and rerun determinism."""
 
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,8 @@ import numpy as np
 import pytest
 
 from edmlab import cli
+from edmlab.backbone import init_model, save_checkpoint
+from edmlab.benchgen import DatasetManifest, NoiseSpec
 from edmlab.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
@@ -22,7 +25,7 @@ from edmlab.errors import ConfigError
 from edmlab.evaluation import split_confusion
 from edmlab.gmm import GmmConfig, fit_em, group_posteriors, normalize_losses
 from edmlab.losses import sl_dataset_loss
-from edmlab.manifest_io import load_manifest
+from edmlab.manifest_io import load_manifest, save_manifest
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -323,6 +326,54 @@ class TestBadGeometry:
         assert run_cli(*args, *dest) == EXIT_CONFIG
         assert flag in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
+
+
+class TestBadInputs:
+    """Unusable manifests exit 3 before the output directory is created."""
+
+    @pytest.mark.parametrize("command", ["run", "train", "eval"])
+    def test_noisy_test_manifest_rejected_before_anything_is_written(
+            self, tmp_path, capsys, command):
+        noisy = tmp_path / "noisy.manifest"
+        assert run_cli("gen", "--per-class", 30, "--seed", 1,
+                       "--out", noisy) == EXIT_OK
+        args = [command, "--manifest", noisy, "--test-manifest", noisy]
+        if command == "eval":
+            ckpt = tmp_path / "model.ckpt"
+            save_checkpoint(init_model((8, 64, 64, 4), seed=0), ckpt)
+            args += ["--checkpoint", ckpt]
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert run_cli(*args, "--out-dir", out) == EXIT_DATA
+        assert "--test-manifest" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_empty_test_manifest_rejected_before_anything_is_written(
+            self, tmp_path, capsys):
+        train, _ = gen_pair(tmp_path)
+        empty = tmp_path / "empty.manifest"
+        save_manifest(DatasetManifest(
+            features=np.zeros((0, 8), np.float32), observed=np.zeros(0, np.int32),
+            true_class=np.zeros(0, np.int32), provenance=np.zeros(0, np.uint8),
+            num_classes=4, noise_spec=NoiseSpec(rho=0.0, omega=0.0)), empty)
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert run_cli("train", "--manifest", train, "--test-manifest", empty,
+                       "--out-dir", out) == EXIT_DATA
+        assert "--test-manifest" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_feature_exits_three(self, tmp_path, capsys):
+        train, test = gen_pair(tmp_path)
+        blob = bytearray(train.read_bytes())
+        start = blob.index(b"\n") + 1 + 4 + 1 + 4 + 4
+        blob[start:start + 4] = struct.pack("<f", float("nan"))
+        train.write_bytes(bytes(blob))
+        out = tmp_path / "out"
+        assert run_cli("train", "--manifest", train, "--test-manifest", test,
+                       "--out-dir", out) == EXIT_DATA
+        assert "non-finite" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestTracedBenchmark:

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from conftest import central_diff_at, rel_err
 
-from edmlab.autodiff import Tensor
 from edmlab.backbone import (
+    Tensor,
     backward,
     forward_logits,
     forward_logits_t,
@@ -304,7 +304,7 @@ class TestTensorVersionsAgree:
 
     def test_reg_batch(self):
         probs = softmax_probs(self.logits)
-        got = reg_loss_t(softmax_t(Tensor(self.logits)).mean(axis=0)).value
+        got = reg_loss_t(Tensor(probs.mean(axis=0))).value
         np.testing.assert_allclose(got, reg_loss(probs.mean(axis=0)), rtol=1e-12)
 
     def test_dm_batch_combination(self):
@@ -374,3 +374,17 @@ class TestLossGradients:
             return total
 
         self._check(make, seed=8)
+
+    def test_dm_gradient_without_unlabeled_part(self):
+        """logits_u=None, logits (ln 3, 0), label (0, 1), by hand.
+
+        p = (3/4, 1/4): cross-entropy gives p - y = (3/4, -3/4); the
+        regulariser's mean is p itself, dR/dp = -(1/2)/p = (-2/3, -2), which
+        the softmax maps to (1/4, -1/4), doubled by lambda_reg = 2.
+        """
+        z = Tensor(np.array([[np.log(3.0), 0.0]]))
+        w = LossWeights(lambda_u=25.0, lambda_reg=2.0)
+        total, comps = dm_batch_loss_t(z, np.array([[0.0, 1.0]]), None, None, w)
+        assert comps["unlabeled"] == 0.0
+        (grad,) = backward([z], total)
+        np.testing.assert_allclose(grad, [[1.25, -1.25]], atol=1e-15)

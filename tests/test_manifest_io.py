@@ -174,3 +174,17 @@ class TestErrorReporting:
         save_manifest(broken, path)
         with pytest.raises(FormatError):
             load_manifest(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_feature_is_format_error(self, tmp_path, value):
+        m = _noisy_manifest()
+        path = tmp_path / "data.edm"
+        save_manifest(m, path)
+        blob = bytearray(path.read_bytes())
+        # record 0's first feature follows id:u32, provenance:u8, two i32 classes
+        start = blob.index(b"\n") + 1 + 4 + 1 + 4 + 4
+        blob[start:start + 4] = struct.pack("<f", value)
+        bad = tmp_path / "nan.edm"
+        bad.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="non-finite"):
+            load_manifest(bad)

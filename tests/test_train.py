@@ -1,6 +1,8 @@
 """Tests for the dual-network training loop and its building blocks."""
 
+import gc
 import logging
+import weakref
 
 import numpy as np
 import pytest
@@ -10,17 +12,23 @@ from edmlab.backbone import (
     ROLE_NETD,
     ROLE_NETS,
     AugmentSpec,
+    backward,
     forward_logits,
+    forward_logits_t,
     init_model,
     init_optim,
+    param_tensors,
+    sgd_step,
     softmax_probs,
 )
 from edmlab.benchgen import DatasetManifest, NoiseSpec, inject_noise, \
     make_open_pool, make_synthetic_clean
 from edmlab.gmm import PosteriorSplit, partition
-from edmlab.losses import sl_dataset_loss, temp_sharpen
+from edmlab.losses import ce_batch_loss_t, sl_dataset_loss, softmax_t, temp_sharpen
 from edmlab.train import (
     TrainConfig,
+    _ce_pass,
+    _sl_pass,
     co_refine,
     guess_unlabeled,
     mixmatch_batch,
@@ -302,6 +310,34 @@ class TestTrainNetdEpoch:
         assert not o_set.intersection(stats.used_unlabeled.tolist())
         assert set(stats.used_labeled.tolist()) == set(part.x_idx.tolist())
         assert set(stats.used_unlabeled.tolist()).issubset(set(part.u_idx.tolist()))
+
+    def test_steps_leave_no_cyclic_garbage(self):
+        """A step's graph is freed by reference counting, without the collector."""
+        ds, split, part, model, cfg, opt = self._setup(n_x=64)
+        feats = ds.features[:64].astype(np.float64)
+        labels = ds.one_hot_observed()[:64]
+        rng = np.random.default_rng(0)
+
+        def one_step_each():
+            _ce_pass(model, feats, labels, 64, opt, rng)
+            _sl_pass(model, feats, labels, 64, opt, rng)
+            _, stats = train_netd_epoch(model, ds, split, part, cfg, opt, rng)
+            assert stats.iterations == 1
+
+        one_step_each()  # first calls set up library state once
+        gc.collect()
+        gc.disable()
+        try:
+            ts = param_tensors(model)
+            loss = ce_batch_loss_t(softmax_t(forward_logits_t(ts, feats)), labels)
+            ref = weakref.ref(loss)
+            sgd_step(model, backward(ts, loss), opt)
+            del loss
+            assert ref() is None
+            one_step_each()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestRelabel:
