@@ -11,7 +11,6 @@ metrics and exports (`evaluation`), and a CLI (`cli`).
 __version__ = "0.1.0"
 
 from .backbone import (
-    AugmentSpec,
     ModelParams,
     augment,
     forward_logits,
@@ -75,7 +74,6 @@ from .train import (
 
 __all__ = [
     "AccuracyReport",
-    "AugmentSpec",
     "ChecksumError",
     "ConfigError",
     "DataError",

@@ -6,7 +6,8 @@ pass (loss scans, label guessing, relabelling) use the plain numpy forward;
 whole datasets go through it in bounded chunks.  An SGD step builds a graph
 of a few fused :class:`Tensor` nodes (this forward, then the loss heads in
 :mod:`edmlab.losses`), each with a hand-derived backward; the test suite
-checks those gradients against finite differences.
+checks those gradients against finite differences.  The training views of a
+batch (:func:`augment`) add Gaussian jitter of the fixed scale JITTER_SIGMA.
 
 Parameters live in float64 in memory.  Checkpoints are written as float32
 (little-endian) with a textual header and a trailing length checksum, so a
@@ -27,13 +28,13 @@ ROLE_NETD = "NetD"
 ROLE_NETS = "NetS"
 ROLES = (ROLE_NETD, ROLE_NETS)
 
-AUGMENT_NONE = "none"
-AUGMENT_JITTER = "gaussian_jitter"
-
 CKPT_MAGIC = "EDMCKPT1"
 
 #: rows per call in :func:`forward_logits_chunked`
 FORWARD_CHUNK = 4096
+
+#: standard deviation of the Gaussian jitter :func:`augment` adds
+JITTER_SIGMA = 0.05
 
 
 @dataclass
@@ -280,28 +281,10 @@ def sgd_step(params: ModelParams, grads: list[np.ndarray],
     return params, opt
 
 
-@dataclass(frozen=True)
-class AugmentSpec:
-    """Stochastic input augmentation policy for vector data."""
-
-    mode: str = AUGMENT_JITTER
-    jitter_sigma: float = 0.05
-
-    def validate(self) -> None:
-        if self.mode not in (AUGMENT_NONE, AUGMENT_JITTER):
-            raise ValueError(f"unknown augmentation mode {self.mode!r}")
-        if self.jitter_sigma < 0:
-            raise ValueError("jitter_sigma must be >= 0")
-
-
-def augment(batch: np.ndarray, spec: AugmentSpec,
-            rng: np.random.Generator) -> np.ndarray:
-    """One stochastic view of a batch; each call consumes fresh draws."""
-    spec.validate()
+def augment(batch: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One jittered view of a batch; each call consumes fresh draws."""
     x = np.asarray(batch, dtype=np.float64)
-    if spec.mode == AUGMENT_NONE or spec.jitter_sigma == 0.0:
-        return x.copy()
-    return x + rng.normal(0.0, spec.jitter_sigma, size=x.shape)
+    return x + rng.normal(0.0, JITTER_SIGMA, size=x.shape)
 
 
 # -- checkpoint serialization ------------------------------------------

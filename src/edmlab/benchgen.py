@@ -31,6 +31,7 @@ class Provenance(IntEnum):
     OPEN = 2
 
 
+#: the one closed-set flip rule: a new label uniform over the wrong classes
 FLIP_UNIFORM_EXCLUDING_TRUE = "UNIFORM_EXCLUDING_TRUE"
 
 #: true_class value used for open-set samples, whose class is outside the label set
@@ -47,13 +48,13 @@ class NoiseSpec:
 
     ``rho`` is the total noise rate, ``omega`` the closed-set share of the
     noisy portion.  ``seed`` drives sample selection, label flips, and pool
-    vector assignment; nothing else does.
+    vector assignment; nothing else does.  Flips always follow
+    ``FLIP_UNIFORM_EXCLUDING_TRUE``.
     """
 
     rho: float
     omega: float
     open_source: str = "synthetic-pool"
-    flip_distribution: str = FLIP_UNIFORM_EXCLUDING_TRUE
     seed: int = 0
 
     def validate(self) -> None:
@@ -61,10 +62,6 @@ class NoiseSpec:
             raise ValueError(f"rho must be in [0, 1], got {self.rho}")
         if not 0.0 <= self.omega <= 1.0:
             raise ValueError(f"omega must be in [0, 1], got {self.omega}")
-        if self.flip_distribution != FLIP_UNIFORM_EXCLUDING_TRUE:
-            raise ValueError(
-                f"unsupported flip distribution: {self.flip_distribution!r}"
-            )
 
     def counts(self, n: int) -> tuple[int, int]:
         """Exact (n_closed, n_open) for a dataset of ``n`` samples.

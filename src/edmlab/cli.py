@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__
-from .backbone import load_checkpoint, save_checkpoint
+from .backbone import JITTER_SIGMA, load_checkpoint, save_checkpoint
 from .benchgen import (
     DatasetManifest,
     NoiseSpec,
@@ -50,7 +50,8 @@ from .evaluation import (
 from .gmm import GmmConfig, fit_em, group_posteriors, normalize_losses
 from .losses import LossWeights, sl_dataset_loss
 from .manifest_io import load_manifest, save_manifest
-from .train import ALGO_CE, ALGO_EDM, TrainConfig, run, run_baseline_ce
+from .train import (ALGO_CE, ALGO_EDM, HIDDEN_WIDTHS, LR_DROP_FACTOR, MOMENTUM,
+                    WEIGHT_DECAY, TrainConfig, run, run_baseline_ce)
 
 SCHEMA_VERSION = 1
 HISTOGRAM_BINS = 20
@@ -117,7 +118,8 @@ _KEYS: dict[str, _Key] = {
                      "classifier warm-up epochs"),
     "warmup_s": _Key(int, 30, lambda v: v >= 0, "an integer >= 0",
                      "splitter warm-up epochs"),
-    "seed": _Key(int, 0, None, "an integer", "master random seed"),
+    "seed": _Key(int, 0, lambda v: v >= 0, "an integer >= 0",
+                 "master random seed"),
     "algo": _Key(str, ALGO_EDM, lambda v: v in (ALGO_EDM, ALGO_CE),
                  f"one of {{{ALGO_EDM}, {ALGO_CE}}}", "training procedure"),
     # paths (no defaults; requiredness is per-subcommand)
@@ -140,11 +142,11 @@ def _flag(key: str) -> str:
 
 
 def parse_config(flag_values: dict, config_path: str | None
-                 ) -> tuple[NoiseSpec, TrainConfig, dict]:
+                 ) -> tuple[TrainConfig, dict]:
     """Resolve every configuration key: flag > config file > default.
 
-    Returns the noise description, the training configuration, and the flat
-    dict of all resolved values (paths and benchmark geometry included).
+    Returns the training configuration and the flat dict of all resolved
+    values (paths and benchmark geometry included).
     Raises ConfigError for unknown keys and out-of-range values, naming the
     offending flag.
     """
@@ -198,8 +200,6 @@ def parse_config(flag_values: dict, config_path: str | None
             f"--classes must not exceed --dim (each class centre takes its own "
             f"axis), got {resolved['classes']} > {resolved['dim']}")
 
-    noise = NoiseSpec(rho=resolved["rho"], omega=resolved["omega"],
-                      seed=resolved["seed"])
     cfg = TrainConfig(
         epochs=resolved["epochs"],
         batch_size=resolved["batch"],
@@ -216,11 +216,10 @@ def parse_config(flag_values: dict, config_path: str | None
         seed=resolved["seed"],
     )
     try:
-        noise.validate()
         cfg.validate()
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    return noise, cfg, resolved
+    return cfg, resolved
 
 
 @dataclass
@@ -262,19 +261,21 @@ def _sha256(path: str | os.PathLike) -> str:
     return digest.hexdigest()
 
 
-def _config_snapshot(resolved: dict, noise: NoiseSpec, cfg: TrainConfig) -> dict:
-    """The full resolved configuration, implicit defaults included."""
+def _config_snapshot(resolved: dict, cfg: TrainConfig) -> dict:
+    """The full resolved configuration, fixed settings included.
+
+    How the data were corrupted is not here: each manifest's own header
+    records it, and ``input_digests`` pins the manifests.
+    """
     snapshot = dict(resolved)
     snapshot.update({
-        "momentum": cfg.momentum,
-        "weight_decay": cfg.weight_decay,
-        "lr_drop_factor": cfg.lr_drop_factor,
+        "momentum": MOMENTUM,
+        "weight_decay": WEIGHT_DECAY,
+        "lr_drop_factor": LR_DROP_FACTOR,
         "lr_drop_epoch": cfg.resolved_lr_drop_epoch,
-        "hidden_widths": list(cfg.hidden_widths),
-        "augment_mode": cfg.augment.mode,
-        "jitter_sigma": cfg.augment.jitter_sigma,
-        "open_source": noise.open_source,
-        "flip_distribution": noise.flip_distribution,
+        "hidden_widths": list(HIDDEN_WIDTHS),
+        "augment_mode": "gaussian_jitter",
+        "jitter_sigma": JITTER_SIGMA,
     })
     return snapshot
 
@@ -288,11 +289,23 @@ def _require_file(path: str | None, flag: str) -> Path:
     return p
 
 
-def _load_test_set(path: Path) -> DatasetManifest:
-    """Load the held-out set; test accuracy needs samples, every one clean."""
+def _check_shape(flag: str, path: Path, shape: tuple, train_ds: DatasetManifest
+                 ) -> None:
+    """An input's (features, classes) must be the training manifest's."""
+    want = (train_ds.feature_dim, train_ds.num_classes)
+    if shape != want:
+        raise DataError(f"{flag} {path} has (features, classes) = {shape}, "
+                        f"but --manifest has {want}")
+
+
+def _load_test_set(path: Path, train_ds: DatasetManifest) -> DatasetManifest:
+    """Load the held-out set: samples in the training set's feature and label
+    space, every one clean."""
     test_ds = load_manifest(path)
     if len(test_ds) == 0:
         raise DataError(f"--test-manifest {path} holds no samples")
+    _check_shape("--test-manifest", path,
+                 (test_ds.feature_dim, test_ds.num_classes), train_ds)
     _, closed, open_ = test_ds.counts
     if closed or open_:
         raise DataError(f"--test-manifest {path} must be all-clean, but holds "
@@ -409,7 +422,7 @@ def _emit(payload: dict) -> None:
 
 
 def cmd_gen(ns: argparse.Namespace) -> int:
-    _, _, resolved = parse_config(vars(ns), ns.config)
+    _, resolved = parse_config(vars(ns), ns.config)
     if resolved["out"] is None:
         raise ConfigError("--out is required")
     dataset = _generate_benchmark(resolved)
@@ -423,13 +436,13 @@ def cmd_gen(ns: argparse.Namespace) -> int:
 
 
 def cmd_train(ns: argparse.Namespace) -> int:
-    noise, cfg, resolved = parse_config(vars(ns), ns.config)
+    cfg, resolved = parse_config(vars(ns), ns.config)
     train_path = _require_file(resolved["manifest"], "--manifest")
     test_path = _require_file(resolved["test_manifest"], "--test-manifest")
     if resolved["out_dir"] is None:
         raise ConfigError("--out-dir is required")
     train_ds = load_manifest(train_path)
-    test_ds = _load_test_set(test_path)
+    test_ds = _load_test_set(test_path, train_ds)
     if resolved["algo"] == ALGO_EDM:
         _check_fit_size(len(train_ds), cfg.gmm.num_components, "--manifest")
 
@@ -437,7 +450,7 @@ def cmd_train(ns: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest(
         command="train",
-        config=_config_snapshot(resolved, noise, cfg),
+        config=_config_snapshot(resolved, cfg),
         input_digests={str(train_path): _sha256(train_path),
                        str(test_path): _sha256(test_path)},
         started_at=_utc_now(),
@@ -454,7 +467,7 @@ def cmd_train(ns: argparse.Namespace) -> int:
 
 
 def cmd_eval(ns: argparse.Namespace) -> int:
-    noise, cfg, resolved = parse_config(vars(ns), ns.config)
+    cfg, resolved = parse_config(vars(ns), ns.config)
     ckpt_path = _require_file(resolved["checkpoint"], "--checkpoint")
     train_path = _require_file(resolved["manifest"], "--manifest")
     test_path = _require_file(resolved["test_manifest"], "--test-manifest")
@@ -462,14 +475,16 @@ def cmd_eval(ns: argparse.Namespace) -> int:
         raise ConfigError("--out-dir is required")
     model = load_checkpoint(ckpt_path)
     train_ds = load_manifest(train_path)
-    test_ds = _load_test_set(test_path)
+    test_ds = _load_test_set(test_path, train_ds)
+    _check_shape("--checkpoint", ckpt_path,
+                 (model.input_dim, model.num_classes), train_ds)
     _check_fit_size(len(train_ds), cfg.gmm.num_components, "--manifest")
 
     out_dir = Path(resolved["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest(
         command="eval",
-        config=_config_snapshot(resolved, noise, cfg),
+        config=_config_snapshot(resolved, cfg),
         input_digests={str(p): _sha256(p)
                        for p in (ckpt_path, train_path, test_path)},
         started_at=_utc_now(),
@@ -483,7 +498,7 @@ def cmd_eval(ns: argparse.Namespace) -> int:
 
 
 def cmd_run(ns: argparse.Namespace) -> int:
-    noise, cfg, resolved = parse_config(vars(ns), ns.config)
+    cfg, resolved = parse_config(vars(ns), ns.config)
     if resolved["out_dir"] is None:
         raise ConfigError("--out-dir is required")
     if (resolved["manifest"] is None) != (resolved["test_manifest"] is None):
@@ -495,7 +510,7 @@ def cmd_run(ns: argparse.Namespace) -> int:
         train_path = _require_file(resolved["manifest"], "--manifest")
         test_path = _require_file(resolved["test_manifest"], "--test-manifest")
         train_ds = load_manifest(train_path)
-        test_ds = _load_test_set(test_path)
+        test_ds = _load_test_set(test_path, train_ds)
         _check_fit_size(len(train_ds), cfg.gmm.num_components, "--manifest")
     else:
         per_class, classes = resolved["per_class"], resolved["classes"]
@@ -516,7 +531,7 @@ def cmd_run(ns: argparse.Namespace) -> int:
 
     manifest = RunManifest(
         command="run",
-        config=_config_snapshot(resolved, noise, cfg),
+        config=_config_snapshot(resolved, cfg),
         input_digests={str(train_path): _sha256(train_path),
                        str(test_path): _sha256(test_path)},
         started_at=_utc_now(),

@@ -23,6 +23,7 @@ import numpy as np
 _LOG_2PI = float(np.log(2.0 * np.pi))
 _WEIGHT_FLOOR = 1e-300
 _DEAD_MASS = 1e-12
+_VARIANCE_FLOOR = 1e-6
 _EXP_UNDERFLOW = -746.0  # np.exp(x) == 0.0 for every x below this
 
 
@@ -38,7 +39,6 @@ class GmmConfig:
     mu_max: float = 0.7
     max_iters: int = 100
     tol: float = 1e-6
-    variance_floor: float = 1e-6
 
     def validate(self) -> None:
         if self.num_components < 1:
@@ -49,8 +49,8 @@ class GmmConfig:
             )
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.tol <= 0 or self.variance_floor <= 0:
-            raise ValueError("tol and variance_floor must be > 0")
+        if self.tol <= 0:
+            raise ValueError("tol must be > 0")
 
     def validate_for_training(self) -> None:
         """The training loop needs enough components to cover three bands."""
@@ -168,7 +168,7 @@ def fit_em(losses: np.ndarray, cfg: GmmConfig) -> GmmModel:
     # (floored), uniform weights.
     n, psi = x.shape[0], cfg.num_components
     means = np.quantile(x, (np.arange(psi, dtype=np.float64) + 0.5) / psi)
-    variances = np.full(psi, max(float(x.var()) / psi, cfg.variance_floor))
+    variances = np.full(psi, max(float(x.var()) / psi, _VARIANCE_FLOOR))
     weights = np.full(psi, 1.0 / psi)
     ll, resp = _loglik_resp(x, weights, means, variances)
     trace = [ll]
@@ -180,7 +180,7 @@ def fit_em(losses: np.ndarray, cfg: GmmConfig) -> GmmModel:
         safe_nk = np.where(alive, nk, 1.0)
         new_means[alive] = ((resp * x[:, None]).sum(axis=0) / safe_nk)[alive]
         sq = (resp * (x[:, None] - new_means[None, :]) ** 2).sum(axis=0) / safe_nk
-        new_vars[alive] = np.maximum(sq, cfg.variance_floor)[alive]
+        new_vars[alive] = np.maximum(sq, _VARIANCE_FLOOR)[alive]
         weights = nk / n
         means = new_means
         variances = new_vars

@@ -9,12 +9,13 @@ Layout of a ``.edm`` file:
 * a trailing little-endian u64 holding the byte length of everything before
   it (header + records).  A truncated or padded file fails this check.
 
-Rates are written with ``repr`` so float round-trips are exact.  Errors are
-reported distinctly: :class:`~edmlab.errors.ChecksumError` for a bad or
-missing trailer, :class:`~edmlab.errors.DimensionError` when the record body
-does not match the header's n and d, and :class:`~edmlab.errors.FormatError`
-for a malformed header or inconsistent record contents (a NaN or infinite
-feature included).
+Rates are written with ``repr`` so float round-trips are exact.  ``flip`` is
+always ``UNIFORM_EXCLUDING_TRUE``, the one flip rule.  Errors are reported
+distinctly: :class:`~edmlab.errors.ChecksumError` for a bad or missing
+trailer, :class:`~edmlab.errors.DimensionError` when the record body does not
+match the header's n and d, and :class:`~edmlab.errors.FormatError` for a
+malformed header (any other flip rule included) or inconsistent record
+contents (a NaN or infinite feature included).
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ import struct
 
 import numpy as np
 
-from .benchgen import NO_CLASS, DatasetManifest, NoiseSpec, Provenance
+from .benchgen import (FLIP_UNIFORM_EXCLUDING_TRUE, NO_CLASS, DatasetManifest,
+                       NoiseSpec, Provenance)
 from .errors import ChecksumError, DimensionError, FormatError
 
 MAGIC = "EDMv1"
@@ -46,9 +48,8 @@ def _record_dtype(d: int) -> np.dtype:
 
 def _format_header(m: DatasetManifest) -> bytes:
     spec = m.noise_spec
-    for name, value in (("open_source", spec.open_source), ("flip", spec.flip_distribution)):
-        if not value or any(ch.isspace() for ch in value):
-            raise ValueError(f"noise_spec.{name} must be non-empty and contain no whitespace")
+    if not spec.open_source or any(ch.isspace() for ch in spec.open_source):
+        raise ValueError("noise_spec.open_source must be non-empty and contain no whitespace")
     fields = {
         "n": len(m),
         "d": m.feature_dim,
@@ -56,7 +57,7 @@ def _format_header(m: DatasetManifest) -> bytes:
         "rho": repr(float(spec.rho)),
         "omega": repr(float(spec.omega)),
         "open_source": spec.open_source,
-        "flip": spec.flip_distribution,
+        "flip": FLIP_UNIFORM_EXCLUDING_TRUE,
         "seed": int(spec.seed),
     }
     body = " ".join(f"{k}={fields[k]}" for k in _HEADER_KEYS)
@@ -96,6 +97,8 @@ def _parse_header(line: bytes) -> dict:
     missing = [k for k in _HEADER_KEYS if k not in fields]
     if missing:
         raise FormatError(f"header missing fields: {missing}")
+    if fields["flip"] != FLIP_UNIFORM_EXCLUDING_TRUE:
+        raise FormatError(f"unsupported flip rule {fields['flip']!r}")
     try:
         return {
             "n": int(fields["n"]),
@@ -104,7 +107,6 @@ def _parse_header(line: bytes) -> dict:
             "rho": float(fields["rho"]),
             "omega": float(fields["omega"]),
             "open_source": fields["open_source"],
-            "flip": fields["flip"],
             "seed": int(fields["seed"]),
         }
     except ValueError as exc:
@@ -167,7 +169,6 @@ def load_manifest(path: str | os.PathLike) -> DatasetManifest:
         rho=header["rho"],
         omega=header["omega"],
         open_source=header["open_source"],
-        flip_distribution=header["flip"],
         seed=header["seed"],
     )
     return DatasetManifest(

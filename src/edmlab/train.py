@@ -31,7 +31,6 @@ import numpy as np
 from .backbone import (
     ROLE_NETD,
     ROLE_NETS,
-    AugmentSpec,
     ModelParams,
     OptimState,
     augment,
@@ -72,18 +71,26 @@ log = logging.getLogger("edmlab")
 ALGO_EDM = "edm"
 ALGO_CE = "ce"
 
+# Fixed settings of the method, the same in every run: SGD with momentum and
+# coupled weight decay, the learning rate cut by LR_DROP_FACTOR at
+# TrainConfig.resolved_lr_drop_epoch, and the hidden widths of both networks.
+MOMENTUM = 0.8
+WEIGHT_DECAY = 5e-4
+LR_DROP_FACTOR = 0.1
+HIDDEN_WIDTHS = (64, 64)
+
 
 @dataclass
 class TrainConfig:
-    """Everything a training run depends on, seed included."""
+    """The settable parts of a training run, seed included.
+
+    The optimiser, the learning-rate cut and the network widths are the
+    module constants above, not settings.
+    """
 
     epochs: int = 30
     batch_size: int = 64
     learning_rate: float = 0.02
-    lr_drop_factor: float = 0.1
-    lr_drop_epoch: int = 0  # 0 = automatic: 100 for long runs, epochs//2 otherwise
-    momentum: float = 0.8
-    weight_decay: float = 5e-4
     warmup_epochs_netd: int = 10
     warmup_epochs_nets: int = 30
     num_augments: int = 2
@@ -91,8 +98,6 @@ class TrainConfig:
     mix_alpha: float = 4.0
     loss_weights: LossWeights = field(default_factory=LossWeights)
     gmm: GmmConfig = field(default_factory=GmmConfig)
-    hidden_widths: tuple[int, ...] = (64, 64)
-    augment: AugmentSpec = field(default_factory=AugmentSpec)
     seed: int = 0
 
     def validate(self) -> None:
@@ -106,27 +111,20 @@ class TrainConfig:
             raise ValueError(f"temperature must be > 0, got {self.temperature}")
         if self.mix_alpha <= 0:
             raise ValueError(f"mix_alpha must be > 0, got {self.mix_alpha}")
-        if self.learning_rate < 0 or self.momentum < 0 or self.weight_decay < 0:
-            raise ValueError("optimizer hyperparameters must be non-negative")
+        if self.learning_rate < 0:
+            raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
         if self.warmup_epochs_netd < 0 or self.warmup_epochs_nets < 0:
             raise ValueError("warm-up epoch counts must be >= 0")
-        if self.lr_drop_factor <= 0 or self.lr_drop_epoch < 0:
-            raise ValueError("invalid learning-rate schedule")
-        if not self.hidden_widths or any(int(w) < 1 for w in self.hidden_widths):
-            raise ValueError(f"invalid hidden widths {self.hidden_widths}")
         self.gmm.validate_for_training()
-        self.augment.validate()
 
     @property
     def resolved_lr_drop_epoch(self) -> int:
         """Drop at epoch 100 on long schedules, halfway otherwise."""
-        if self.lr_drop_epoch > 0:
-            return self.lr_drop_epoch
         return 100 if self.epochs >= 200 else max(1, self.epochs // 2)
 
     def lr_at(self, epoch: int) -> float:
         if epoch >= self.resolved_lr_drop_epoch:
-            return self.learning_rate * self.lr_drop_factor
+            return self.learning_rate * LR_DROP_FACTOR
         return self.learning_rate
 
 
@@ -209,8 +207,7 @@ def co_refine(labels: np.ndarray, clean_weight: np.ndarray, mean_probs: np.ndarr
 
 
 def guess_unlabeled(model: ModelParams, feats: np.ndarray, num_augments: int,
-                    augment_spec: AugmentSpec, rng: np.random.Generator
-                    ) -> tuple[list[np.ndarray], np.ndarray]:
+                    rng: np.random.Generator) -> tuple[list[np.ndarray], np.ndarray]:
     """M stochastic views of a batch and the model's average softmax over them.
 
     The average is MixMatch's label guess: unlabeled rows train on it
@@ -220,7 +217,7 @@ def guess_unlabeled(model: ModelParams, feats: np.ndarray, num_augments: int,
         raise ValueError(f"num_augments must be >= 1, got {num_augments}")
     views, acc = [], None
     for _ in range(num_augments):
-        v = augment(feats, augment_spec, rng)
+        v = augment(feats, rng)
         views.append(v)
         p = softmax_probs(forward_logits(model, v))
         acc = p if acc is None else acc + p
@@ -286,11 +283,11 @@ def warmup(netd: ModelParams, nets: ModelParams, dataset: DatasetManifest,
     feats = dataset.features.astype(np.float64)
     labels = dataset.one_hot_observed()
     if cfg.warmup_epochs_netd > 0:
-        opt_d = init_optim(netd, cfg.learning_rate, cfg.momentum, cfg.weight_decay)
+        opt_d = init_optim(netd, cfg.learning_rate, MOMENTUM, WEIGHT_DECAY)
         for _ in range(cfg.warmup_epochs_netd):
             _ce_pass(netd, feats, labels, cfg.batch_size, opt_d, rng)
     if cfg.warmup_epochs_nets > 0:
-        opt_s = init_optim(nets, cfg.learning_rate, cfg.momentum, cfg.weight_decay)
+        opt_s = init_optim(nets, cfg.learning_rate, MOMENTUM, WEIGHT_DECAY)
         for _ in range(cfg.warmup_epochs_nets):
             _sl_pass(nets, feats, labels, cfg.batch_size, opt_s, rng)
     return netd, nets
@@ -332,14 +329,14 @@ def train_netd_epoch(netd: ModelParams, dataset: DatasetManifest,
             ub = np.empty(0, dtype=np.int64)
 
         # labeled part: co-refined, sharpened targets on M views
-        views_x, p_mean = guess_unlabeled(netd, feats[xb], m, cfg.augment, rng)
+        views_x, p_mean = guess_unlabeled(netd, feats[xb], m, rng)
         refined = co_refine(onehot[xb], split.w[xb], p_mean, cfg.temperature)
         pool_inputs = views_x
         pool_targets = [refined] * m
 
         # unlabeled part: sharpened average-of-views pseudo-labels
         if len(ub) > 0:
-            views_u, q_mean = guess_unlabeled(netd, feats[ub], m, cfg.augment, rng)
+            views_u, q_mean = guess_unlabeled(netd, feats[ub], m, rng)
             guessed = temp_sharpen(q_mean, cfg.temperature)
             pool_inputs = pool_inputs + views_u
             pool_targets = pool_targets + [guessed] * m
@@ -420,14 +417,14 @@ def run(dataset: DatasetManifest, test_dataset: DatasetManifest,
     epoch so callers can stream logs or snapshot the best model.
     """
     cfg.validate()
-    widths = (dataset.feature_dim, *cfg.hidden_widths, dataset.num_classes)
+    widths = (dataset.feature_dim, *HIDDEN_WIDTHS, dataset.num_classes)
     netd_ss, nets_ss, rng = _seed_bundle(cfg.seed)
     netd = init_model(widths, netd_ss, role=ROLE_NETD)
     nets = init_model(widths, nets_ss, role=ROLE_NETS)
     warmup(netd, nets, dataset, cfg, rng)
 
-    opt_d = init_optim(netd, cfg.lr_at(0), cfg.momentum, cfg.weight_decay)
-    opt_s = init_optim(nets, cfg.lr_at(0), cfg.momentum, cfg.weight_decay)
+    opt_d = init_optim(netd, cfg.lr_at(0), MOMENTUM, WEIGHT_DECAY)
+    opt_s = init_optim(nets, cfg.lr_at(0), MOMENTUM, WEIGHT_DECAY)
     n = len(dataset)
     reports: list[EpochReport] = []
     for epoch in range(cfg.epochs):
@@ -474,13 +471,13 @@ def run_baseline_ce(dataset: DatasetManifest, test_dataset: DatasetManifest,
     count; no split, no relabeling, no unlabeled term.
     """
     cfg.validate()
-    widths = (dataset.feature_dim, *cfg.hidden_widths, dataset.num_classes)
+    widths = (dataset.feature_dim, *HIDDEN_WIDTHS, dataset.num_classes)
     netd_ss, _, rng = _seed_bundle(cfg.seed)
     model = init_model(widths, netd_ss, role=ROLE_NETD)
     feats = dataset.features.astype(np.float64)
     labels = dataset.one_hot_observed()
 
-    opt = init_optim(model, cfg.learning_rate, cfg.momentum, cfg.weight_decay)
+    opt = init_optim(model, cfg.learning_rate, MOMENTUM, WEIGHT_DECAY)
     for _ in range(cfg.warmup_epochs_netd):
         _ce_pass(model, feats, labels, cfg.batch_size, opt, rng)
 

@@ -53,6 +53,9 @@ from edmlab.losses import (
     unlabeled_mse,
 )
 from edmlab.train import (
+    HIDDEN_WIDTHS,
+    MOMENTUM,
+    WEIGHT_DECAY,
     TrainConfig,
     _seed_bundle,
     run,
@@ -267,7 +270,7 @@ def test_06_warmup_loss_ordering(capsys):
     start = time.monotonic()
     noisy, _ = _benchmark(0)
     cfg = TrainConfig(seed=0)
-    widths = (noisy.feature_dim, *cfg.hidden_widths, noisy.num_classes)
+    widths = (noisy.feature_dim, *HIDDEN_WIDTHS, noisy.num_classes)
     netd_ss, nets_ss, rng = _seed_bundle(cfg.seed)
     netd = init_model(widths, netd_ss, role=ROLE_NETD)
     nets = init_model(widths, nets_ss, role=ROLE_NETS)
@@ -352,12 +355,12 @@ def test_10_structure_audits(capsys, trend_runs):
     # instrumented epochs: replicate the loop and audit the update sets
     noisy, _ = _benchmark(0)
     cfg = TrainConfig(epochs=3, seed=0)
-    widths = (noisy.feature_dim, *cfg.hidden_widths, noisy.num_classes)
+    widths = (noisy.feature_dim, *HIDDEN_WIDTHS, noisy.num_classes)
     netd_ss, nets_ss, rng = _seed_bundle(cfg.seed)
     netd = init_model(widths, netd_ss, role=ROLE_NETD)
     nets = init_model(widths, nets_ss, role=ROLE_NETS)
     warmup(netd, nets, noisy, cfg, rng)
-    opt_d = init_optim(netd, cfg.learning_rate, cfg.momentum, cfg.weight_decay)
+    opt_d = init_optim(netd, cfg.learning_rate, MOMENTUM, WEIGHT_DECAY)
     n = len(noisy)
     for _ in range(cfg.epochs):
         _, raw = sl_dataset_loss(nets, noisy)

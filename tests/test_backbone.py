@@ -5,9 +5,7 @@ import pytest
 from conftest import central_diff_at, rel_err
 
 from edmlab.backbone import (
-    AUGMENT_JITTER,
-    AUGMENT_NONE,
-    AugmentSpec,
+    JITTER_SIGMA,
     ModelParams,
     OptimState,
     Tensor,
@@ -217,39 +215,19 @@ class TestSgdStep:
 
 
 class TestAugment:
-    def test_none_mode_is_identity(self):
-        x = np.random.default_rng(0).normal(size=(5, 3))
-        out = augment(x, AugmentSpec(mode=AUGMENT_NONE, jitter_sigma=0.5),
-                      np.random.default_rng(1))
-        np.testing.assert_array_equal(out, x)
-
-    def test_zero_sigma_is_identity(self):
-        x = np.random.default_rng(0).normal(size=(5, 3))
-        out = augment(x, AugmentSpec(mode=AUGMENT_JITTER, jitter_sigma=0.0),
-                      np.random.default_rng(1))
-        np.testing.assert_array_equal(out, x)
-
     def test_two_views_differ(self):
         x = np.zeros((4, 3))
         rng = np.random.default_rng(2)
-        spec = AugmentSpec(mode=AUGMENT_JITTER, jitter_sigma=0.1)
-        a = augment(x, spec, rng)
-        b = augment(x, spec, rng)
+        a = augment(x, rng)
+        b = augment(x, rng)
         assert np.any(a != b)
         assert np.any(a != x)
 
     def test_jitter_statistics(self):
         x = np.zeros((200, 50))
-        spec = AugmentSpec(mode=AUGMENT_JITTER, jitter_sigma=0.1)
-        noise = augment(x, spec, np.random.default_rng(3))
-        assert abs(noise.std() - 0.1) < 0.01
+        noise = augment(x, np.random.default_rng(3))
+        assert abs(noise.std() - JITTER_SIGMA) < 0.1 * JITTER_SIGMA
         assert abs(noise.mean()) < 0.01
-
-    def test_invalid_spec_rejected(self):
-        with pytest.raises(ValueError):
-            AugmentSpec(mode="flip", jitter_sigma=0.1).validate()
-        with pytest.raises(ValueError):
-            AugmentSpec(mode=AUGMENT_JITTER, jitter_sigma=-1.0).validate()
 
 
 class TestCheckpoints:

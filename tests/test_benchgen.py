@@ -46,8 +46,6 @@ class TestNoiseSpecCounts:
             NoiseSpec(rho=1.5, omega=0.5).validate()
         with pytest.raises(ValueError):
             NoiseSpec(rho=0.5, omega=-0.1).validate()
-        with pytest.raises(ValueError):
-            NoiseSpec(rho=0.5, omega=0.5, flip_distribution="PAIRWISE").validate()
 
 
 class TestSyntheticClean:

@@ -26,6 +26,7 @@ from edmlab.evaluation import split_confusion
 from edmlab.gmm import GmmConfig, fit_em, group_posteriors, normalize_losses
 from edmlab.losses import sl_dataset_loss
 from edmlab.manifest_io import load_manifest, save_manifest
+from edmlab.train import MOMENTUM, WEIGHT_DECAY
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -49,7 +50,7 @@ def gen_pair(tmp_path, per_class=30, rho=0.6, omega=0.5, seed=7):
 
 class TestParseConfig:
     def test_no_flags_gives_documented_defaults(self):
-        noise, cfg, resolved = parse_config({}, None)
+        cfg, resolved = parse_config({}, None)
         assert cfg.num_augments == 2
         assert cfg.temperature == 0.5
         assert cfg.mix_alpha == 4.0
@@ -58,8 +59,8 @@ class TestParseConfig:
         assert cfg.gmm.num_components == 20
         assert cfg.gmm.mu_min == 0.3
         assert cfg.gmm.mu_max == 0.7
-        assert cfg.momentum == 0.8
-        assert cfg.weight_decay == 5e-4
+        assert MOMENTUM == 0.8
+        assert WEIGHT_DECAY == 5e-4
         assert cfg.batch_size == 64
         assert cfg.epochs == 30
         assert cfg.learning_rate == 0.02
@@ -71,14 +72,14 @@ class TestParseConfig:
     def test_flag_overrides_file_overrides_default(self, tmp_path):
         conf = tmp_path / "exp.conf"
         conf.write_text("t=1.0\nepochs=5\n")
-        _, cfg, _ = parse_config({"t": 0.5}, str(conf))
+        cfg, _ = parse_config({"t": 0.5}, str(conf))
         assert cfg.temperature == 0.5  # flag wins
         assert cfg.epochs == 5  # file beats default
 
     def test_file_accepts_comments_and_hyphenated_keys(self, tmp_path):
         conf = tmp_path / "exp.conf"
         conf.write_text("# temperature\nmix-alpha = 2.0\n\nlambda-u=10\n")
-        _, cfg, _ = parse_config({}, str(conf))
+        cfg, _ = parse_config({}, str(conf))
         assert cfg.mix_alpha == 2.0
         assert cfg.loss_weights.lambda_u == 10.0
 
@@ -100,7 +101,7 @@ class TestParseConfig:
 
     def test_env_seed_beats_flag(self, monkeypatch):
         monkeypatch.setenv("EDM_SEED", "99")
-        _, cfg, resolved = parse_config({"seed": 1}, None)
+        cfg, resolved = parse_config({"seed": 1}, None)
         assert cfg.seed == 99
         assert resolved["seed"] == 99
 
@@ -176,7 +177,19 @@ class TestTrain:
         assert manifest["outcome"] == "ok"
         assert manifest["started_at"] <= manifest["finished_at"]
         assert set(manifest["input_digests"]) == {str(train), str(test)}
-        assert manifest["config"]["epochs"] == 1
+        config = manifest["config"]
+        assert config["epochs"] == 1
+        # the fixed settings are recorded with their values
+        assert config["momentum"] == 0.8
+        assert config["weight_decay"] == 5e-4
+        assert config["lr_drop_factor"] == 0.1
+        assert config["lr_drop_epoch"] == 1
+        assert config["hidden_widths"] == [64, 64]
+        assert config["augment_mode"] == "gaussian_jitter"
+        assert config["jitter_sigma"] == 0.05
+        # the manifests' own headers record how their data were corrupted
+        assert "open_source" not in config
+        assert "flip_distribution" not in config
 
     def test_missing_manifest_file_is_data_error(self, tmp_path):
         out_dir = tmp_path / "out"
@@ -318,6 +331,8 @@ class TestBadGeometry:
         (("run", "--per-class", 2), "--per-class"),
         (("run", "--classes", 4, "--dim", 2), "--classes"),
         (("gen", "--classes", 4, "--dim", 2), "--classes"),
+        (("run", "--seed", -1), "--seed"),
+        (("gen", "--seed", -1), "--seed"),
     ])
     def test_rejected_before_anything_is_written(self, tmp_path, capsys, args, flag):
         out = tmp_path / "out"
@@ -346,6 +361,32 @@ class TestBadInputs:
         capsys.readouterr()
         assert run_cli(*args, "--out-dir", out) == EXIT_DATA
         assert "--test-manifest" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, test_flags, ckpt_widths, flag", [
+        ("run", ("--dim", 6), None, "--test-manifest"),
+        ("train", ("--classes", 3), None, "--test-manifest"),
+        ("eval", ("--dim", 6), (8, 64, 64, 4), "--test-manifest"),
+        ("eval", (), (6, 64, 64, 4), "--checkpoint"),
+        ("eval", (), (8, 64, 64, 3), "--checkpoint"),
+    ])
+    def test_mismatched_shape_rejected_before_anything_is_written(
+            self, tmp_path, capsys, command, test_flags, ckpt_widths, flag):
+        train = tmp_path / "train.manifest"
+        test = tmp_path / "test.manifest"
+        assert run_cli("gen", "--per-class", 30, "--seed", 7,
+                       "--out", train) == EXIT_OK
+        assert run_cli("gen", "--per-class", 15, "--rho", 0, "--seed", 3007,
+                       *test_flags, "--out", test) == EXIT_OK
+        args = [command, "--manifest", train, "--test-manifest", test]
+        if ckpt_widths is not None:
+            ckpt = tmp_path / "model.ckpt"
+            save_checkpoint(init_model(ckpt_widths, seed=0), ckpt)
+            args += ["--checkpoint", ckpt]
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert run_cli(*args, "--out-dir", out) == EXIT_DATA
+        assert flag in capsys.readouterr().err
         assert not out.exists()
 
     def test_empty_test_manifest_rejected_before_anything_is_written(

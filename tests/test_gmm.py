@@ -66,7 +66,7 @@ class TestFitEm:
 
     def test_single_component_variance_floor(self):
         x = np.full(50, 0.3)
-        model = fit_em(x, GmmConfig(num_components=1, variance_floor=1e-6))
+        model = fit_em(x, GmmConfig(num_components=1))
         np.testing.assert_allclose(model.variances[0], 1e-6)
 
     def test_two_mode_recovery(self):

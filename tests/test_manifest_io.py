@@ -132,6 +132,21 @@ class TestErrorReporting:
         with pytest.raises(FormatError):
             load_manifest(bad)
 
+    def test_unknown_flip_rule_is_format_error(self, tmp_path):
+        m = _noisy_manifest()
+        path = tmp_path / "data.edm"
+        save_manifest(m, path)
+        blob = path.read_bytes()
+        header_end = blob.index(b"\n")
+        header = blob[:header_end].replace(b"flip=UNIFORM_EXCLUDING_TRUE",
+                                           b"flip=PAIRWISE")
+        assert header != blob[:header_end]
+        payload = header + blob[header_end:-8]
+        bad = tmp_path / "flip.edm"
+        bad.write_bytes(payload + struct.pack("<Q", len(payload)))
+        with pytest.raises(FormatError, match="PAIRWISE"):
+            load_manifest(bad)
+
     def test_sparse_ids_are_format_error(self, tmp_path):
         m = _noisy_manifest()
         path = tmp_path / "data.edm"
