@@ -16,13 +16,10 @@ from .backbone import (
     forward_logits,
     hidden_features,
     init_model,
-    load_checkpoint,
-    save_checkpoint,
     softmax_probs,
 )
 from .benchgen import (
     DatasetManifest,
-    LabeledSample,
     NoiseSpec,
     Provenance,
     inject_noise,
@@ -63,7 +60,8 @@ from .losses import (
     temp_sharpen,
     unlabeled_mse,
 )
-from .manifest_io import load_manifest, save_manifest
+from .manifest_io import (load_checkpoint, load_manifest, save_checkpoint,
+                          save_manifest)
 from .train import (
     EpochReport,
     TrainConfig,
@@ -84,7 +82,6 @@ __all__ = [
     "FormatError",
     "GmmConfig",
     "GmmModel",
-    "LabeledSample",
     "LossWeights",
     "ModelParams",
     "NoiseSpec",

@@ -9,26 +9,21 @@ of a few fused :class:`Tensor` nodes (this forward, then the loss heads in
 checks those gradients against finite differences.  The training views of a
 batch (:func:`augment`) add Gaussian jitter of the fixed scale JITTER_SIGMA.
 
-Parameters live in float64 in memory.  Checkpoints are written as float32
-(little-endian) with a textual header and a trailing length checksum, so a
-repeated deterministic run reproduces checkpoint files byte for byte.
+Parameters live in float64 in memory; :mod:`edmlab.manifest_io` reads and
+writes them as checkpoints.
 """
 
 from __future__ import annotations
 
-import os
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ChecksumError, DimensionError, FormatError, NumericsError
+from .errors import NumericsError
 
 ROLE_NETD = "NetD"
 ROLE_NETS = "NetS"
 ROLES = (ROLE_NETD, ROLE_NETS)
-
-CKPT_MAGIC = "EDMCKPT1"
 
 #: rows per call in :func:`forward_logits_chunked`
 FORWARD_CHUNK = 4096
@@ -286,80 +281,3 @@ def augment(batch: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     x = np.asarray(batch, dtype=np.float64)
     return x + rng.normal(0.0, JITTER_SIGMA, size=x.shape)
 
-
-# -- checkpoint serialization ------------------------------------------
-
-
-def save_checkpoint(params: ModelParams, path: str | os.PathLike) -> None:
-    """Write parameters as float32 with a header and length checksum."""
-    arch = ",".join(str(w) for w in params.widths)
-    header = f"{CKPT_MAGIC} role={params.role} arch={arch}\n".encode("ascii")
-    chunks = [header]
-    for arr in params.flat():
-        chunks.append(np.ascontiguousarray(arr, dtype="<f4").tobytes())
-    payload = b"".join(chunks)
-    with open(path, "wb") as fh:
-        fh.write(payload)
-        fh.write(struct.pack("<Q", len(payload)))
-
-
-def load_checkpoint(path: str | os.PathLike) -> ModelParams:
-    """Read a checkpoint; parameters come back as float64 copies."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 8:
-        raise ChecksumError(f"file too short to hold a checksum ({len(blob)} bytes)")
-    payload, trailer = blob[:-8], blob[-8:]
-    (stored_len,) = struct.unpack("<Q", trailer)
-    if stored_len != len(payload):
-        raise ChecksumError(
-            f"length checksum mismatch: payload spans {len(payload)} bytes, "
-            f"trailer claims {stored_len}"
-        )
-    newline = payload.find(b"\n")
-    if newline < 0:
-        raise FormatError("no header line found")
-    try:
-        text = payload[:newline].decode("ascii")
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"header is not ASCII: {exc}") from None
-    parts = text.split(" ")
-    if len(parts) != 3 or parts[0] != CKPT_MAGIC:
-        raise FormatError(f"bad checkpoint header: {text!r}")
-    if not parts[1].startswith("role=") or not parts[2].startswith("arch="):
-        raise FormatError(f"bad checkpoint header fields: {text!r}")
-    role = parts[1][len("role="):]
-    if role not in ROLES:
-        raise FormatError(f"unknown role tag {role!r}")
-    try:
-        widths = tuple(int(w) for w in parts[2][len("arch="):].split(","))
-    except ValueError:
-        raise FormatError("unparseable architecture descriptor") from None
-    if len(widths) < 2 or any(w < 1 for w in widths):
-        raise FormatError(f"implausible architecture {widths}")
-
-    body = payload[newline + 1:]
-    counts = []
-    for fan_in, fan_out in zip(widths[:-1], widths[1:]):
-        counts.append(fan_in * fan_out)
-        counts.append(fan_out)
-    expected = 4 * sum(counts)
-    if len(body) != expected:
-        raise DimensionError(
-            f"parameter body is {len(body)} bytes, expected {expected} "
-            f"for architecture {widths}"
-        )
-    values = np.frombuffer(body, dtype="<f4").astype(np.float64)
-    if not np.all(np.isfinite(values)):
-        raise FormatError("non-finite parameter value in checkpoint")
-
-    weights, biases = [], []
-    offset = 0
-    for fan_in, fan_out in zip(widths[:-1], widths[1:]):
-        w = values[offset:offset + fan_in * fan_out].reshape(fan_in, fan_out)
-        offset += fan_in * fan_out
-        b = values[offset:offset + fan_out]
-        offset += fan_out
-        weights.append(w.copy())
-        biases.append(b.copy())
-    return ModelParams(widths=widths, weights=weights, biases=biases, role=role)

@@ -80,21 +80,6 @@ class NoiseSpec:
 
 
 @dataclass
-class LabeledSample:
-    """One sample as seen through the record-level interface.
-
-    ``observed_label`` is one-hot over the label set.  ``true_class`` is None
-    exactly for open-set samples.
-    """
-
-    id: int
-    features: np.ndarray
-    observed_label: np.ndarray
-    true_class: int | None
-    provenance: Provenance
-
-
-@dataclass
 class DatasetManifest:
     """Column-oriented dataset with per-sample provenance.
 
@@ -136,18 +121,6 @@ class DatasetManifest:
         """(n, num_classes) float64 one-hot matrix of observed labels."""
         eye = np.eye(self.num_classes, dtype=np.float64)
         return eye[self.observed]
-
-    def sample(self, i: int) -> LabeledSample:
-        label = np.zeros(self.num_classes, dtype=np.float64)
-        label[self.observed[i]] = 1.0
-        true = int(self.true_class[i])
-        return LabeledSample(
-            id=i,
-            features=self.features[i],
-            observed_label=label,
-            true_class=None if true == NO_CLASS else true,
-            provenance=Provenance(int(self.provenance[i])),
-        )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DatasetManifest):

@@ -11,8 +11,8 @@ Configuration precedence is flag > config-file line > built-in default.  The
 optional config file is flat ``key=value`` text whose keys mirror the flag
 names.  The ``EDM_SEED`` environment variable, when set, overrides any seed.
 Epoch logs are line-buffered JSON lines carrying a schema version field, and
-every output directory gets a run manifest snapshotting the resolved config,
-input digests, timestamps, and the complete artifact list.
+every output directory gets a run manifest snapshotting the config keys the
+command reads, input digests, timestamps, and the complete artifact list.
 
 Exit codes: 0 success, 2 configuration error, 3 data/file error, 4 runtime
 (numerical or unexpected) failure.
@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__
-from .backbone import JITTER_SIGMA, load_checkpoint, save_checkpoint
+from .backbone import JITTER_SIGMA
 from .benchgen import (
     DatasetManifest,
     NoiseSpec,
@@ -49,7 +49,8 @@ from .evaluation import (
 )
 from .gmm import GmmConfig, fit_em, group_posteriors, normalize_losses
 from .losses import LossWeights, sl_dataset_loss
-from .manifest_io import load_manifest, save_manifest
+from .manifest_io import (load_checkpoint, load_manifest, save_checkpoint,
+                          save_manifest)
 from .train import (ALGO_CE, ALGO_EDM, HIDDEN_WIDTHS, LR_DROP_FACTOR, MOMENTUM,
                     WEIGHT_DECAY, TrainConfig, run, run_baseline_ce)
 
@@ -130,11 +131,20 @@ _KEYS: dict[str, _Key] = {
     "out_dir": _Key(str, None, None, "a path", "output directory"),
 }
 
-_GEN_KEYS = ("classes", "per_class", "dim", "spread", "rho", "omega",
-             "pool_clusters", "pool_offset", "seed")
-_TRAIN_KEYS = ("epochs", "batch", "lr", "lambda_u", "lambda_reg", "mix_alpha",
-               "m", "t", "psi", "mu_min", "mu_max", "warmup_d", "warmup_s",
-               "seed", "algo")
+_GEOMETRY = ("classes", "per_class", "dim", "spread", "rho", "omega",
+             "pool_clusters", "pool_offset")
+_TRAINING = ("epochs", "batch", "lr", "lambda_u", "lambda_reg", "mix_alpha",
+             "m", "t", "psi", "mu_min", "mu_max", "warmup_d", "warmup_s",
+             "seed", "algo")
+
+#: the keys each subcommand reads: its flags, and its run manifest's config
+_COMMAND_KEYS = {
+    "gen": _GEOMETRY + ("seed", "out"),
+    "train": ("manifest", "test_manifest") + _TRAINING + ("out_dir",),
+    "eval": ("checkpoint", "manifest", "test_manifest", "psi", "mu_min",
+             "mu_max", "out_dir"),
+    "run": _GEOMETRY + ("manifest", "test_manifest") + _TRAINING + ("out_dir",),
+}
 
 
 def _flag(key: str) -> str:
@@ -182,9 +192,12 @@ def parse_config(flag_values: dict, config_path: str | None
     if env_seed is not None:
         try:
             resolved["seed"] = int(env_seed)
+            valid = _KEYS["seed"].check(resolved["seed"])
         except ValueError:
+            valid = False
+        if not valid:
             raise ConfigError(
-                f"EDM_SEED must be an integer, got {env_seed!r}") from None
+                f"EDM_SEED must be {_KEYS['seed'].rule}, got {env_seed!r}")
 
     for key, spec in _KEYS.items():
         value = resolved[key]
@@ -261,13 +274,15 @@ def _sha256(path: str | os.PathLike) -> str:
     return digest.hexdigest()
 
 
-def _config_snapshot(resolved: dict, cfg: TrainConfig) -> dict:
-    """The full resolved configuration, fixed settings included.
+def _config_snapshot(command: str, resolved: dict, cfg: TrainConfig) -> dict:
+    """The resolved keys ``command`` reads; for training, the fixed settings.
 
     How the data were corrupted is not here: each manifest's own header
     records it, and ``input_digests`` pins the manifests.
     """
-    snapshot = dict(resolved)
+    snapshot = {key: resolved[key] for key in _COMMAND_KEYS[command]}
+    if command == "eval":
+        return snapshot
     snapshot.update({
         "momentum": MOMENTUM,
         "weight_decay": WEIGHT_DECAY,
@@ -450,7 +465,7 @@ def cmd_train(ns: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest(
         command="train",
-        config=_config_snapshot(resolved, cfg),
+        config=_config_snapshot("train", resolved, cfg),
         input_digests={str(train_path): _sha256(train_path),
                        str(test_path): _sha256(test_path)},
         started_at=_utc_now(),
@@ -484,7 +499,7 @@ def cmd_eval(ns: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest(
         command="eval",
-        config=_config_snapshot(resolved, cfg),
+        config=_config_snapshot("eval", resolved, cfg),
         input_digests={str(p): _sha256(p)
                        for p in (ckpt_path, train_path, test_path)},
         started_at=_utc_now(),
@@ -531,7 +546,7 @@ def cmd_run(ns: argparse.Namespace) -> int:
 
     manifest = RunManifest(
         command="run",
-        config=_config_snapshot(resolved, cfg),
+        config=_config_snapshot("run", resolved, cfg),
         input_digests={str(train_path): _sha256(train_path),
                        str(test_path): _sha256(test_path)},
         started_at=_utc_now(),
@@ -554,13 +569,6 @@ def cmd_run(ns: argparse.Namespace) -> int:
 # -- parser wiring -----------------------------------------------------
 
 
-def _add_keys(parser: argparse.ArgumentParser, keys: tuple[str, ...]) -> None:
-    for key in keys:
-        spec = _KEYS[key]
-        parser.add_argument(_flag(key), dest=key, type=spec.cast,
-                            default=None, help=spec.help)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="edmlab",
@@ -570,30 +578,20 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_gen = sub.add_parser("gen", help="generate a benchmark manifest")
-    _add_keys(p_gen, _GEN_KEYS + ("out",))
-    p_gen.set_defaults(func=cmd_gen)
-
-    p_train = sub.add_parser("train", help="train on existing manifests")
-    _add_keys(p_train, ("manifest", "test_manifest") + _TRAIN_KEYS
-              + ("out_dir",))
-    p_train.set_defaults(func=cmd_train)
-
-    p_eval = sub.add_parser("eval", help="score a checkpoint and export tables")
-    _add_keys(p_eval, ("checkpoint", "manifest", "test_manifest", "out_dir"))
-    p_eval.set_defaults(func=cmd_eval)
-
-    p_run = sub.add_parser(
-        "run", help="generate (unless manifests are given), train, evaluate")
-    run_keys = tuple(k for k in _GEN_KEYS if k != "seed") \
-        + ("manifest", "test_manifest") + _TRAIN_KEYS + ("out_dir",)
-    _add_keys(p_run, run_keys)
-    p_run.set_defaults(func=cmd_run)
-
-    for sp in (p_gen, p_train, p_eval, p_run):
+    for command, func, help_text in (
+            ("gen", cmd_gen, "generate a benchmark manifest"),
+            ("train", cmd_train, "train on existing manifests"),
+            ("eval", cmd_eval, "score a checkpoint and export tables"),
+            ("run", cmd_run,
+             "generate (unless manifests are given), train, evaluate")):
+        sp = sub.add_parser(command, help=help_text)
+        for key in _COMMAND_KEYS[command]:
+            spec = _KEYS[key]
+            sp.add_argument(_flag(key), dest=key, type=spec.cast,
+                            default=None, help=spec.help)
         sp.add_argument("--config", default=None,
                         help="flat key=value config file (flags win)")
+        sp.set_defaults(func=func)
     return parser
 
 

@@ -45,7 +45,6 @@ class SplitConfusion:
     """
 
     matrix: np.ndarray
-    precision: np.ndarray = field(init=False)
     recall: np.ndarray = field(init=False)
     balanced_accuracy: float = field(init=False)
 
@@ -55,11 +54,8 @@ class SplitConfusion:
             raise ValueError(f"confusion matrix must be 3x3 non-negative, got {m}")
         self.matrix = m
         row = m.sum(axis=1)
-        col = m.sum(axis=0)
         diag = np.diag(m).astype(np.float64)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            self.recall = np.where(row > 0, diag / np.maximum(row, 1), np.nan)
-            self.precision = np.where(col > 0, diag / np.maximum(col, 1), np.nan)
+        self.recall = np.where(row > 0, diag / np.maximum(row, 1), np.nan)
         present = row > 0
         if not np.any(present):
             raise ValueError("confusion matrix is empty")

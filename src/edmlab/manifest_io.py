@@ -1,21 +1,32 @@
-"""Binary serialization for dataset manifests.
+"""Binary serialization: dataset manifests and model checkpoints.
 
-Layout of a ``.edm`` file:
+Both formats share one frame:
 
-* one ASCII header line:
-  ``EDMv1 n=<N> d=<d> classes=<K> rho=<float> omega=<float> open_source=<s> flip=<s> seed=<int>\\n``
-* ``N`` packed little-endian records, each
-  ``id:u32  provenance:u8  true_class:i32  observed:i32  features:f32[d]``
+* one ASCII header line ``<MAGIC> key=value key=value ...\\n`` whose keys are
+  exactly the format's keys, in order; no value is empty or holds whitespace;
+* a binary body;
 * a trailing little-endian u64 holding the byte length of everything before
-  it (header + records).  A truncated or padded file fails this check.
+  it (header + body).  A truncated or padded file fails this check.
 
+A manifest (``.edm``) has magic ``EDMv1`` and keys
+``n d classes rho omega open_source flip seed``; its body is ``n`` packed
+little-endian records, each
+``id:u32  provenance:u8  true_class:i32  observed:i32  features:f32[d]``.
 Rates are written with ``repr`` so float round-trips are exact.  ``flip`` is
-always ``UNIFORM_EXCLUDING_TRUE``, the one flip rule.  Errors are reported
-distinctly: :class:`~edmlab.errors.ChecksumError` for a bad or missing
-trailer, :class:`~edmlab.errors.DimensionError` when the record body does not
-match the header's n and d, and :class:`~edmlab.errors.FormatError` for a
-malformed header (any other flip rule included) or inconsistent record
-contents (a NaN or infinite feature included).
+always ``UNIFORM_EXCLUDING_TRUE``, the one flip rule.
+
+A checkpoint has magic ``EDMCKPT1`` and keys ``role arch`` (the role tag and
+the comma-separated layer widths); its body is every parameter array as
+little-endian float32, in :meth:`~edmlab.backbone.ModelParams.flat` order.
+Parameters come back as float64, so a repeated deterministic run reproduces
+checkpoint files byte for byte.
+
+Errors are reported distinctly: :class:`~edmlab.errors.ChecksumError` for a
+bad or missing trailer, :class:`~edmlab.errors.DimensionError` when the body
+does not match the sizes the header declares, and
+:class:`~edmlab.errors.FormatError` for a malformed header (any other flip
+rule or role tag included) or inconsistent body contents (a NaN or infinite
+value included).
 """
 
 from __future__ import annotations
@@ -25,13 +36,69 @@ import struct
 
 import numpy as np
 
+from .backbone import ROLES, ModelParams
 from .benchgen import (FLIP_UNIFORM_EXCLUDING_TRUE, NO_CLASS, DatasetManifest,
                        NoiseSpec, Provenance)
 from .errors import ChecksumError, DimensionError, FormatError
 
 MAGIC = "EDMv1"
+CKPT_MAGIC = "EDMCKPT1"
 
 _HEADER_KEYS = ("n", "d", "classes", "rho", "omega", "open_source", "flip", "seed")
+_CKPT_KEYS = ("role", "arch")
+
+#: the length trailer that ends every file
+_TRAILER = struct.Struct("<Q")
+
+
+def _write_framed(path: str | os.PathLike, magic: str, fields: dict,
+                  body: bytes) -> None:
+    """Write the header line, ``body`` and the length trailer."""
+    parts = [magic]
+    for key, value in fields.items():
+        text = str(value)
+        if not text or any(ch.isspace() for ch in text):
+            raise ValueError(f"header value {key}={text!r} must be non-empty "
+                             f"and contain no whitespace")
+        parts.append(f"{key}={text}")
+    payload = (" ".join(parts) + "\n").encode("ascii") + body
+    with open(path, "wb") as fh:
+        fh.write(payload)
+        fh.write(_TRAILER.pack(len(payload)))
+
+
+def _read_framed(path: str | os.PathLike, magic: str, keys: tuple[str, ...]
+                 ) -> tuple[dict[str, str], bytes]:
+    """Check the trailer and the header; return the header fields and body."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    if len(blob) < _TRAILER.size:
+        raise ChecksumError(f"file too short to hold a checksum ({len(blob)} bytes)")
+    payload = blob[:-_TRAILER.size]
+    (stored_len,) = _TRAILER.unpack(blob[-_TRAILER.size:])
+    if stored_len != len(payload):
+        raise ChecksumError(
+            f"length checksum mismatch: header+body span {len(payload)} bytes, "
+            f"trailer claims {stored_len}"
+        )
+
+    head, newline, body = payload.partition(b"\n")
+    if not newline:
+        raise FormatError("no header line found")
+    try:
+        parts = head.decode("ascii").split(" ")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"header is not ASCII: {exc}") from None
+    if parts[0] != magic:
+        raise FormatError(f"bad magic string: expected {magic!r}, got {parts[0]!r}")
+    pairs = [part.partition("=") for part in parts[1:]]
+    for key, sep, _ in pairs:
+        if not sep:
+            raise FormatError(f"malformed header field: {key!r}")
+    names = [key for key, _, _ in pairs]
+    if names != list(keys):
+        raise FormatError(f"header fields {names} are not {list(keys)}")
+    return {key: value for key, _, value in pairs}, body
 
 
 def _record_dtype(d: int) -> np.dtype:
@@ -46,24 +113,6 @@ def _record_dtype(d: int) -> np.dtype:
     )
 
 
-def _format_header(m: DatasetManifest) -> bytes:
-    spec = m.noise_spec
-    if not spec.open_source or any(ch.isspace() for ch in spec.open_source):
-        raise ValueError("noise_spec.open_source must be non-empty and contain no whitespace")
-    fields = {
-        "n": len(m),
-        "d": m.feature_dim,
-        "classes": m.num_classes,
-        "rho": repr(float(spec.rho)),
-        "omega": repr(float(spec.omega)),
-        "open_source": spec.open_source,
-        "flip": FLIP_UNIFORM_EXCLUDING_TRUE,
-        "seed": int(spec.seed),
-    }
-    body = " ".join(f"{k}={fields[k]}" for k in _HEADER_KEYS)
-    return f"{MAGIC} {body}\n".encode("ascii")
-
-
 def save_manifest(m: DatasetManifest, path: str | os.PathLike) -> None:
     """Write a manifest; the result reloads bit-identically."""
     n = len(m)
@@ -74,69 +123,35 @@ def save_manifest(m: DatasetManifest, path: str | os.PathLike) -> None:
     records["obs"] = m.observed
     records["feat"] = m.features
 
-    payload = _format_header(m) + records.tobytes()
-    with open(path, "wb") as fh:
-        fh.write(payload)
-        fh.write(struct.pack("<Q", len(payload)))
-
-
-def _parse_header(line: bytes) -> dict:
-    try:
-        text = line.decode("ascii")
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"header is not ASCII: {exc}") from None
-    parts = text.rstrip("\n").split(" ")
-    if not parts or parts[0] != MAGIC:
-        raise FormatError(f"bad magic string: expected {MAGIC!r}")
-    fields: dict[str, str] = {}
-    for part in parts[1:]:
-        key, sep, value = part.partition("=")
-        if not sep:
-            raise FormatError(f"malformed header field: {part!r}")
-        fields[key] = value
-    missing = [k for k in _HEADER_KEYS if k not in fields]
-    if missing:
-        raise FormatError(f"header missing fields: {missing}")
-    if fields["flip"] != FLIP_UNIFORM_EXCLUDING_TRUE:
-        raise FormatError(f"unsupported flip rule {fields['flip']!r}")
-    try:
-        return {
-            "n": int(fields["n"]),
-            "d": int(fields["d"]),
-            "classes": int(fields["classes"]),
-            "rho": float(fields["rho"]),
-            "omega": float(fields["omega"]),
-            "open_source": fields["open_source"],
-            "seed": int(fields["seed"]),
-        }
-    except ValueError as exc:
-        raise FormatError(f"unparseable header value: {exc}") from None
+    spec = m.noise_spec
+    fields = {
+        "n": n,
+        "d": m.feature_dim,
+        "classes": m.num_classes,
+        "rho": repr(float(spec.rho)),
+        "omega": repr(float(spec.omega)),
+        "open_source": spec.open_source,
+        "flip": FLIP_UNIFORM_EXCLUDING_TRUE,
+        "seed": int(spec.seed),
+    }
+    _write_framed(path, MAGIC, fields, records.tobytes())
 
 
 def load_manifest(path: str | os.PathLike) -> DatasetManifest:
     """Read a manifest, validating checksum, sizes, and record consistency."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-
-    if len(blob) < 8:
-        raise ChecksumError(f"file too short to hold a checksum ({len(blob)} bytes)")
-    payload, trailer = blob[:-8], blob[-8:]
-    (stored_len,) = struct.unpack("<Q", trailer)
-    if stored_len != len(payload):
-        raise ChecksumError(
-            f"length checksum mismatch: header+records span {len(payload)} bytes, "
-            f"trailer claims {stored_len}"
-        )
-
-    newline = payload.find(b"\n")
-    if newline < 0:
-        raise FormatError("no header line found")
-    header = _parse_header(payload[: newline + 1])
-    n, d, k = header["n"], header["d"], header["classes"]
+    fields, body = _read_framed(path, MAGIC, _HEADER_KEYS)
+    if fields["flip"] != FLIP_UNIFORM_EXCLUDING_TRUE:
+        raise FormatError(f"unsupported flip rule {fields['flip']!r}")
+    try:
+        n, d, k = int(fields["n"]), int(fields["d"]), int(fields["classes"])
+        spec = NoiseSpec(rho=float(fields["rho"]), omega=float(fields["omega"]),
+                         open_source=fields["open_source"],
+                         seed=int(fields["seed"]))
+    except ValueError as exc:
+        raise FormatError(f"unparseable header value: {exc}") from None
     if n < 0 or d < 1 or k < 1:
         raise FormatError(f"implausible header sizes: n={n} d={d} classes={k}")
 
-    body = payload[newline + 1 :]
     dtype = _record_dtype(d)
     expected = n * dtype.itemsize
     if len(body) != expected:
@@ -165,12 +180,6 @@ def load_manifest(path: str | os.PathLike) -> DatasetManifest:
         if not np.all(np.isfinite(records["feat"])):
             raise FormatError("non-finite feature value in a record")
 
-    spec = NoiseSpec(
-        rho=header["rho"],
-        omega=header["omega"],
-        open_source=header["open_source"],
-        seed=header["seed"],
-    )
     return DatasetManifest(
         features=records["feat"].reshape(n, d).copy(),
         observed=records["obs"].astype(np.int32),
@@ -179,3 +188,41 @@ def load_manifest(path: str | os.PathLike) -> DatasetManifest:
         num_classes=k,
         noise_spec=spec,
     )
+
+
+def save_checkpoint(params: ModelParams, path: str | os.PathLike) -> None:
+    """Write parameters as float32 with a header and length checksum."""
+    body = b"".join(np.ascontiguousarray(arr, dtype="<f4").tobytes()
+                    for arr in params.flat())
+    fields = {"role": params.role, "arch": ",".join(map(str, params.widths))}
+    _write_framed(path, CKPT_MAGIC, fields, body)
+
+
+def load_checkpoint(path: str | os.PathLike) -> ModelParams:
+    """Read a checkpoint; parameters come back as float64 copies."""
+    fields, body = _read_framed(path, CKPT_MAGIC, _CKPT_KEYS)
+    role = fields["role"]
+    if role not in ROLES:
+        raise FormatError(f"unknown role tag {role!r}")
+    try:
+        widths = tuple(int(w) for w in fields["arch"].split(","))
+    except ValueError:
+        raise FormatError("unparseable architecture descriptor") from None
+    if len(widths) < 2 or any(w < 1 for w in widths):
+        raise FormatError(f"implausible architecture {widths}")
+
+    shapes = [s for fan_in, fan_out in zip(widths[:-1], widths[1:])
+              for s in ((fan_in, fan_out), (fan_out,))]
+    sizes = [int(np.prod(s)) for s in shapes]
+    if len(body) != 4 * sum(sizes):
+        raise DimensionError(
+            f"parameter body is {len(body)} bytes, expected {4 * sum(sizes)} "
+            f"for architecture {widths}"
+        )
+    values = np.frombuffer(body, dtype="<f4").astype(np.float64)
+    if not np.all(np.isfinite(values)):
+        raise FormatError("non-finite parameter value in checkpoint")
+    arrays = [a.reshape(s) for a, s in
+              zip(np.split(values, np.cumsum(sizes)[:-1]), shapes)]
+    return ModelParams(widths=widths, weights=arrays[0::2], biases=arrays[1::2],
+                       role=role)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from edmlab import cli
-from edmlab.backbone import init_model, save_checkpoint
+from edmlab.backbone import init_model
 from edmlab.benchgen import DatasetManifest, NoiseSpec
 from edmlab.cli import (
     EXIT_CONFIG,
@@ -25,7 +25,7 @@ from edmlab.errors import ConfigError
 from edmlab.evaluation import split_confusion
 from edmlab.gmm import GmmConfig, fit_em, group_posteriors, normalize_losses
 from edmlab.losses import sl_dataset_loss
-from edmlab.manifest_io import load_manifest, save_manifest
+from edmlab.manifest_io import load_manifest, save_checkpoint, save_manifest
 from edmlab.train import MOMENTUM, WEIGHT_DECAY
 
 REPO = Path(__file__).resolve().parents[1]
@@ -190,6 +190,17 @@ class TestTrain:
         # the manifests' own headers record how their data were corrupted
         assert "open_source" not in config
         assert "flip_distribution" not in config
+        # only the keys train reads: no benchmark geometry, no eval/gen paths
+        for key in ("per_class", "rho", "omega", "classes", "dim",
+                    "checkpoint", "out"):
+            assert key not in config
+        eval_dir = tmp_path / "eval"
+        assert run_cli("eval", "--checkpoint", out_dir / "netd_last.ckpt",
+                       "--manifest", train, "--test-manifest", test,
+                       "--out-dir", eval_dir) == EXIT_OK
+        config = json.loads((eval_dir / "run_manifest.json").read_text())["config"]
+        assert set(config) == {"checkpoint", "manifest", "test_manifest",
+                               "psi", "mu_min", "mu_max", "out_dir"}
 
     def test_missing_manifest_file_is_data_error(self, tmp_path):
         out_dir = tmp_path / "out"
@@ -341,6 +352,15 @@ class TestBadGeometry:
         assert run_cli(*args, *dest) == EXIT_CONFIG
         assert flag in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
+
+    def test_negative_env_seed_names_the_variable(self, tmp_path, capsys,
+                                                  monkeypatch):
+        monkeypatch.setenv("EDM_SEED", "-3")
+        out = tmp_path / "x.manifest"
+        assert run_cli("gen", "--out", out) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "EDM_SEED" in err and "--seed" not in err
+        assert not out.exists()
 
 
 class TestBadInputs:

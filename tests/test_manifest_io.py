@@ -1,14 +1,16 @@
-"""Tests for binary manifest serialization: round trips and error reporting."""
+"""Tests for binary manifests and checkpoints: exact bytes, round trips, errors."""
 
 import struct
 
 import numpy as np
 import pytest
 
+from edmlab.backbone import ModelParams, init_model
 from edmlab.benchgen import DatasetManifest, NoiseSpec, Provenance, inject_noise, \
     make_open_pool, make_synthetic_clean
 from edmlab.errors import ChecksumError, DimensionError, FormatError
-from edmlab.manifest_io import load_manifest, save_manifest
+from edmlab.manifest_io import load_checkpoint, load_manifest, save_checkpoint, \
+    save_manifest
 
 
 def _noisy_manifest():
@@ -16,6 +18,90 @@ def _noisy_manifest():
                                  cluster_spread=0.5, seed=2)
     pool = make_open_pool(2, 40, 6, 0.5, 8.0, seed=3)
     return inject_noise(clean, pool, NoiseSpec(rho=0.6, omega=0.5, seed=4))
+
+
+def _reframe(blob, header):
+    """``blob`` with a new header line and a trailer that matches it."""
+    payload = header + blob[blob.index(b"\n"):-8]
+    return payload + struct.pack("<Q", len(payload))
+
+
+def _edit_header(edit):
+    return lambda blob: _reframe(blob, edit(blob[:blob.index(b"\n")]))
+
+
+class TestOnDiskBytes:
+    def test_manifest_bytes(self, tmp_path):
+        m = DatasetManifest(
+            features=np.array([[0.5, -1.0], [2.0, 0.25]], np.float32),
+            observed=np.array([0, 1], np.int32),
+            true_class=np.array([0, -1], np.int32),
+            provenance=np.array([Provenance.CLEAN, Provenance.OPEN], np.uint8),
+            num_classes=2,
+            noise_spec=NoiseSpec(rho=0.5, omega=0.0, seed=7),
+        )
+        header = (b"EDMv1 n=2 d=2 classes=2 rho=0.5 omega=0.0 "
+                  b"open_source=synthetic-pool flip=UNIFORM_EXCLUDING_TRUE seed=7\n")
+        records = (struct.pack("<IBii2f", 0, 0, 0, 0, 0.5, -1.0)
+                   + struct.pack("<IBii2f", 1, 2, -1, 1, 2.0, 0.25))
+        payload = header + records
+        path = tmp_path / "two.edm"
+        save_manifest(m, path)
+        assert path.read_bytes() == payload + struct.pack("<Q", len(payload))
+
+    def test_checkpoint_bytes(self, tmp_path):
+        params = ModelParams(widths=(2, 1), weights=[np.array([[0.5], [-1.25]])],
+                             biases=[np.array([2.0])], role="NetS")
+        payload = b"EDMCKPT1 role=NetS arch=2,1\n" + struct.pack("<3f", 0.5, -1.25, 2.0)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(params, path)
+        assert path.read_bytes() == payload + struct.pack("<Q", len(payload))
+
+    @pytest.mark.parametrize("source", ["two words", ""], ids=["spaced", "empty"])
+    def test_empty_or_spaced_header_value_rejected(self, tmp_path, source):
+        m = _noisy_manifest()
+        m.noise_spec = NoiseSpec(rho=0.6, omega=0.5, open_source=source)
+        with pytest.raises(ValueError, match="open_source"):
+            save_manifest(m, tmp_path / "bad.edm")
+
+
+_FORMATS = {
+    "manifest": (lambda path: save_manifest(_noisy_manifest(), path), load_manifest),
+    "checkpoint": (lambda path: save_checkpoint(init_model((6, 16, 4), seed=5), path),
+                   load_checkpoint),
+}
+
+_FRAME_CASES = [
+    pytest.param(lambda blob: blob[:3], ChecksumError, "too short", id="tiny"),
+    pytest.param(lambda blob: blob[:-1], ChecksumError, "mismatch", id="truncated-1"),
+    pytest.param(lambda blob: blob[:-7], ChecksumError, "mismatch", id="truncated-7"),
+    pytest.param(lambda blob: blob[:-40], ChecksumError, "mismatch", id="truncated-40"),
+    pytest.param(lambda blob: blob + b"\x00" * 16, ChecksumError, "mismatch",
+                 id="appended-16"),
+    pytest.param(_edit_header(lambda h: b"XXXv1" + h[h.index(b" "):]),
+                 FormatError, "magic", id="bad-magic"),
+    pytest.param(_edit_header(lambda h: h.replace(b"=", b"=\xe9", 1)),
+                 FormatError, "ASCII", id="non-ascii"),
+    pytest.param(_edit_header(lambda h: h[:h.rindex(b" ")]),
+                 FormatError, "header fields", id="missing-key"),
+    pytest.param(_edit_header(lambda h: h + b" extra=1"),
+                 FormatError, "header fields", id="extra-key"),
+    pytest.param(_edit_header(lambda h: h.replace(b"=", b":", 1)),
+                 FormatError, "malformed", id="no-equals"),
+]
+
+
+class TestFrameErrors:
+    @pytest.mark.parametrize("fmt", sorted(_FORMATS))
+    @pytest.mark.parametrize("mutate, error, message", _FRAME_CASES)
+    def test_corrupt_frame_rejected(self, tmp_path, fmt, mutate, error, message):
+        save, load = _FORMATS[fmt]
+        path = tmp_path / "good"
+        save(path)
+        bad = tmp_path / "bad"
+        bad.write_bytes(mutate(path.read_bytes()))
+        with pytest.raises(error, match=message):
+            load(bad)
 
 
 class TestRoundTrip:
@@ -203,3 +289,56 @@ class TestErrorReporting:
         bad.write_bytes(bytes(blob))
         with pytest.raises(FormatError, match="non-finite"):
             load_manifest(bad)
+
+
+class TestCheckpoints:
+    def test_round_trip_preserves_float32_values(self, tmp_path):
+        m = init_model((6, 16, 4), seed=5, role="NetS")
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(m, path)
+        loaded = load_checkpoint(path)
+        assert loaded.widths == m.widths
+        assert loaded.role == "NetS"
+        for a, b in zip(loaded.flat(), m.flat()):
+            np.testing.assert_array_equal(a, b.astype(np.float32).astype(np.float64))
+
+    def test_save_load_save_is_byte_identical(self, tmp_path):
+        m = init_model((6, 16, 4), seed=5)
+        p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+        save_checkpoint(m, p1)
+        save_checkpoint(load_checkpoint(p1), p2)
+        assert p1.read_bytes() == p2.read_bytes()
+
+    def test_arch_body_mismatch_is_dimension_error(self, tmp_path):
+        m = init_model((6, 16, 4), seed=5)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(m, path)
+        blob = path.read_bytes()
+        header_end = blob.index(b"\n")
+        doctored = blob[:header_end].replace(b"arch=6,16,4", b"arch=6,61,4") \
+            + blob[header_end:]
+        bad = tmp_path / "dim.ckpt"
+        bad.write_bytes(doctored)
+        with pytest.raises(DimensionError):
+            load_checkpoint(bad)
+
+    def test_unknown_role_is_format_error(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(init_model((6, 16, 4), seed=5), path)
+        bad = tmp_path / "role.ckpt"
+        bad.write_bytes(_edit_header(lambda h: h.replace(b"role=NetD", b"role=NetX"))(
+            path.read_bytes()))
+        with pytest.raises(FormatError, match="NetX"):
+            load_checkpoint(bad)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_weight_is_format_error(self, tmp_path, value):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(init_model((6, 16, 4), seed=5), path)
+        blob = bytearray(path.read_bytes())
+        start = blob.index(b"\n") + 1
+        blob[start:start + 4] = struct.pack("<f", value)
+        bad = tmp_path / "nan.ckpt"
+        bad.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="non-finite"):
+            load_checkpoint(bad)
