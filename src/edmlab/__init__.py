@@ -2,10 +2,11 @@
 
 The package covers the full experimental loop: synthetic benchmark generation
 with provenance-tagged label corruption (`benchgen`), a small classifier
-with a hand-written backward pass (`backbone`), the training objectives and
-their closed-form gradients (`losses`), a one-dimensional Gaussian-mixture
-noise classifier (`gmm`), the dual-network training procedure (`train`),
-metrics and exports (`evaluation`), and a CLI (`cli`).
+with a hand-written backward pass (`backbone`), the training objectives as
+batched heads with closed-form gradients (`losses`), a one-dimensional
+Gaussian-mixture noise classifier and its three-way split (`gmm`), the
+dual-network training procedure (`train`), metrics that score that split
+and exports (`evaluation`), and a CLI (`cli`).
 """
 
 __version__ = "0.1.0"
@@ -51,15 +52,7 @@ from .gmm import (
     normalize_losses,
     partition,
 )
-from .losses import (
-    LossWeights,
-    ce_loss,
-    dm_loss,
-    reg_loss,
-    sl_loss,
-    temp_sharpen,
-    unlabeled_mse,
-)
+from .losses import LossWeights, temp_sharpen
 from .manifest_io import (load_checkpoint, load_manifest, save_checkpoint,
                           save_manifest)
 from .train import (
@@ -94,8 +87,6 @@ __all__ = [
     "TrainOutcome",
     "__version__",
     "augment",
-    "ce_loss",
-    "dm_loss",
     "fit_em",
     "forward_logits",
     "group_posteriors",
@@ -108,14 +99,11 @@ __all__ = [
     "make_synthetic_clean",
     "normalize_losses",
     "partition",
-    "reg_loss",
     "run",
     "run_baseline_ce",
     "save_checkpoint",
     "save_manifest",
-    "sl_loss",
     "split_confusion",
     "temp_sharpen",
     "test_accuracy",
-    "unlabeled_mse",
 ]

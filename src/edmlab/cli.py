@@ -47,7 +47,7 @@ from .evaluation import (
     split_confusion,
     test_accuracy,
 )
-from .gmm import GmmConfig, fit_em, group_posteriors, normalize_losses
+from .gmm import GmmConfig, fit_em, group_posteriors, normalize_losses, partition
 from .losses import LossWeights, sl_dataset_loss
 from .manifest_io import (load_checkpoint, load_manifest, save_checkpoint,
                           save_manifest)
@@ -400,15 +400,16 @@ def _eval_into(model, train_ds: DatasetManifest, test_ds: DatasetManifest,
     """Score a model and export the analysis tables into ``out_dir``.
 
     The noise split (the confusion in eval.json, posteriors, loss histogram)
-    comes from ``splitter``'s evidence losses, as in training; test accuracy
-    and features come from ``model``.  Without a splitter, ``model`` does both.
+    comes from ``splitter``'s evidence losses, partitioned as in training;
+    test accuracy and features come from ``model``.  Without a splitter,
+    ``model`` does both.
     """
     _, per_sample = sl_dataset_loss(model if splitter is None else splitter,
                                     train_ds)
     norm = normalize_losses(per_sample)
     gmodel = fit_em(norm, gmm_cfg)
     split = group_posteriors(gmodel, norm, gmm_cfg)
-    confusion = split_confusion(split, train_ds)
+    confusion = split_confusion(partition(split), train_ds)
 
     export_loss_histogram(norm, train_ds.provenance, HISTOGRAM_BINS,
                           out_dir / "loss_histogram.csv")

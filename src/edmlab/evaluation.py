@@ -1,10 +1,11 @@
 """Measurement and export harness.
 
 Quantifies a trained classifier (test accuracy, best/last trajectory) and
-the noise classifier (three-way split vs ground-truth provenance), and
-writes plain comma-separated exports — loss histograms by provenance,
-penultimate-layer features, per-sample posterior triples — for external
-plotting.  Everything here is a pure reader: deterministic, no mutation.
+the noise classifier (the X/U/O partition training uses vs ground-truth
+provenance), and writes plain comma-separated exports — loss histograms
+by provenance, penultimate-layer features, per-sample posterior triples —
+for external plotting.  Everything here is a pure reader: deterministic,
+no mutation.
 """
 
 from __future__ import annotations
@@ -14,34 +15,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .backbone import ModelParams, forward_logits, hidden_features, softmax_probs
+from .backbone import ModelParams, forward_logits, hidden_features
 from .benchgen import DatasetManifest, Provenance
-from .gmm import PosteriorSplit
+from .gmm import Partition, PosteriorSplit
 
 #: provenance index order used by every 3x3 matrix in this module
 GROUP_ORDER = (Provenance.CLEAN, Provenance.CLOSED, Provenance.OPEN)
-GROUP_NAMES = ("clean", "closed", "open")
-
-#: maps argmax over (w, w_op, w_cl) to a Provenance value; the column order
-#: (clean first, then open, then closed) makes numpy's first-max tie rule
-#: implement the clean > open > closed priority.
-_ARGMAX_TO_PROVENANCE = np.array(
-    [int(Provenance.CLEAN), int(Provenance.OPEN), int(Provenance.CLOSED)]
-)
-
-
-def predicted_groups(split: PosteriorSplit) -> np.ndarray:
-    """Max-posterior group per sample, as Provenance integer values."""
-    return _ARGMAX_TO_PROVENANCE[np.argmax(split.triples(), axis=1)]
 
 
 @dataclass
 class SplitConfusion:
-    """Provenance-vs-predicted-group tallies with derived rates.
+    """Provenance-vs-split-set tallies with derived rates.
 
     ``matrix[i, j]`` counts samples whose true provenance is ``GROUP_ORDER[i]``
-    and whose predicted group is ``GROUP_ORDER[j]``.  Balanced accuracy is
-    the mean recall over the provenance groups actually present.
+    and whose split set is the ``j``-th of X, U, O (predicted clean, closed,
+    open).  Balanced accuracy is the mean recall over the provenance groups
+    actually present.
     """
 
     matrix: np.ndarray
@@ -62,19 +51,18 @@ class SplitConfusion:
         self.balanced_accuracy = float(self.recall[present].mean())
 
 
-def split_confusion(split: PosteriorSplit, manifest: DatasetManifest) -> SplitConfusion:
-    """Tally predicted noise groups against ground-truth provenance."""
-    if len(split) != len(manifest):
+def split_confusion(part: Partition, manifest: DatasetManifest) -> SplitConfusion:
+    """Tally the three-way split training uses against ground-truth provenance."""
+    sizes = part.sizes()
+    if sum(sizes) != len(manifest):
         raise ValueError(
-            f"split has {len(split)} rows, manifest has {len(manifest)} samples"
+            f"split has {sum(sizes)} samples, manifest has {len(manifest)}"
         )
-    pred = predicted_groups(split)
-    true = manifest.provenance.astype(np.int64)
-    index_of = {int(p): i for i, p in enumerate(GROUP_ORDER)}
-    matrix = np.zeros((3, 3), dtype=np.int64)
-    for t, p in zip(true, pred):
-        matrix[index_of[int(t)], index_of[int(p)]] += 1
-    return SplitConfusion(matrix=matrix)
+    rows = np.concatenate([part.x_idx, part.u_idx, part.o_idx])
+    # provenance values are GROUP_ORDER indices; X, U, O are its columns
+    cells = (3 * manifest.provenance[rows].astype(np.int64)
+             + np.repeat(np.arange(3), sizes))
+    return SplitConfusion(matrix=np.bincount(cells, minlength=9).reshape(3, 3))
 
 
 def test_accuracy(model: ModelParams, test_manifest: DatasetManifest) -> float:
@@ -83,8 +71,7 @@ def test_accuracy(model: ModelParams, test_manifest: DatasetManifest) -> float:
         raise ValueError("test set is empty")
     if np.any(test_manifest.provenance != Provenance.CLEAN):
         raise ValueError("test set must be all-clean")
-    logits = forward_logits(model, test_manifest.features)
-    pred = np.argmax(softmax_probs(logits), axis=1)
+    pred = np.argmax(forward_logits(model, test_manifest.features), axis=1)
     return float(np.mean(pred == test_manifest.true_class))
 
 
@@ -164,13 +151,9 @@ def export_posteriors(losses: np.ndarray, split: PosteriorSplit,
     if not (len(losses) == len(split) == len(provenance)):
         raise ValueError("losses, split, and provenance must align")
     lines = ["loss,w,w_op,w_cl,provenance"]
-    for i in range(len(split)):
-        lines.append(",".join([
-            repr(float(losses[i])),
-            repr(float(split.w[i])),
-            repr(float(split.w_op[i])),
-            repr(float(split.w_cl[i])),
-            str(int(provenance[i])),
-        ]))
+    rows = zip(losses.tolist(), split.w.tolist(), split.w_op.tolist(),
+               split.w_cl.tolist(), np.asarray(provenance).tolist())
+    for *values, prov in rows:
+        lines.append(",".join([*map(repr, values), str(prov)]))
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")

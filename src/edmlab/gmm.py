@@ -101,10 +101,6 @@ class PosteriorSplit:
     def __len__(self) -> int:
         return self.w.shape[0]
 
-    def triples(self) -> np.ndarray:
-        """(n, 3) matrix in (clean, open, closed) column order."""
-        return np.stack([self.w, self.w_op, self.w_cl], axis=1)
-
 
 @dataclass
 class Partition:

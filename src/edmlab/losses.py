@@ -4,10 +4,8 @@ penalty, uniformity regularizer, and their weighted combination.
 Each objective has one implementation: batched numpy code for its value
 and its closed-form gradient.  The ``*_t`` functions wrap it as single
 :class:`~edmlab.backbone.Tensor` nodes for the training loop to
-differentiate; the per-sample loss scan evaluates the same evidence-loss
-rows on plain arrays, and the single-sample functions (``sl_loss``,
-``ce_loss``, ``unlabeled_mse``, ``reg_loss``, ``dm_loss``) are one-row
-wrappers that validate their inputs and return a float.
+differentiate, and the per-sample loss scan evaluates the same
+evidence-loss rows on plain arrays.
 
 The evidence loss treats rectified logits plus one as the concentration of
 a Dirichlet opinion; its value decomposes into a squared error between the
@@ -43,22 +41,8 @@ class LossWeights:
             raise ValueError(f"lambda_reg must be finite and >= 0, got {self.lambda_reg}")
 
     def combine(self, labeled, unlabeled, regularizer):
-        """labeled + lambda_u·unlabeled + lambda_reg·regularizer (floats or tensors)."""
+        """labeled + lambda_u·unlabeled + lambda_reg·regularizer."""
         return labeled + self.lambda_u * unlabeled + self.lambda_reg * regularizer
-
-
-def _check_distribution(p: np.ndarray, name: str) -> np.ndarray:
-    p = np.asarray(p, dtype=np.float64)
-    if np.any(p < -1e-9) or abs(p.sum() - 1.0) > 1e-6:
-        raise ValueError(f"{name} is not a probability distribution: {p}")
-    return p
-
-
-def _check_one_hot(y: np.ndarray) -> np.ndarray:
-    y = np.asarray(y, dtype=np.float64)
-    if not (np.all((y == 0.0) | (y == 1.0)) and y.sum() == 1.0):
-        raise ValueError(f"label is not one-hot: {y}")
-    return y
 
 
 # -- batched objectives (what training differentiates) -----------------
@@ -221,45 +205,6 @@ def sl_dataset_loss(model, dataset) -> tuple[float, np.ndarray]:
     logits = forward_logits_chunked(model, dataset.features)
     per_sample = sl_losses_from_logits(logits, dataset.one_hot_observed())
     return float(per_sample.mean()), per_sample
-
-
-# -- single-sample contracts -------------------------------------------
-
-
-def sl_loss(logits: np.ndarray, y: np.ndarray) -> float:
-    """Evidence loss of one sample against a one-hot label."""
-    y = _check_one_hot(y)
-    logits = np.asarray(logits, dtype=np.float64)
-    if y.shape != logits.shape:
-        raise ValueError(f"label length {y.shape} != logit length {logits.shape}")
-    return float(sl_losses_from_logits(logits[None, :], y[None, :])[0])
-
-
-def ce_loss(probs: np.ndarray, label: np.ndarray) -> float:
-    """−Σ label·log(probs), probabilities floored at EPS; accepts soft labels."""
-    probs = _check_distribution(probs, "probs")
-    label = _check_distribution(label, "label")
-    return float(_ce(probs[None, :], label[None, :])[0])
-
-
-def unlabeled_mse(guess: np.ndarray, probs: np.ndarray) -> float:
-    """Squared Euclidean distance between two distributions."""
-    guess = _check_distribution(guess, "guess")
-    probs = _check_distribution(probs, "probs")
-    if guess.shape != probs.shape:
-        raise ValueError(f"length mismatch: {guess.shape} vs {probs.shape}")
-    return float(_mse(probs[None, :], guess[None, :])[0])
-
-
-def reg_loss(mean_probs: np.ndarray) -> float:
-    """Uniformity penalty of one mean prediction; see :func:`reg_loss_t`."""
-    return float(_reg(np.asarray(mean_probs, dtype=np.float64))[0])
-
-
-def dm_loss(labeled_loss: float, unlabeled_loss: float, mean_probs: np.ndarray,
-            weights: LossWeights) -> float:
-    """labeled + lambda_u·unlabeled + lambda_reg·uniformity penalty."""
-    return float(weights.combine(labeled_loss, unlabeled_loss, reg_loss(mean_probs)))
 
 
 def temp_sharpen(p: np.ndarray, temperature: float) -> np.ndarray:

@@ -437,14 +437,12 @@ def run(dataset: DatasetManifest, test_dataset: DatasetManifest,
         gmodel = fit_em(norm, cfg.gmm)
         split = group_posteriors(gmodel, norm, cfg.gmm)
         part = partition(split, n)
-        if sum(part.sizes()) != n:
-            raise NumericsError("three-way split failed to cover the dataset")
 
         netd, stats = train_netd_epoch(netd, dataset, split, part, cfg, opt_d, rng)
         relabeled = relabel_for_nets(netd, dataset, split)
         nets = train_nets_epoch(nets, relabeled, cfg, opt_s, rng)
 
-        conf = split_confusion(split, dataset)
+        conf = split_confusion(part, dataset)
         report = EpochReport(
             epoch=epoch,
             n_x=len(part.x_idx), n_u=len(part.u_idx), n_o=len(part.o_idx),

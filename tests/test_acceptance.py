@@ -16,6 +16,7 @@ from conftest import central_diff_at, rel_err
 from edmlab.backbone import (
     ROLE_NETD,
     ROLE_NETS,
+    Tensor,
     backward,
     forward_logits_t,
     init_model,
@@ -30,7 +31,6 @@ from edmlab.benchgen import (
     make_synthetic_clean,
 )
 from edmlab.cli import main as cli_main
-from edmlab.evaluation import predicted_groups
 from edmlab.gmm import (
     GmmConfig,
     fit_em,
@@ -41,16 +41,14 @@ from edmlab.gmm import (
 from edmlab.losses import (
     LossWeights,
     ce_batch_loss_t,
-    ce_loss,
     dm_batch_loss_t,
-    dm_loss,
-    reg_loss,
+    mse_batch_loss_t,
+    reg_loss_t,
     sl_batch_loss_t,
     sl_dataset_loss,
-    sl_loss,
+    sl_losses_from_logits,
     softmax_t,
     temp_sharpen,
-    unlabeled_mse,
 )
 from edmlab.train import (
     HIDDEN_WIDTHS,
@@ -99,19 +97,28 @@ def trend_runs():
 def test_01_loss_unit_values(capsys):
     """Every hand-derivable loss value is reproduced to 1e-9."""
     start = time.monotonic()
+
+    def one_row(head, probs, target):
+        return float(head(Tensor([probs]), [target]).value)
+
+    def reg(mean_probs):
+        return float(reg_loss_t(Tensor(mean_probs)).value)
+
+    sl = sl_losses_from_logits([[0.0, 0.0], [2.0, -1.0], [2.0, -1.0]],
+                               [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     checks = [
-        (sl_loss(np.array([0.0, 0.0]), np.array([1.0, 0.0])), 2 / 3),
-        (sl_loss(np.array([2.0, -1.0]), np.array([1.0, 0.0])), 0.2),
-        (sl_loss(np.array([2.0, -1.0]), np.array([0.0, 1.0])), 1.2),
-        (ce_loss(np.array([0.5, 0.5]), np.array([1.0, 0.0])), np.log(2.0)),
-        (ce_loss(np.full(10, 0.1), np.eye(10)[3]), np.log(10.0)),
-        (ce_loss(np.array([0.9, 0.1]), np.array([1.0, 0.0])), -np.log(0.9)),
-        (unlabeled_mse(np.array([0.75, 0.25]), np.array([0.5, 0.5])), 0.125),
-        (unlabeled_mse(np.array([1.0, 0.0]), np.array([0.0, 1.0])), 2.0),
-        (unlabeled_mse(np.array([0.3, 0.7]), np.array([0.3, 0.7])), 0.0),
-        (reg_loss(np.full(4, 0.25)), 0.0),
-        (reg_loss(np.array([0.75, 0.25])), 0.5 * np.log(4.0 / 3.0)),
-        (dm_loss(1.0, 0.1, np.full(4, 0.25), LossWeights()), 3.5),
+        (sl[0], 2 / 3),
+        (sl[1], 0.2),
+        (sl[2], 1.2),
+        (one_row(ce_batch_loss_t, [0.5, 0.5], [1.0, 0.0]), np.log(2.0)),
+        (one_row(ce_batch_loss_t, np.full(10, 0.1), np.eye(10)[3]), np.log(10.0)),
+        (one_row(ce_batch_loss_t, [0.9, 0.1], [1.0, 0.0]), -np.log(0.9)),
+        (one_row(mse_batch_loss_t, [0.5, 0.5], [0.75, 0.25]), 0.125),
+        (one_row(mse_batch_loss_t, [0.0, 1.0], [1.0, 0.0]), 2.0),
+        (one_row(mse_batch_loss_t, [0.3, 0.7], [0.3, 0.7]), 0.0),
+        (reg(np.full(4, 0.25)), 0.0),
+        (reg([0.75, 0.25]), 0.5 * np.log(4.0 / 3.0)),
+        (LossWeights().combine(1.0, 0.1, reg(np.full(4, 0.25))), 3.5),
     ]
     worst = max(abs(got - want) for got, want in checks)
     sharpened = temp_sharpen(np.array([0.8, 0.2]), 0.5)
@@ -217,7 +224,7 @@ def test_03_mixture_fit_properties(capsys):
 
 
 def test_04_three_band_split_oracle(capsys):
-    """Max-posterior banding separates three synthetic loss modes >= 99%."""
+    """The three-way partition separates three synthetic loss modes >= 99%."""
     start = time.monotonic()
     rng = np.random.default_rng(0)
     modes = (0.1, 0.5, 0.9)
@@ -225,10 +232,10 @@ def test_04_three_band_split_oracle(capsys):
     truth = np.repeat(np.arange(3), 1000)
     cfg = GmmConfig()  # 20 components, bands at 0.3 and 0.7
     model = fit_em(x, cfg)
-    split = group_posteriors(model, x, cfg)
-    band_of = {int(Provenance.CLEAN): 0, int(Provenance.OPEN): 1,
-               int(Provenance.CLOSED): 2}
-    pred = np.array([band_of[g] for g in predicted_groups(split)])
+    part = partition(group_posteriors(model, x, cfg))
+    # modes 0.1, 0.5, 0.9 are the clean (X), open (O) and closed (U) bands
+    pred = np.empty(len(x), dtype=np.int64)
+    pred[part.x_idx], pred[part.o_idx], pred[part.u_idx] = 0, 1, 2
     recalls = [np.mean(pred[truth == b] == b) for b in range(3)]
     balanced = float(np.mean(recalls))
     elapsed = time.monotonic() - start
@@ -367,7 +374,7 @@ def test_10_structure_audits(capsys, trend_runs):
         norm = normalize_losses(raw)
         gmodel = fit_em(norm, cfg.gmm)
         split = group_posteriors(gmodel, norm, cfg.gmm)
-        triple_sum = split.triples().sum(axis=1)
+        triple_sum = split.w + split.w_op + split.w_cl
         ok &= bool(np.all(np.abs(triple_sum - 1.0) <= 1e-6))
         part = partition(split, n)
         sizes = part.sizes()

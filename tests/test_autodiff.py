@@ -25,7 +25,6 @@ from edmlab.losses import (
     EPS,
     LossWeights,
     ce_batch_loss_t,
-    ce_loss,
     dm_batch_loss_t,
     mse_batch_loss_t,
     reg_loss_t,
@@ -84,9 +83,9 @@ class TestForwardValues:
         np.testing.assert_allclose(sl_batch_loss_t(Tensor(z), y).value,
                                    sl_losses_from_logits(z, y).mean(), rtol=1e-14)
         p = softmax_probs(z)
+        ce_rows = -(y * np.log(p)).sum(axis=1)
         np.testing.assert_allclose(ce_batch_loss_t(Tensor(p), y).value,
-                                   np.mean([ce_loss(r, t) for r, t in zip(p, y)]),
-                                   rtol=1e-14)
+                                   ce_rows.mean(), rtol=1e-14)
 
 
 class TestBackwardHandCases:

@@ -23,7 +23,7 @@ from edmlab.cli import (
 )
 from edmlab.errors import ConfigError
 from edmlab.evaluation import split_confusion
-from edmlab.gmm import GmmConfig, fit_em, group_posteriors, normalize_losses
+from edmlab.gmm import GmmConfig, fit_em, group_posteriors, normalize_losses, partition
 from edmlab.losses import sl_dataset_loss
 from edmlab.manifest_io import load_manifest, save_checkpoint, save_manifest
 from edmlab.train import MOMENTUM, WEIGHT_DECAY
@@ -164,6 +164,9 @@ class TestTrain:
             assert rec["schema_version"] == 1
             assert rec["algo"] == "edm"
             assert rec["n_x"] + rec["n_u"] + rec["n_o"] == 120
+            # the confusion tallies the very split the epoch trained on
+            assert np.sum(rec["confusion"], axis=0).tolist() \
+                == [rec["n_x"], rec["n_u"], rec["n_o"]]
 
     def test_run_manifest_lists_every_artifact(self, tmp_path):
         train, test = gen_pair(tmp_path)
@@ -334,7 +337,7 @@ class TestRun:
         split = group_posteriors(fit_em(norm, gmm_cfg), norm, gmm_cfg)
         summary = json.loads((out_dir / "eval.json").read_text())
         assert summary["confusion"] \
-            == split_confusion(split, train_ds).matrix.tolist()
+            == split_confusion(partition(split), train_ds).matrix.tolist()
 
 
 class TestBadGeometry:

@@ -19,11 +19,10 @@ from edmlab.evaluation import (
     export_features,
     export_loss_histogram,
     export_posteriors,
-    predicted_groups,
     split_confusion,
 )
 from edmlab.evaluation import test_accuracy as model_accuracy
-from edmlab.gmm import PosteriorSplit
+from edmlab.gmm import Partition, PosteriorSplit, partition
 
 
 def _clean_blobs(per_class=50, seed=0):
@@ -40,20 +39,14 @@ def _constant_logit_model(dim, k):
     )
 
 
-def _split_from_pred(pred_groups):
-    """One-hot posterior triples that argmax back to the given groups."""
-    n = len(pred_groups)
-    w = np.zeros(n)
-    w_op = np.zeros(n)
-    w_cl = np.zeros(n)
-    for i, g in enumerate(pred_groups):
-        if g == Provenance.CLEAN:
-            w[i] = 1.0
-        elif g == Provenance.OPEN:
-            w_op[i] = 1.0
-        else:
-            w_cl[i] = 1.0
-    return PosteriorSplit(w=w, w_op=w_op, w_cl=w_cl)
+def _partition_from_pred(pred_groups):
+    """The split that puts each sample in its given group: clean in X,
+    closed in U, open in O."""
+    pred = np.asarray(pred_groups)
+    idx = np.arange(len(pred))
+    return Partition(x_idx=idx[pred == Provenance.CLEAN],
+                     u_idx=idx[pred == Provenance.CLOSED],
+                     o_idx=idx[pred == Provenance.OPEN])
 
 
 class TestTestAccuracy:
@@ -84,6 +77,20 @@ class TestTestAccuracy:
         acc = model_accuracy(model, ds)
         share_zero = np.mean(ds.true_class == 0)
         assert acc == pytest.approx(share_zero)
+
+    def test_scores_the_logits_not_rounded_probabilities(self):
+        """Logits (0, 1e-17) soften to an exact tie, but class 1 is the argmax."""
+        ds = DatasetManifest(
+            features=np.ones((1, 1), dtype=np.float32),
+            observed=np.array([1], dtype=np.int32),
+            true_class=np.array([1], dtype=np.int32),
+            provenance=np.zeros(1, dtype=np.uint8),
+            num_classes=2,
+            noise_spec=NoiseSpec(rho=0.0, omega=0.0),
+        )
+        model = ModelParams(widths=(1, 2), weights=[np.array([[0.0, 1e-17]])],
+                            biases=[np.zeros(2)], role=ROLE_NETD)
+        assert model_accuracy(model, ds) == 1.0
 
     def test_sample_order_invariance(self):
         ds = _clean_blobs(per_class=50)
@@ -123,26 +130,6 @@ class TestTestAccuracy:
             model_accuracy(model, noisy)
 
 
-class TestPredictedGroups:
-    def test_one_hot_rows_round_trip(self):
-        want = [Provenance.CLEAN, Provenance.CLOSED, Provenance.OPEN,
-                Provenance.CLEAN]
-        split = _split_from_pred(want)
-        np.testing.assert_array_equal(predicted_groups(split),
-                                      [int(p) for p in want])
-
-    def test_uniform_tie_prefers_clean(self):
-        third = np.full(3, 1.0 / 3.0)
-        split = PosteriorSplit(w=third, w_op=third, w_cl=third)
-        np.testing.assert_array_equal(predicted_groups(split),
-                                      [int(Provenance.CLEAN)] * 3)
-
-    def test_open_closed_tie_prefers_open(self):
-        split = PosteriorSplit(w=np.array([0.0]), w_op=np.array([0.5]),
-                               w_cl=np.array([0.5]))
-        assert predicted_groups(split)[0] == int(Provenance.OPEN)
-
-
 class TestSplitConfusion:
     def _noisy(self):
         clean = _clean_blobs(per_class=50)
@@ -151,47 +138,53 @@ class TestSplitConfusion:
 
     def test_perfect_prediction_is_diagonal(self):
         ds = self._noisy()
-        split = _split_from_pred(list(ds.provenance))
-        conf = split_confusion(split, ds)
+        conf = split_confusion(_partition_from_pred(ds.provenance), ds)
         assert np.trace(conf.matrix) == len(ds)
         assert conf.balanced_accuracy == 1.0
         np.testing.assert_array_equal(np.diag(conf.matrix),
                                       [ds.counts[int(p)] for p in GROUP_ORDER])
 
-    def test_all_ties_fill_the_clean_column(self):
+    def test_all_ties_fill_the_open_column(self):
+        """Training discards every tie, so the confusion counts it as open."""
         ds = self._noisy()
         third = np.full(len(ds), 1.0 / 3.0)
-        conf = split_confusion(PosteriorSplit(w=third, w_op=third, w_cl=third), ds)
-        assert conf.matrix[:, 0].sum() == len(ds)
-        assert conf.matrix[:, 1:].sum() == 0
-        # each group's recall: clean gets 1, the others 0 -> mean 1/3
+        part = partition(PosteriorSplit(w=third, w_op=third, w_cl=third))
+        conf = split_confusion(part, ds)
+        assert conf.matrix[:, 2].sum() == len(ds)
+        assert conf.matrix[:, :2].sum() == 0
+        # each group's recall: open gets 1, the others 0 -> mean 1/3
         assert conf.balanced_accuracy == pytest.approx(1.0 / 3.0)
 
     def test_marginals_match_population(self):
+        """Rows sum to the provenance counts and columns to the X/U/O sizes,
+        ties involving clean (which training discards) included."""
         ds = self._noisy()
         rng = np.random.default_rng(5)
         triples = rng.dirichlet(np.ones(3), size=len(ds))
+        triples[::4] = [0.4, 0.4, 0.2]
+        triples[1::4] = [0.4, 0.2, 0.4]
         split = PosteriorSplit(w=triples[:, 0], w_op=triples[:, 1],
                                w_cl=triples[:, 2])
-        conf = split_confusion(split, ds)
+        part = partition(split)
+        conf = split_confusion(part, ds)
         assert conf.matrix.sum() == len(ds)
         counts = ds.counts
         np.testing.assert_array_equal(conf.matrix.sum(axis=1),
                                       [counts[int(p)] for p in GROUP_ORDER])
+        assert conf.matrix.sum(axis=0).tolist() == list(part.sizes())
 
     def test_absent_group_is_skipped_in_balance(self):
         """A clean-only dataset scores on the clean recall alone."""
         ds = _clean_blobs(per_class=30)
-        split = _split_from_pred(list(ds.provenance))
-        conf = split_confusion(split, ds)
+        conf = split_confusion(_partition_from_pred(ds.provenance), ds)
         assert conf.balanced_accuracy == 1.0
         assert np.isnan(conf.recall[1]) and np.isnan(conf.recall[2])
 
     def test_length_mismatch_rejected(self):
         ds = self._noisy()
-        split = _split_from_pred(list(ds.provenance[:-1]))
+        part = _partition_from_pred(ds.provenance[:-1])
         with pytest.raises(ValueError):
-            split_confusion(split, ds)
+            split_confusion(part, ds)
 
     def test_empty_confusion_rejected(self):
         with pytest.raises(ValueError):

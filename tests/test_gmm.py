@@ -167,15 +167,17 @@ class TestGroupPosteriors:
         np.testing.assert_allclose(resp.sum(axis=1), 1.0, atol=1e-9)
 
     def test_three_mode_split_oracle(self):
-        """Max-posterior assignment recovers the generating mode >= 99%."""
+        """The strict-max partition recovers the generating mode >= 99%."""
         rng = np.random.default_rng(9)
         modes = np.array([0.1, 0.5, 0.9])
         data = np.clip(np.repeat(modes, 1000)
                        + rng.normal(0, 0.02, 3000), 0, 1)
         cfg = GmmConfig(num_components=20)
         model = fit_em(data, cfg)
-        split = group_posteriors(model, data, cfg)
-        pred = np.argmax(split.triples(), axis=1)
+        part = partition(group_posteriors(model, data, cfg))
+        # modes 0.1, 0.5, 0.9 land in X (clean), O (open) and U (closed)
+        pred = np.empty(len(data), dtype=np.int64)
+        pred[part.x_idx], pred[part.o_idx], pred[part.u_idx] = 0, 1, 2
         true = np.repeat([0, 1, 2], 1000)
         recalls = [np.mean(pred[true == g] == g) for g in range(3)]
         assert np.mean(recalls) >= 0.99
@@ -186,11 +188,6 @@ class TestPosteriorSplitType:
         with pytest.raises(ValueError):
             PosteriorSplit(w=np.array([0.5]), w_op=np.array([0.1]),
                            w_cl=np.array([0.1]))
-
-    def test_triples_layout(self):
-        s = PosteriorSplit(w=np.array([0.7]), w_op=np.array([0.2]),
-                           w_cl=np.array([0.1]))
-        np.testing.assert_allclose(s.triples(), [[0.7, 0.2, 0.1]])
 
 
 class TestPartition:

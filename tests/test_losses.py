@@ -1,4 +1,4 @@
-"""Tests for the training objectives, numpy contracts and tensor graphs."""
+"""Tests for the training objectives: loss heads, per-sample scan, gradients."""
 
 import numpy as np
 import pytest
@@ -18,20 +18,46 @@ from edmlab.losses import (
     EPS,
     LossWeights,
     ce_batch_loss_t,
-    ce_loss,
     dm_batch_loss_t,
-    dm_loss,
     mse_batch_loss_t,
-    reg_loss,
     reg_loss_t,
     sl_batch_loss_t,
     sl_dataset_loss,
-    sl_loss,
     sl_losses_from_logits,
     softmax_t,
     temp_sharpen,
-    unlabeled_mse,
 )
+
+
+def _one_row(head, probs, target):
+    """A batch head's value on a one-row batch, as a float."""
+    return float(head(Tensor([probs]), [target]).value)
+
+
+def _reg(mean_probs):
+    return float(reg_loss_t(Tensor(mean_probs)).value)
+
+
+# Reference formulas, written out in plain numpy from each loss's definition.
+
+def _sl_row(logits, y):
+    alpha = np.maximum(logits, 0.0) + 1.0
+    strength = alpha.sum()
+    p = alpha / strength
+    return ((y - p) ** 2).sum() + (p * (1.0 - p)).sum() / (strength + 1.0)
+
+
+def _ce_mean(probs, labels):
+    return -(labels * np.log(probs)).sum(axis=1).mean()
+
+
+def _mse_mean(probs, targets):
+    return ((probs - targets) ** 2).sum(axis=1).mean()
+
+
+def _reg_ref(mean_probs):
+    k = mean_probs.shape[-1]
+    return (np.log(1 / k) - np.log(mean_probs)).sum() / k
 
 
 class TestEvidence:
@@ -64,40 +90,36 @@ class TestEvidence:
 
 
 class TestSlLoss:
+    """Evidence-loss rows of the per-sample scan."""
+
+    _LOGITS = [[0.0, 0.0], [2.0, -1.0], [2.0, -1.0]]
+    _LABELS = [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+
     def test_hand_values(self):
-        assert abs(sl_loss(np.array([0.0, 0.0]), np.array([1.0, 0.0])) - 2 / 3) <= 1e-9
-        assert abs(sl_loss(np.array([2.0, -1.0]), np.array([1.0, 0.0])) - 0.2) <= 1e-9
-        assert abs(sl_loss(np.array([2.0, -1.0]), np.array([0.0, 1.0])) - 1.2) <= 1e-9
+        np.testing.assert_allclose(
+            sl_losses_from_logits(self._LOGITS, self._LABELS), [2 / 3, 0.2, 1.2],
+            rtol=0, atol=1e-9)
 
     def test_confidence_ordering(self):
         """Confident-right < zero-evidence < confident-wrong."""
-        right = sl_loss(np.array([2.0, -1.0]), np.array([1.0, 0.0]))
-        blank = sl_loss(np.array([0.0, 0.0]), np.array([1.0, 0.0]))
-        wrong = sl_loss(np.array([2.0, -1.0]), np.array([0.0, 1.0]))
+        blank, right, wrong = sl_losses_from_logits(self._LOGITS, self._LABELS)
         assert right < blank < wrong
 
     def test_positive_and_finite(self):
         rng = np.random.default_rng(1)
-        for _ in range(100):
-            k = int(rng.integers(2, 8))
-            logits = rng.normal(scale=4, size=k)
-            y = np.zeros(k)
-            y[rng.integers(0, k)] = 1.0
-            val = sl_loss(logits, y)
-            assert np.isfinite(val) and val > 0
-
-    def test_rejects_non_one_hot(self):
-        with pytest.raises(ValueError):
-            sl_loss(np.array([0.0, 0.0]), np.array([0.5, 0.5]))
-        with pytest.raises(ValueError):
-            sl_loss(np.array([0.0, 0.0]), np.array([1.0, 1.0]))
+        for k in range(2, 8):
+            logits = rng.normal(scale=4, size=(100, k))
+            labels = np.eye(k)[rng.integers(0, k, size=100)]
+            vals = sl_losses_from_logits(logits, labels)
+            assert np.all(np.isfinite(vals)) and np.all(vals > 0)
 
     def test_vectorized_matches_scalar(self):
+        """Each batched row equals the one-sample formula."""
         rng = np.random.default_rng(2)
         logits = rng.normal(scale=3, size=(40, 5))
         labels = np.eye(5)[rng.integers(0, 5, size=40)]
         vec = sl_losses_from_logits(logits, labels)
-        ref = [sl_loss(l, y) for l, y in zip(logits, labels)]
+        ref = [_sl_row(l, y) for l, y in zip(logits, labels)]
         np.testing.assert_allclose(vec, ref, rtol=1e-12)
 
 
@@ -160,51 +182,44 @@ class TestSlDatasetLoss:
 
 class TestCeLoss:
     def test_hand_values(self):
-        assert abs(ce_loss(np.array([0.5, 0.5]), np.array([1.0, 0.0])) - np.log(2)) <= 1e-9
+        assert abs(_one_row(ce_batch_loss_t, [0.5, 0.5], [1.0, 0.0])
+                   - np.log(2)) <= 1e-9
         uniform10 = np.full(10, 0.1)
         onehot = np.eye(10)[3]
-        assert abs(ce_loss(uniform10, onehot) - np.log(10)) <= 1e-9
-        assert abs(ce_loss(np.array([0.9, 0.1]), np.array([1.0, 0.0])) + np.log(0.9)) <= 1e-9
+        assert abs(_one_row(ce_batch_loss_t, uniform10, onehot) - np.log(10)) <= 1e-9
+        assert abs(_one_row(ce_batch_loss_t, [0.9, 0.1], [1.0, 0.0])
+                   + np.log(0.9)) <= 1e-9
 
     def test_soft_labels_supported(self):
-        p = np.array([0.5, 0.5])
-        y = np.array([0.25, 0.75])
-        assert abs(ce_loss(p, y) - np.log(2)) <= 1e-9
+        assert abs(_one_row(ce_batch_loss_t, [0.5, 0.5], [0.25, 0.75])
+                   - np.log(2)) <= 1e-9
 
     def test_floor_prevents_infinity(self):
-        val = ce_loss(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+        val = _one_row(ce_batch_loss_t, [1.0, 0.0], [0.0, 1.0])
         assert np.isfinite(val)
         assert abs(val + np.log(EPS)) <= 1e-6
-
-    def test_rejects_non_distribution(self):
-        with pytest.raises(ValueError):
-            ce_loss(np.array([0.9, 0.5]), np.array([1.0, 0.0]))
 
 
 class TestUnlabeledMse:
     def test_hand_values(self):
-        p = np.array([0.3, 0.7])
-        assert unlabeled_mse(p, p) == 0.0
-        assert abs(unlabeled_mse(np.array([1.0, 0.0]), np.array([0.0, 1.0])) - 2.0) <= 1e-9
-        assert abs(unlabeled_mse(np.array([0.75, 0.25]),
-                                 np.array([0.5, 0.5])) - 0.125) <= 1e-9
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            unlabeled_mse(np.array([1.0, 0.0]), np.array([0.5, 0.25, 0.25]))
+        p = [0.3, 0.7]
+        assert _one_row(mse_batch_loss_t, p, p) == 0.0
+        assert abs(_one_row(mse_batch_loss_t, [0.0, 1.0], [1.0, 0.0]) - 2.0) <= 1e-9
+        assert abs(_one_row(mse_batch_loss_t, [0.5, 0.5], [0.75, 0.25])
+                   - 0.125) <= 1e-9
 
 
 class TestRegLoss:
     def test_uniform_is_zero(self):
-        assert abs(reg_loss(np.full(4, 0.25))) <= 1e-12
+        assert abs(_reg(np.full(4, 0.25))) <= 1e-12
 
     def test_hand_value(self):
         expected = 0.5 * np.log(0.5 / 0.75) + 0.5 * np.log(0.5 / 0.25)
-        assert abs(reg_loss(np.array([0.75, 0.25])) - expected) <= 1e-9
+        assert abs(_reg([0.75, 0.25]) - expected) <= 1e-9
         assert abs(expected - 0.5 * np.log(4 / 3)) <= 1e-12
 
     def test_monotone_in_imbalance(self):
-        values = [reg_loss(np.array([0.5 + t, 0.5 - t]))
+        values = [_reg([0.5 + t, 0.5 - t])
                   for t in (0.0, 0.2, 0.4, 0.499, 0.5 - EPS)]
         assert all(a < b for a, b in zip(values, values[1:]))
         assert values[-1] > 10.0
@@ -213,23 +228,25 @@ class TestRegLoss:
         rng = np.random.default_rng(4)
         for _ in range(100):
             p = rng.dirichlet(np.ones(6))
-            assert reg_loss(p) >= -1e-12
+            assert _reg(p) >= -1e-12
 
 
 class TestDmLoss:
+    """LossWeights.combine: the weighted sum the combined head returns."""
+
     def test_weighted_sum(self):
         w = LossWeights(lambda_u=25.0, lambda_reg=1.0)
-        val = dm_loss(1.0, 0.1, np.full(4, 0.25), w)
+        val = w.combine(1.0, 0.1, _reg(np.full(4, 0.25)))
         assert abs(val - 3.5) <= 1e-9
 
     def test_zero_weights_leave_labeled_term(self):
         w = LossWeights(lambda_u=0.0, lambda_reg=0.0)
-        assert abs(dm_loss(1.25, 9.9, np.array([0.9, 0.1]), w) - 1.25) <= 1e-12
+        assert abs(w.combine(1.25, 9.9, _reg([0.9, 0.1])) - 1.25) <= 1e-12
 
     def test_reg_contribution_linear(self):
-        pbar = np.array([0.7, 0.3])
-        base = dm_loss(0.0, 0.0, pbar, LossWeights(lambda_u=0.0, lambda_reg=1.0))
-        double = dm_loss(0.0, 0.0, pbar, LossWeights(lambda_u=0.0, lambda_reg=2.0))
+        reg = _reg([0.7, 0.3])
+        base = LossWeights(lambda_u=0.0, lambda_reg=1.0).combine(0.0, 0.0, reg)
+        double = LossWeights(lambda_u=0.0, lambda_reg=2.0).combine(0.0, 0.0, reg)
         assert abs(double - 2 * base) <= 1e-12
 
     def test_negative_weight_rejected(self):
@@ -273,7 +290,7 @@ class TestTempSharpen:
 
 
 class TestTensorVersionsAgree:
-    """The differentiable losses must equal their numpy contract values."""
+    """The loss heads equal the plain numpy formulas of their definitions."""
 
     def setup_method(self):
         rng = np.random.default_rng(6)
@@ -287,25 +304,25 @@ class TestTensorVersionsAgree:
 
     def test_sl_batch(self):
         got = sl_batch_loss_t(Tensor(self.logits), self.labels).value
-        want = np.mean([sl_loss(l, y) for l, y in zip(self.logits, self.labels)])
+        want = np.mean([_sl_row(l, y) for l, y in zip(self.logits, self.labels)])
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
     def test_ce_batch(self):
         probs = softmax_probs(self.logits)
         got = ce_batch_loss_t(softmax_t(Tensor(self.logits)), self.soft).value
-        want = np.mean([ce_loss(p, y) for p, y in zip(probs, self.soft)])
+        want = _ce_mean(probs, self.soft)
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
     def test_mse_batch(self):
         probs = softmax_probs(self.logits)
         got = mse_batch_loss_t(softmax_t(Tensor(self.logits)), self.soft).value
-        want = np.mean([unlabeled_mse(y, p) for p, y in zip(probs, self.soft)])
+        want = _mse_mean(probs, self.soft)
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
     def test_reg_batch(self):
         probs = softmax_probs(self.logits)
         got = reg_loss_t(Tensor(probs.mean(axis=0))).value
-        np.testing.assert_allclose(got, reg_loss(probs.mean(axis=0)), rtol=1e-12)
+        np.testing.assert_allclose(got, _reg_ref(probs.mean(axis=0)), rtol=1e-12)
 
     def test_dm_batch_combination(self):
         w = LossWeights(lambda_u=25.0, lambda_reg=1.0)
@@ -313,11 +330,9 @@ class TestTensorVersionsAgree:
         lu = Tensor(self.logits[10:])
         total, comps = dm_batch_loss_t(lx, self.labels[:10], lu, self.soft[10:], w)
         probs = softmax_probs(self.logits)
-        want_x = np.mean([ce_loss(p, y)
-                          for p, y in zip(probs[:10], self.labels[:10])])
-        want_u = np.mean([unlabeled_mse(y, p)
-                          for p, y in zip(probs[10:], self.soft[10:])])
-        want_reg = reg_loss(probs.mean(axis=0))
+        want_x = _ce_mean(probs[:10], self.labels[:10])
+        want_u = _mse_mean(probs[10:], self.soft[10:])
+        want_reg = _reg_ref(probs.mean(axis=0))
         np.testing.assert_allclose(comps["labeled"], want_x, rtol=1e-12)
         np.testing.assert_allclose(comps["unlabeled"], want_u, rtol=1e-12)
         np.testing.assert_allclose(comps["regularizer"], want_reg, rtol=1e-12)
@@ -330,8 +345,7 @@ class TestTensorVersionsAgree:
         total, comps = dm_batch_loss_t(lx, self.labels, None, None, w)
         assert comps["unlabeled"] == 0.0
         probs = softmax_probs(self.logits)
-        want = np.mean([ce_loss(p, y) for p, y in zip(probs, self.labels)]) \
-            + reg_loss(probs.mean(axis=0))
+        want = _ce_mean(probs, self.labels) + _reg_ref(probs.mean(axis=0))
         np.testing.assert_allclose(total.value, want, rtol=1e-12)
 
 
