@@ -151,14 +151,14 @@ def _flag(key: str) -> str:
     return "--" + key.replace("_", "-")
 
 
-def parse_config(flag_values: dict, config_path: str | None
-                 ) -> tuple[TrainConfig, dict]:
+def parse_config(flag_values: dict, config_path: str | None,
+                 command: str) -> tuple[TrainConfig, dict]:
     """Resolve every configuration key: flag > config file > default.
 
     Returns the training configuration and the flat dict of all resolved
     values (paths and benchmark geometry included).
     Raises ConfigError for unknown keys and out-of-range values, naming the
-    offending flag.
+    offending flag, and for a config-file key that ``command`` does not read.
     """
     resolved = {k: spec.default for k, spec in _KEYS.items()}
 
@@ -177,6 +177,9 @@ def parse_config(flag_values: dict, config_path: str | None
             key = key.strip().replace("-", "_")
             if key not in _KEYS:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+            if key not in _COMMAND_KEYS[command]:
+                raise ConfigError(
+                    f"{path}:{lineno}: key {key!r} is not read by {command}")
             try:
                 resolved[key] = _KEYS[key].cast(value.strip())
             except ValueError:
@@ -438,7 +441,7 @@ def _emit(payload: dict) -> None:
 
 
 def cmd_gen(ns: argparse.Namespace) -> int:
-    _, resolved = parse_config(vars(ns), ns.config)
+    _, resolved = parse_config(vars(ns), ns.config, ns.command)
     if resolved["out"] is None:
         raise ConfigError("--out is required")
     dataset = _generate_benchmark(resolved)
@@ -452,7 +455,7 @@ def cmd_gen(ns: argparse.Namespace) -> int:
 
 
 def cmd_train(ns: argparse.Namespace) -> int:
-    cfg, resolved = parse_config(vars(ns), ns.config)
+    cfg, resolved = parse_config(vars(ns), ns.config, ns.command)
     train_path = _require_file(resolved["manifest"], "--manifest")
     test_path = _require_file(resolved["test_manifest"], "--test-manifest")
     if resolved["out_dir"] is None:
@@ -483,7 +486,7 @@ def cmd_train(ns: argparse.Namespace) -> int:
 
 
 def cmd_eval(ns: argparse.Namespace) -> int:
-    cfg, resolved = parse_config(vars(ns), ns.config)
+    cfg, resolved = parse_config(vars(ns), ns.config, ns.command)
     ckpt_path = _require_file(resolved["checkpoint"], "--checkpoint")
     train_path = _require_file(resolved["manifest"], "--manifest")
     test_path = _require_file(resolved["test_manifest"], "--test-manifest")
@@ -514,7 +517,7 @@ def cmd_eval(ns: argparse.Namespace) -> int:
 
 
 def cmd_run(ns: argparse.Namespace) -> int:
-    cfg, resolved = parse_config(vars(ns), ns.config)
+    cfg, resolved = parse_config(vars(ns), ns.config, ns.command)
     if resolved["out_dir"] is None:
         raise ConfigError("--out-dir is required")
     if (resolved["manifest"] is None) != (resolved["test_manifest"] is None):

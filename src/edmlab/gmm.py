@@ -9,14 +9,18 @@ over those bands gives each sample a (clean, open, closed) posterior
 triple; a strict-max rule then partitions the dataset into a labeled set,
 an unlabeled set, and a discard set.
 
-EM is vectorized numpy: a log-space E-step (row-wise log-sum-exp), then
-closed-form M-step updates with floored variances; a component whose
-responsibility mass vanishes keeps its old mean and variance.
+EM works on the basis [1, x, x^2] (x centred), built once per fit: the
+E-step's log-densities are one product of a (psi, 3) coefficient matrix
+with it, followed by a per-sample log-sum-exp, and the M-step's masses and
+first and second moments are one product of the responsibilities with it.
+Variances are E[x^2] - m^2, floored; a component whose responsibility mass
+vanishes keeps its old mean and variance.  EM stops once an iteration
+gains less than ``GmmConfig.tol`` log-likelihood per sample.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,14 +35,18 @@ _EXP_UNDERFLOW = -746.0  # np.exp(x) == 0.0 for every x below this
 class GmmConfig:
     """Mixture size, band thresholds, and EM stopping controls.
 
-    Fitting has no randomness: initialization is deterministic by quantiles.
+    ``tol`` is per sample: EM stops once an iteration raises the summed
+    log-likelihood by less than ``tol * n``.  ``max_iters`` is a safety cap:
+    a fit that uses it up without meeting ``tol`` reports
+    ``converged=False``.  Fitting has no randomness: initialization is
+    deterministic by quantiles.
     """
 
     num_components: int = 20
     mu_min: float = 0.3
     mu_max: float = 0.7
     max_iters: int = 100
-    tol: float = 1e-6
+    tol: float = 1e-3
 
     def validate(self) -> None:
         if self.num_components < 1:
@@ -63,12 +71,17 @@ class GmmConfig:
 
 @dataclass(frozen=True)
 class GmmModel:
-    """A fitted mixture plus the log-likelihood trace of its EM run."""
+    """A fitted mixture plus the log-likelihood trace of its EM run.
+
+    ``converged`` is True only when EM stopped on its tolerance, not at the
+    iteration cap.
+    """
 
     weights: np.ndarray
     means: np.ndarray
     variances: np.ndarray
     log_likelihood_trace: np.ndarray
+    converged: bool = False
 
     def __post_init__(self) -> None:
         if abs(self.weights.sum() - 1.0) > 1e-9:
@@ -81,6 +94,11 @@ class GmmModel:
     @property
     def num_components(self) -> int:
         return self.means.shape[0]
+
+    @property
+    def iterations(self) -> int:
+        """EM iterations run: the trace also holds the initial fit."""
+        return len(self.log_likelihood_trace) - 1
 
 
 @dataclass(frozen=True)
@@ -128,28 +146,78 @@ def normalize_losses(raw: np.ndarray) -> np.ndarray:
     return (x - lo) / (hi - lo)
 
 
-def _loglik_resp(x, weights, means, variances) -> tuple[float, np.ndarray]:
-    """E-step: data log-likelihood and (n, psi) responsibilities."""
-    # per-component constants are hoisted out of the per-sample work
-    log_const = (np.log(np.maximum(weights, _WEIGHT_FLOOR))
-                 - 0.5 * (_LOG_2PI + np.log(variances)))
-    inv_two_var = 0.5 / variances
-    logp = log_const[None, :] \
-        - (x[:, None] - means[None, :]) ** 2 * inv_two_var[None, :]
-    top = logp.max(axis=1, keepdims=True)
+def _basis(x: np.ndarray) -> tuple[np.ndarray, float]:
+    """(3, n) rows [1, y, y^2] with y = x - c, and the centre c.
+
+    Log-densities and moments are linear in these rows.  Centring at the
+    midrange keeps the expanded square y^2 - 2my + m^2 and the variance
+    E[y^2] - m^2 well conditioned; callers work with means minus c.
+    """
+    c = 0.5 * (float(x.min()) + float(x.max()))
+    y = x - c
+    return np.stack([np.ones_like(y), y, y * y]), c
+
+
+def _log_density_coef(weights, means, variances) -> np.ndarray:
+    """(psi, 3) matrix C with (C @ basis)[k, i] = log(w_k N(y_i; m_k, v_k))."""
+    inv_var = 1.0 / variances
+    return np.stack([
+        np.log(np.maximum(weights, _WEIGHT_FLOOR))
+        - 0.5 * (_LOG_2PI + np.log(variances) + means * means * inv_var),
+        means * inv_var,
+        -0.5 * inv_var,
+    ], axis=1)
+
+
+def _loglik_resp(basis, weights, means, variances, logp=None, resp=None
+                 ) -> tuple[float, np.ndarray, np.ndarray]:
+    """E-step: data log-likelihood, unnormalized (psi, n) responsibilities
+    and their column sums; sample i's responsibilities are resp[:, i] / norm[i].
+
+    Arrays are component-major, so the per-sample max and sum run over
+    psi rows of length n.  ``logp`` and ``resp`` are optional (psi, n)
+    buffers to write into; EM reuses one pair across iterations.
+    """
+    logp = np.matmul(_log_density_coef(weights, means, variances), basis,
+                     out=logp)
+    top = logp.max(axis=0)
     logp -= top
     # exp is exactly 0 below -746, where numpy's exp takes a slow path; the
     # tight loss bands of a trained splitter put many entries there
-    resp = np.zeros_like(logp)
+    if resp is None:
+        resp = np.empty_like(logp)
+    resp.fill(0.0)
     np.exp(logp, out=resp, where=logp > _EXP_UNDERFLOW)
-    norm = resp.sum(axis=1)
-    ll = float((top[:, 0] + np.log(norm)).sum())
-    resp /= norm[:, None]
-    return ll, resp
+    norm = resp.sum(axis=0)
+    ll = float((top + np.log(norm)).sum())
+    return ll, resp, norm
+
+
+def _m_step(resp, norm, basis, means, variances
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Closed-form weights, means and floored variances from one E-step.
+
+    One (psi, n) @ (n, 3) product gives each component's mass, first and
+    second moment; a component whose mass vanishes keeps its old mean and
+    variance.
+    """
+    moments = resp @ (basis / norm).T
+    mass = moments[:, 0]
+    alive = mass > _DEAD_MASS
+    safe_mass = np.where(alive, mass, 1.0)
+    new_means = moments[:, 1] / safe_mass
+    new_vars = np.maximum(moments[:, 2] / safe_mass - new_means * new_means,
+                          _VARIANCE_FLOOR)
+    return (mass / basis.shape[1], np.where(alive, new_means, means),
+            np.where(alive, new_vars, variances))
 
 
 def fit_em(losses: np.ndarray, cfg: GmmConfig) -> GmmModel:
-    """Fit the mixture by EM with deterministic quantile initialization."""
+    """Fit the mixture by EM with deterministic quantile initialization.
+
+    EM stops once an iteration raises the log-likelihood by less than
+    ``cfg.tol`` per sample, or after ``cfg.max_iters`` iterations.
+    """
     cfg.validate()
     x = np.asarray(losses, dtype=np.float64)
     if x.ndim != 1:
@@ -163,37 +231,36 @@ def fit_em(losses: np.ndarray, cfg: GmmConfig) -> GmmModel:
     # of equal probability bands), the data variance split across components
     # (floored), uniform weights.
     n, psi = x.shape[0], cfg.num_components
+    basis, centre = _basis(x)
     means = np.quantile(x, (np.arange(psi, dtype=np.float64) + 0.5) / psi)
+    means -= centre
     variances = np.full(psi, max(float(x.var()) / psi, _VARIANCE_FLOOR))
     weights = np.full(psi, 1.0 / psi)
-    ll, resp = _loglik_resp(x, weights, means, variances)
+    logp, resp = np.empty((psi, n)), np.empty((psi, n))
+    ll, resp, norm = _loglik_resp(basis, weights, means, variances, logp, resp)
     trace = [ll]
+    converged = False
     for _ in range(cfg.max_iters):
-        nk = resp.sum(axis=0)
-        alive = nk > _DEAD_MASS
-        new_means = means.copy()
-        new_vars = variances.copy()
-        safe_nk = np.where(alive, nk, 1.0)
-        new_means[alive] = ((resp * x[:, None]).sum(axis=0) / safe_nk)[alive]
-        sq = (resp * (x[:, None] - new_means[None, :]) ** 2).sum(axis=0) / safe_nk
-        new_vars[alive] = np.maximum(sq, _VARIANCE_FLOOR)[alive]
-        weights = nk / n
-        means = new_means
-        variances = new_vars
-
-        ll, resp = _loglik_resp(x, weights, means, variances)
+        weights, means, variances = _m_step(resp, norm, basis, means, variances)
+        ll, resp, norm = _loglik_resp(basis, weights, means, variances,
+                                      logp, resp)
         trace.append(ll)
-        if ll - trace[-2] < cfg.tol:
+        if (ll - trace[-2]) / n < cfg.tol:
+            converged = True
             break
-    return GmmModel(weights=weights, means=means, variances=variances,
-                    log_likelihood_trace=np.asarray(trace, dtype=np.float64))
+    return GmmModel(weights=weights, means=means + centre, variances=variances,
+                    log_likelihood_trace=np.asarray(trace, dtype=np.float64),
+                    converged=converged)
 
 
 def responsibilities(model: GmmModel, losses: np.ndarray) -> np.ndarray:
     """(n, psi) posterior component memberships under the fitted model."""
     x = np.asarray(losses, dtype=np.float64)
-    _, resp = _loglik_resp(x, model.weights, model.means, model.variances)
-    return resp
+    basis, centre = _basis(x)
+    _, resp, norm = _loglik_resp(basis, model.weights, model.means - centre,
+                                 model.variances)
+    resp /= norm
+    return resp.T
 
 
 def group_posteriors(model: GmmModel, losses: np.ndarray,

@@ -50,7 +50,7 @@ def gen_pair(tmp_path, per_class=30, rho=0.6, omega=0.5, seed=7):
 
 class TestParseConfig:
     def test_no_flags_gives_documented_defaults(self):
-        cfg, resolved = parse_config({}, None)
+        cfg, resolved = parse_config({}, None, "run")
         assert cfg.num_augments == 2
         assert cfg.temperature == 0.5
         assert cfg.mix_alpha == 4.0
@@ -67,19 +67,19 @@ class TestParseConfig:
 
     def test_out_of_range_value_names_the_flag(self):
         with pytest.raises(ConfigError, match="--rho"):
-            parse_config({"rho": 1.5}, None)
+            parse_config({"rho": 1.5}, None, "run")
 
     def test_flag_overrides_file_overrides_default(self, tmp_path):
         conf = tmp_path / "exp.conf"
         conf.write_text("t=1.0\nepochs=5\n")
-        cfg, _ = parse_config({"t": 0.5}, str(conf))
+        cfg, _ = parse_config({"t": 0.5}, str(conf), "run")
         assert cfg.temperature == 0.5  # flag wins
         assert cfg.epochs == 5  # file beats default
 
     def test_file_accepts_comments_and_hyphenated_keys(self, tmp_path):
         conf = tmp_path / "exp.conf"
         conf.write_text("# temperature\nmix-alpha = 2.0\n\nlambda-u=10\n")
-        cfg, _ = parse_config({}, str(conf))
+        cfg, _ = parse_config({}, str(conf), "run")
         assert cfg.mix_alpha == 2.0
         assert cfg.loss_weights.lambda_u == 10.0
 
@@ -87,32 +87,39 @@ class TestParseConfig:
         conf = tmp_path / "exp.conf"
         conf.write_text("learning=0.1\n")
         with pytest.raises(ConfigError, match="learning"):
-            parse_config({}, str(conf))
+            parse_config({}, str(conf), "run")
 
     def test_unparseable_file_value_rejected(self, tmp_path):
         conf = tmp_path / "exp.conf"
         conf.write_text("epochs=ten\n")
         with pytest.raises(ConfigError, match="epochs"):
-            parse_config({}, str(conf))
+            parse_config({}, str(conf), "run")
+
+    def test_file_key_outside_the_command_rejected(self, tmp_path):
+        conf = tmp_path / "exp.conf"
+        conf.write_text("per_class=10\n# training\nepochs=5\n")
+        parse_config({}, str(conf), "run")
+        with pytest.raises(ConfigError, match=r"exp.conf:3: key 'epochs'"):
+            parse_config({}, str(conf), "gen")
 
     def test_missing_config_file_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
-            parse_config({}, str(tmp_path / "absent.conf"))
+            parse_config({}, str(tmp_path / "absent.conf"), "run")
 
     def test_env_seed_beats_flag(self, monkeypatch):
         monkeypatch.setenv("EDM_SEED", "99")
-        cfg, resolved = parse_config({"seed": 1}, None)
+        cfg, resolved = parse_config({"seed": 1}, None, "run")
         assert cfg.seed == 99
         assert resolved["seed"] == 99
 
     def test_bad_env_seed_rejected(self, monkeypatch):
         monkeypatch.setenv("EDM_SEED", "lots")
         with pytest.raises(ConfigError, match="EDM_SEED"):
-            parse_config({}, None)
+            parse_config({}, None, "run")
 
     def test_band_bounds_must_be_ordered(self):
         with pytest.raises(ConfigError, match="--mu-min"):
-            parse_config({"mu_min": 0.7, "mu_max": 0.3}, None)
+            parse_config({"mu_min": 0.7, "mu_max": 0.3}, None, "run")
 
 
 class TestGen:
@@ -145,6 +152,16 @@ class TestGen:
         code = run_cli("gen", "--rho", 1.5, "--out", tmp_path / "x.manifest")
         assert code == EXIT_CONFIG
         assert "--rho" in capsys.readouterr().err
+
+    def test_config_key_gen_does_not_read_exits_two(self, tmp_path, capsys):
+        conf = tmp_path / "f"
+        conf.write_text("epochs=5\n")
+        out = tmp_path / "x.manifest"
+        assert run_cli("gen", "--config", conf, "--per-class", 10,
+                       "--out", out) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"{conf}:1:" in err and "'epochs'" in err
+        assert list(tmp_path.iterdir()) == [conf]
 
 
 class TestTrain:
@@ -456,6 +473,10 @@ class TestTracedBenchmark:
              "--algo", algo, "--out-dir", str(tmp_path / "out")],
             env=env, capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
-        names = {span[0] for span in json.loads(spans.read_text())["spans"]}
+        spans = json.loads(spans.read_text())["spans"]
+        names = {span[0] for span in spans}
         assert {"train.warmup", "train.netd_epoch", "gmm.fit", "backbone.step",
                 "losses.batch_loss"} <= names
+        fits = [span[4] for span in spans if span[0] == "gmm.fit"]
+        assert fits and all(not f["capped"] and f["ll_drops"] == 0
+                            for f in fits)

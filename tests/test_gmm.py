@@ -7,6 +7,9 @@ from edmlab.gmm import (
     GmmConfig,
     GmmModel,
     PosteriorSplit,
+    _basis,
+    _loglik_resp,
+    _m_step,
     fit_em,
     group_posteriors,
     normalize_losses,
@@ -108,6 +111,128 @@ class TestFitEm:
     def test_too_few_samples_rejected(self):
         with pytest.raises(ValueError):
             fit_em(np.array([0.1, 0.2]), GmmConfig(num_components=5))
+
+    def test_single_component_converges(self):
+        x = np.random.default_rng(1).normal(0.4, 0.2, size=300)
+        model = fit_em(x, GmmConfig(num_components=1))
+        assert model.converged
+        assert model.iterations == len(model.log_likelihood_trace) - 1 < 100
+
+    def test_iteration_cap_is_reported(self):
+        rng = np.random.default_rng(2)
+        x = np.concatenate([rng.normal(m, 0.02, 300) for m in (0.1, 0.5, 0.9)])
+        model = fit_em(x, GmmConfig(num_components=5, max_iters=1))
+        assert model.iterations == 1
+        assert not model.converged
+
+    def test_stops_on_per_sample_gain(self):
+        """Every iteration but the last gains at least tol per sample."""
+        rng = np.random.default_rng(3)
+        x = np.concatenate([rng.normal(0.2, 0.05, 700),
+                            rng.normal(0.7, 0.1, 300)])
+        cfg = GmmConfig(num_components=8)
+        model = fit_em(x, cfg)
+        gains = np.diff(model.log_likelihood_trace) / len(x)
+        assert model.converged
+        assert np.all(gains[:-1] >= cfg.tol) and gains[-1] < cfg.tol
+
+    def test_hand_built_model_is_not_converged(self):
+        assert not _three_band_model().converged
+
+
+_LOG_2PI = np.log(2.0 * np.pi)
+
+
+def _direct_e_step(x, weights, means, variances):
+    """Log-likelihood, responsibilities and shifted log-densities, in the
+    textbook form: log w + log N(x; m, v), then a row-wise log-sum-exp."""
+    logp = (np.log(weights) - 0.5 * (_LOG_2PI + np.log(variances))
+            - (x[:, None] - means) ** 2 / (2.0 * variances))
+    shifted = logp - logp.max(axis=1, keepdims=True)
+    dens = np.exp(shifted)
+    norm = dens.sum(axis=1)
+    ll = float((logp.max(axis=1) + np.log(norm)).sum())
+    return ll, dens / norm[:, None], shifted
+
+
+def _direct_m_step(x, resp, means, variances):
+    """Two-pass moments: the mean first, then the spread around it."""
+    mass = resp.sum(axis=0)
+    alive = mass > 1e-12
+    safe = np.where(alive, mass, 1.0)
+    new_means = (resp * x[:, None]).sum(axis=0) / safe
+    spread = (resp * (x[:, None] - new_means) ** 2).sum(axis=0) / safe
+    new_vars = np.maximum(spread, 1e-6)
+    return (mass / len(x), np.where(alive, new_means, means),
+            np.where(alive, new_vars, variances))
+
+
+def _kernel(x, weights, means, variances):
+    """One E-step and one M-step of the fitting kernel, in x's coordinates."""
+    basis, centre = _basis(x)
+    ll, resp, norm = _loglik_resp(basis, weights, means - centre, variances)
+    new_w, new_m, new_v = _m_step(resp, norm, basis, means - centre, variances)
+    return ll, (resp / norm).T, (new_w, new_m + centre, new_v)
+
+
+class TestEmKernel:
+    """The matmul E- and M-step against the direct two-pass formulas."""
+
+    @staticmethod
+    def _check(x, weights, means, variances):
+        ll, resp, params = _kernel(x, weights, means, variances)
+        ref_ll, ref_resp, _ = _direct_e_step(x, weights, means, variances)
+        np.testing.assert_allclose(ll, ref_ll, rtol=1e-12)
+        # a row sums to 1; a tail entry keeps its log-density's rounding
+        np.testing.assert_allclose(resp, ref_resp, rtol=0, atol=1e-12)
+        ref_w, ref_m, ref_v = _direct_m_step(x, ref_resp, means, variances)
+        np.testing.assert_allclose(params[0], ref_w, rtol=1e-12)
+        np.testing.assert_allclose(params[1], ref_m, rtol=1e-12)
+        # E[y^2] - m^2 rounds relative to the second moment about the centre
+        second = ref_v + (ref_m - _basis(x)[1]) ** 2
+        assert np.all(np.abs(params[2] - ref_v) <= 1e-12 * second)
+        return params
+
+    def test_matches_direct_formulas(self):
+        rng = np.random.default_rng(11)
+        x = rng.uniform(0, 1, 2000)
+        self._check(x, rng.dirichlet(np.ones(6)), np.sort(rng.uniform(0, 1, 6)),
+                    rng.uniform(0.002, 0.05, 6))
+
+    def test_dead_component_keeps_mean_and_variance(self):
+        rng = np.random.default_rng(12)
+        x = np.concatenate([rng.normal(0.1, 0.02, 400),
+                            rng.normal(0.9, 0.02, 400)])
+        means = np.array([0.1, 0.5, 0.9])
+        variances = np.array([4e-4, 1e-6, 4e-4])
+        weights, new_m, new_v = self._check(x, np.full(3, 1 / 3), means, variances)
+        assert weights[1] == 0.0
+        assert new_m[1] == 0.5 and new_v[1] == 1e-6
+
+    def test_variance_floor(self):
+        rng = np.random.default_rng(13)
+        x = np.concatenate([np.full(50, 0.25), rng.normal(0.75, 0.05, 200)])
+        weights, _, new_v = self._check(
+            x, np.array([0.2, 0.8]), np.array([0.25, 0.75]),
+            np.array([1e-6, 0.0025]))
+        assert new_v[0] == 1e-6
+        assert new_v[1] > 1e-6
+        # the E-step under the floored variance
+        self._check(x, weights, np.array([0.25, 0.75]), new_v)
+
+    def test_entries_below_exp_underflow_are_exactly_zero(self):
+        rng = np.random.default_rng(14)
+        x = np.concatenate([rng.normal(0.1, 0.01, 300),
+                            rng.normal(0.6, 0.01, 300)])
+        weights, means = np.array([0.5, 0.5]), np.array([0.1, 0.6])
+        variances = np.array([1e-4, 1e-4])
+        self._check(x, weights, means, variances)
+        _, resp, _ = _kernel(x, weights, means, variances)
+        _, _, shifted = _direct_e_step(x, weights, means, variances)
+        deep = shifted < -746.0
+        assert deep.sum() == 600  # every sample, for the other component
+        assert np.all(resp[deep] == 0.0)
+        assert np.all(resp[~deep] > 0.0)
 
 
 def _three_band_model(sigma=0.05):
