@@ -253,7 +253,7 @@ def init_optim(params: ModelParams, learning_rate: float, momentum: float,
 
 
 def sgd_step(params: ModelParams, grads: list[np.ndarray],
-             opt: OptimState) -> tuple[ModelParams, OptimState]:
+             opt: OptimState) -> None:
     """v <- m*v + g + wd*theta; theta <- theta - lr*v (in place).
 
     Classic coupled weight decay: the decay term enters the velocity.
@@ -273,7 +273,6 @@ def sgd_step(params: ModelParams, grads: list[np.ndarray],
     v *= opt.momentum
     v += grad + opt.weight_decay * theta
     theta -= opt.learning_rate * v
-    return params, opt
 
 
 def augment(batch: np.ndarray, rng: np.random.Generator) -> np.ndarray:

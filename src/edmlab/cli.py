@@ -74,6 +74,9 @@ class _Key:
     help: str
 
 
+# TrainConfig, GmmConfig and LossWeights own the training defaults.
+_TRAIN = TrainConfig()
+
 _KEYS: dict[str, _Key] = {
     # benchmark geometry
     "classes": _Key(int, 4, lambda v: v >= 2, "an integer >= 2",
@@ -93,32 +96,36 @@ _KEYS: dict[str, _Key] = {
     "pool_offset": _Key(float, 8.0, lambda v: v > 0, "a positive number",
                         "distance of the pool from the clean clusters"),
     # optimization
-    "epochs": _Key(int, 30, lambda v: v >= 0, "an integer >= 0",
+    "epochs": _Key(int, _TRAIN.epochs, lambda v: v >= 0, "an integer >= 0",
                    "main-loop epochs"),
-    "batch": _Key(int, 64, lambda v: v >= 1, "an integer >= 1",
-                  "minibatch size"),
-    "lr": _Key(float, 0.02, lambda v: v > 0, "a positive number",
-               "initial learning rate"),
-    "lambda_u": _Key(float, 25.0, lambda v: v >= 0, "a number >= 0",
+    "batch": _Key(int, _TRAIN.batch_size, lambda v: v >= 1,
+                  "an integer >= 1", "minibatch size"),
+    "lr": _Key(float, _TRAIN.learning_rate, lambda v: v > 0,
+               "a positive number", "initial learning rate"),
+    "lambda_u": _Key(float, _TRAIN.loss_weights.lambda_u, lambda v: v >= 0,
+                     "a number >= 0",
                      "weight of the unlabeled consistency term"),
-    "lambda_reg": _Key(float, 1.0, lambda v: v >= 0, "a number >= 0",
+    "lambda_reg": _Key(float, _TRAIN.loss_weights.lambda_reg,
+                       lambda v: v >= 0, "a number >= 0",
                        "weight of the uniform-prior regularizer"),
-    "mix_alpha": _Key(float, 4.0, lambda v: v > 0, "a positive number",
+    "mix_alpha": _Key(float, _TRAIN.mix_alpha, lambda v: v > 0,
+                      "a positive number",
                       "Beta parameter of the pairwise mixing coefficient"),
-    "m": _Key(int, 2, lambda v: v >= 1, "an integer >= 1",
+    "m": _Key(int, _TRAIN.num_augments, lambda v: v >= 1, "an integer >= 1",
               "augmented views per sample"),
-    "t": _Key(float, 0.5, lambda v: v > 0, "a positive number",
+    "t": _Key(float, _TRAIN.temperature, lambda v: v > 0, "a positive number",
               "sharpening temperature"),
-    "psi": _Key(int, 20, lambda v: v >= 3, "an integer >= 3",
+    "psi": _Key(int, _TRAIN.gmm.num_components, lambda v: v >= 3,
+                "an integer >= 3",
                 "mixture components of the loss-band classifier"),
-    "mu_min": _Key(float, 0.3, lambda v: 0.0 < v < 1.0, "in (0, 1)",
-                   "upper mean bound of the clean band"),
-    "mu_max": _Key(float, 0.7, lambda v: 0.0 < v < 1.0, "in (0, 1)",
-                   "lower mean bound of the closed-set band"),
-    "warmup_d": _Key(int, 10, lambda v: v >= 0, "an integer >= 0",
-                     "classifier warm-up epochs"),
-    "warmup_s": _Key(int, 30, lambda v: v >= 0, "an integer >= 0",
-                     "splitter warm-up epochs"),
+    "mu_min": _Key(float, _TRAIN.gmm.mu_min, lambda v: 0.0 < v < 1.0,
+                   "in (0, 1)", "upper mean bound of the clean band"),
+    "mu_max": _Key(float, _TRAIN.gmm.mu_max, lambda v: 0.0 < v < 1.0,
+                   "in (0, 1)", "lower mean bound of the closed-set band"),
+    "warmup_d": _Key(int, _TRAIN.warmup_epochs_netd, lambda v: v >= 0,
+                     "an integer >= 0", "classifier warm-up epochs"),
+    "warmup_s": _Key(int, _TRAIN.warmup_epochs_nets, lambda v: v >= 0,
+                     "an integer >= 0", "splitter warm-up epochs"),
     "seed": _Key(int, 0, lambda v: v >= 0, "an integer >= 0",
                  "master random seed"),
     "algo": _Key(str, ALGO_EDM, lambda v: v in (ALGO_EDM, ALGO_CE),
@@ -157,8 +164,9 @@ def parse_config(flag_values: dict, config_path: str | None,
 
     Returns the training configuration and the flat dict of all resolved
     values (paths and benchmark geometry included).
-    Raises ConfigError for unknown keys and out-of-range values, naming the
-    offending flag, and for a config-file key that ``command`` does not read.
+    Raises ConfigError for unknown keys and for non-finite or out-of-range
+    values, naming the offending flag, and for a config-file key that
+    ``command`` does not read.
     """
     resolved = {k: spec.default for k, spec in _KEYS.items()}
 
@@ -204,6 +212,9 @@ def parse_config(flag_values: dict, config_path: str | None,
 
     for key, spec in _KEYS.items():
         value = resolved[key]
+        if spec.cast is float and not math.isfinite(value):
+            raise ConfigError(
+                f"{_flag(key)} must be a finite number, got {value}")
         if spec.check is not None and value is not None and not spec.check(value):
             raise ConfigError(
                 f"{_flag(key)} must be {spec.rule}, got {value}")
@@ -216,22 +227,22 @@ def parse_config(flag_values: dict, config_path: str | None,
             f"--classes must not exceed --dim (each class centre takes its own "
             f"axis), got {resolved['classes']} > {resolved['dim']}")
 
-    cfg = TrainConfig(
-        epochs=resolved["epochs"],
-        batch_size=resolved["batch"],
-        learning_rate=resolved["lr"],
-        warmup_epochs_netd=resolved["warmup_d"],
-        warmup_epochs_nets=resolved["warmup_s"],
-        num_augments=resolved["m"],
-        temperature=resolved["t"],
-        mix_alpha=resolved["mix_alpha"],
-        loss_weights=LossWeights(lambda_u=resolved["lambda_u"],
-                                 lambda_reg=resolved["lambda_reg"]),
-        gmm=GmmConfig(num_components=resolved["psi"],
-                      mu_min=resolved["mu_min"], mu_max=resolved["mu_max"]),
-        seed=resolved["seed"],
-    )
     try:
+        cfg = TrainConfig(
+            epochs=resolved["epochs"],
+            batch_size=resolved["batch"],
+            learning_rate=resolved["lr"],
+            warmup_epochs_netd=resolved["warmup_d"],
+            warmup_epochs_nets=resolved["warmup_s"],
+            num_augments=resolved["m"],
+            temperature=resolved["t"],
+            mix_alpha=resolved["mix_alpha"],
+            loss_weights=LossWeights(lambda_u=resolved["lambda_u"],
+                                     lambda_reg=resolved["lambda_reg"]),
+            gmm=GmmConfig(num_components=resolved["psi"],
+                          mu_min=resolved["mu_min"], mu_max=resolved["mu_max"]),
+            seed=resolved["seed"],
+        )
         cfg.validate()
     except ValueError as exc:
         raise ConfigError(str(exc)) from None

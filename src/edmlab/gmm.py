@@ -21,6 +21,7 @@ gains less than ``GmmConfig.tol`` log-likelihood per sample.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -33,7 +34,7 @@ _EXP_UNDERFLOW = -746.0  # np.exp(x) == 0.0 for every x below this
 
 @dataclass(frozen=True)
 class GmmConfig:
-    """Mixture size, band thresholds, and EM stopping controls.
+    """Mixture size and band thresholds; EM's stopping controls are fixed.
 
     ``tol`` is per sample: EM stops once an iteration raises the summed
     log-likelihood by less than ``tol * n``.  ``max_iters`` is a safety cap:
@@ -45,8 +46,8 @@ class GmmConfig:
     num_components: int = 20
     mu_min: float = 0.3
     mu_max: float = 0.7
-    max_iters: int = 100
-    tol: float = 1e-3
+    max_iters: ClassVar[int] = 100
+    tol: ClassVar[float] = 1e-3
 
     def validate(self) -> None:
         if self.num_components < 1:
@@ -55,10 +56,6 @@ class GmmConfig:
             raise ValueError(
                 f"need 0 < mu_min < mu_max < 1, got ({self.mu_min}, {self.mu_max})"
             )
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if self.tol <= 0:
-            raise ValueError("tol must be > 0")
 
     def validate_for_training(self) -> None:
         """The training loop needs enough components to cover three bands."""
@@ -282,7 +279,7 @@ def group_posteriors(model: GmmModel, losses: np.ndarray,
     )
 
 
-def partition(split: PosteriorSplit, n: int | None = None) -> Partition:
+def partition(split: PosteriorSplit) -> Partition:
     """Strict-max three-way assignment.
 
     A sample lands in the labeled set only if its clean mass strictly
@@ -290,8 +287,6 @@ def partition(split: PosteriorSplit, n: int | None = None) -> Partition:
     strictly exceeds both others; everything else (ties included) is
     excluded.
     """
-    if n is not None and n != len(split):
-        raise ValueError(f"split has {len(split)} rows, dataset has {n}")
     w, w_op, w_cl = split.w, split.w_op, split.w_cl
     in_x = (w > w_op) & (w > w_cl)
     in_u = (w_cl > w) & (w_cl > w_op)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from functools import partial
 
 import numpy as np
@@ -272,16 +272,14 @@ _sl_pass = partial(_minibatch_pass, "evidence",
                    lambda logits, y: sl_batch_loss_t(logits, y))
 
 
-def warmup(netd: ModelParams, nets: ModelParams, dataset: DatasetManifest,
-           cfg: TrainConfig, rng: np.random.Generator
-           ) -> tuple[ModelParams, ModelParams]:
+def warmup(netd: ModelParams, nets: ModelParams, feats: np.ndarray,
+           labels: np.ndarray, cfg: TrainConfig, rng: np.random.Generator
+           ) -> None:
     """Independent warm-up passes: NetD on cross-entropy, NetS on evidence.
 
-    Both see the unchanged noisy labels at the initial learning rate.
+    Both see the unchanged noisy labels (``labels``, one-hot) at the initial
+    learning rate.
     """
-    cfg.validate()
-    feats = dataset.features.astype(np.float64)
-    labels = dataset.one_hot_observed()
     if cfg.warmup_epochs_netd > 0:
         opt_d = init_optim(netd, cfg.learning_rate, MOMENTUM, WEIGHT_DECAY)
         for _ in range(cfg.warmup_epochs_netd):
@@ -290,13 +288,12 @@ def warmup(netd: ModelParams, nets: ModelParams, dataset: DatasetManifest,
         opt_s = init_optim(nets, cfg.learning_rate, MOMENTUM, WEIGHT_DECAY)
         for _ in range(cfg.warmup_epochs_nets):
             _sl_pass(nets, feats, labels, cfg.batch_size, opt_s, rng)
-    return netd, nets
 
 
-def train_netd_epoch(netd: ModelParams, dataset: DatasetManifest,
+def train_netd_epoch(netd: ModelParams, feats: np.ndarray, labels: np.ndarray,
                      split: PosteriorSplit, part: Partition, cfg: TrainConfig,
                      opt: OptimState, rng: np.random.Generator
-                     ) -> tuple[ModelParams, NetdEpochStats]:
+                     ) -> NetdEpochStats:
     """One semi-supervised epoch of the classifier on X (labeled) and U.
 
     Runs ceil(|X|/batch) iterations.  Each iteration augments its labeled
@@ -308,10 +305,8 @@ def train_netd_epoch(netd: ModelParams, dataset: DatasetManifest,
     if len(part.x_idx) == 0:
         log.warning("labeled set X is empty this epoch; classifier update skipped")
         empty = np.empty(0, dtype=np.int64)
-        return netd, NetdEpochStats(0, empty, empty, None, None, None)
+        return NetdEpochStats(0, empty, empty, None, None, None)
 
-    feats = dataset.features.astype(np.float64)
-    onehot = dataset.one_hot_observed()
     batch = cfg.batch_size
     m = cfg.num_augments
     x_order = rng.permutation(part.x_idx)
@@ -330,7 +325,7 @@ def train_netd_epoch(netd: ModelParams, dataset: DatasetManifest,
 
         # labeled part: co-refined, sharpened targets on M views
         views_x, p_mean = guess_unlabeled(netd, feats[xb], m, rng)
-        refined = co_refine(onehot[xb], split.w[xb], p_mean, cfg.temperature)
+        refined = co_refine(labels[xb], split.w[xb], p_mean, cfg.temperature)
         pool_inputs = views_x
         pool_targets = [refined] * m
 
@@ -360,7 +355,7 @@ def train_netd_epoch(netd: ModelParams, dataset: DatasetManifest,
         sgd_step(netd, backward(ts, total), opt)
         sums += (comps["labeled"], comps["unlabeled"], comps["regularizer"])
 
-    stats = NetdEpochStats(
+    return NetdEpochStats(
         iterations=num_iters,
         used_labeled=np.unique(x_order),
         used_unlabeled=(np.unique(np.concatenate(used_unlabeled))
@@ -369,41 +364,27 @@ def train_netd_epoch(netd: ModelParams, dataset: DatasetManifest,
         mean_unlabeled_loss=float(sums[1] / num_iters),
         mean_reg_loss=float(sums[2] / num_iters),
     )
-    return netd, stats
 
 
-def relabel_for_nets(netd: ModelParams, dataset: DatasetManifest,
-                     split: PosteriorSplit) -> DatasetManifest:
-    """Relabel every sample by blending its label with NetD's prediction.
+def relabel_for_nets(netd: ModelParams, feats: np.ndarray, labels: np.ndarray,
+                     split: PosteriorSplit) -> np.ndarray:
+    """NetS's (n, K) one-hot targets: each label blended with NetD's prediction.
 
     The blend weight is the sample's closed-set posterior: the more likely
     a label flip, the more the classifier's opinion counts.  Argmax ties
     resolve to the lowest class index.
     """
-    if len(split) != len(dataset):
-        raise ValueError("split and dataset are misaligned")
-    probs = softmax_probs(forward_logits_chunked(netd, dataset.features))
+    probs = softmax_probs(forward_logits_chunked(netd, feats))
     w_cl = split.w_cl[:, None]
-    scores = w_cl * probs + (1.0 - w_cl) * dataset.one_hot_observed()
-    new_labels = np.argmax(scores, axis=1).astype(np.int32)
-    return DatasetManifest(
-        features=dataset.features.copy(),
-        observed=new_labels,
-        true_class=dataset.true_class.copy(),
-        provenance=dataset.provenance.copy(),
-        num_classes=dataset.num_classes,
-        noise_spec=replace(dataset.noise_spec),
-    )
+    scores = w_cl * probs + (1.0 - w_cl) * labels
+    return np.eye(labels.shape[1])[np.argmax(scores, axis=1)]
 
 
-def train_nets_epoch(nets: ModelParams, relabeled: DatasetManifest,
+def train_nets_epoch(nets: ModelParams, feats: np.ndarray, targets: np.ndarray,
                      cfg: TrainConfig, opt: OptimState,
-                     rng: np.random.Generator) -> ModelParams:
-    """One full minibatch pass of the evidence loss over relabeled data."""
-    feats = relabeled.features.astype(np.float64)
-    labels = relabeled.one_hot_observed()
-    _sl_pass(nets, feats, labels, cfg.batch_size, opt, rng)
-    return nets
+                     rng: np.random.Generator) -> None:
+    """One full minibatch pass of the evidence loss on relabeled targets."""
+    _sl_pass(nets, feats, targets, cfg.batch_size, opt, rng)
 
 
 # -- full runs ---------------------------------------------------------
@@ -421,11 +402,12 @@ def run(dataset: DatasetManifest, test_dataset: DatasetManifest,
     netd_ss, nets_ss, rng = _seed_bundle(cfg.seed)
     netd = init_model(widths, netd_ss, role=ROLE_NETD)
     nets = init_model(widths, nets_ss, role=ROLE_NETS)
-    warmup(netd, nets, dataset, cfg, rng)
+    feats = dataset.features.astype(np.float64)
+    labels = dataset.one_hot_observed()
+    warmup(netd, nets, feats, labels, cfg, rng)
 
     opt_d = init_optim(netd, cfg.lr_at(0), MOMENTUM, WEIGHT_DECAY)
     opt_s = init_optim(nets, cfg.lr_at(0), MOMENTUM, WEIGHT_DECAY)
-    n = len(dataset)
     reports: list[EpochReport] = []
     for epoch in range(cfg.epochs):
         lr = cfg.lr_at(epoch)
@@ -436,11 +418,11 @@ def run(dataset: DatasetManifest, test_dataset: DatasetManifest,
         norm = normalize_losses(raw)
         gmodel = fit_em(norm, cfg.gmm)
         split = group_posteriors(gmodel, norm, cfg.gmm)
-        part = partition(split, n)
+        part = partition(split)
 
-        netd, stats = train_netd_epoch(netd, dataset, split, part, cfg, opt_d, rng)
-        relabeled = relabel_for_nets(netd, dataset, split)
-        nets = train_nets_epoch(nets, relabeled, cfg, opt_s, rng)
+        stats = train_netd_epoch(netd, feats, labels, split, part, cfg, opt_d, rng)
+        targets = relabel_for_nets(netd, feats, labels, split)
+        train_nets_epoch(nets, feats, targets, cfg, opt_s, rng)
 
         conf = split_confusion(part, dataset)
         report = EpochReport(

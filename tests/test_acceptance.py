@@ -281,7 +281,8 @@ def test_06_warmup_loss_ordering(capsys):
     netd_ss, nets_ss, rng = _seed_bundle(cfg.seed)
     netd = init_model(widths, netd_ss, role=ROLE_NETD)
     nets = init_model(widths, nets_ss, role=ROLE_NETS)
-    warmup(netd, nets, noisy, cfg, rng)
+    warmup(netd, nets, noisy.features.astype(np.float64),
+           noisy.one_hot_observed(), cfg, rng)
     _, raw = sl_dataset_loss(nets, noisy)
     norm = normalize_losses(raw)
     mean_clean = norm[noisy.provenance == Provenance.CLEAN].mean()
@@ -366,7 +367,8 @@ def test_10_structure_audits(capsys, trend_runs):
     netd_ss, nets_ss, rng = _seed_bundle(cfg.seed)
     netd = init_model(widths, netd_ss, role=ROLE_NETD)
     nets = init_model(widths, nets_ss, role=ROLE_NETS)
-    warmup(netd, nets, noisy, cfg, rng)
+    feats, labels = noisy.features.astype(np.float64), noisy.one_hot_observed()
+    warmup(netd, nets, feats, labels, cfg, rng)
     opt_d = init_optim(netd, cfg.learning_rate, MOMENTUM, WEIGHT_DECAY)
     n = len(noisy)
     for _ in range(cfg.epochs):
@@ -376,12 +378,13 @@ def test_10_structure_audits(capsys, trend_runs):
         split = group_posteriors(gmodel, norm, cfg.gmm)
         triple_sum = split.w + split.w_op + split.w_cl
         ok &= bool(np.all(np.abs(triple_sum - 1.0) <= 1e-6))
-        part = partition(split, n)
+        part = partition(split)
         sizes = part.sizes()
         ok &= sum(sizes) == n
         all_idx = np.concatenate([part.x_idx, part.u_idx, part.o_idx])
         ok &= len(np.unique(all_idx)) == n
-        _, stats = train_netd_epoch(netd, noisy, split, part, cfg, opt_d, rng)
+        stats = train_netd_epoch(netd, feats, labels, split, part, cfg, opt_d,
+                                 rng)
         o_set = set(part.o_idx.tolist())
         ok &= not o_set.intersection(stats.used_labeled.tolist())
         ok &= not o_set.intersection(stats.used_unlabeled.tolist())

@@ -164,7 +164,7 @@ class TestSgdStep:
                         biases=[np.array([0.0])], role="NetD")
         opt = init_optim(m, learning_rate=0.1, momentum=0.8, weight_decay=0.0)
         g = [np.array([[1.0]]), np.array([0.0])]
-        sgd_step(m, g, opt)
+        assert sgd_step(m, g, opt) is None  # updates in place
         np.testing.assert_allclose(opt.velocity, [1.0, 0.0])
         np.testing.assert_allclose(m.weights[0], [[0.9]])
         sgd_step(m, g, opt)

@@ -364,6 +364,13 @@ class TestBadGeometry:
         (("gen", "--classes", 4, "--dim", 2), "--classes"),
         (("run", "--seed", -1), "--seed"),
         (("gen", "--seed", -1), "--seed"),
+        (("run", "--lambda-u", "inf"), "--lambda-u"),
+        (("run", "--lambda-reg", "nan"), "--lambda-reg"),
+        (("run", "--t", "inf"), "--t"),
+        (("run", "--spread", "inf"), "--spread"),
+        (("gen", "--pool-offset", "inf"), "--pool-offset"),
+        (("run", "--lr", "inf"), "--lr"),
+        (("run", "--mix-alpha", "inf"), "--mix-alpha"),
     ])
     def test_rejected_before_anything_is_written(self, tmp_path, capsys, args, flag):
         out = tmp_path / "out"
@@ -372,6 +379,15 @@ class TestBadGeometry:
         assert run_cli(*args, *dest) == EXIT_CONFIG
         assert flag in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
+
+    def test_non_finite_config_value_rejected_before_anything_is_written(
+            self, tmp_path, capsys):
+        conf = tmp_path / "exp.conf"
+        conf.write_text("lambda_u=inf\n")
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", conf, "--out-dir", out) == EXIT_CONFIG
+        assert "--lambda-u must be a finite number" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_negative_env_seed_names_the_variable(self, tmp_path, capsys,
                                                   monkeypatch):
@@ -477,6 +493,16 @@ class TestTracedBenchmark:
         names = {span[0] for span in spans}
         assert {"train.warmup", "train.netd_epoch", "gmm.fit", "backbone.step",
                 "losses.batch_loss"} <= names
+        if algo == "edm":
+            # the epoch loop's own phases, not the eval-time scan and split
+            def in_run(idx):
+                while idx >= 0 and spans[idx][0] != "train.run":
+                    idx = spans[idx][3]
+                return idx >= 0
+
+            assert {"train.relabel", "train.nets_epoch", "losses.scan",
+                    "gmm.split"} <= {span[0] for span in spans
+                                     if in_run(span[3])}
         fits = [span[4] for span in spans if span[0] == "gmm.fit"]
         assert fits and all(not f["capped"] and f["ll_drops"] == 0
                             for f in fits)

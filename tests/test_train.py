@@ -19,8 +19,8 @@ from edmlab.backbone import (
     sgd_step,
     softmax_probs,
 )
-from edmlab.benchgen import DatasetManifest, NoiseSpec, inject_noise, \
-    make_open_pool, make_synthetic_clean
+from edmlab.benchgen import NoiseSpec, inject_noise, make_open_pool, \
+    make_synthetic_clean
 from edmlab.gmm import PosteriorSplit, partition
 from edmlab.losses import ce_batch_loss_t, sl_dataset_loss, softmax_t, temp_sharpen
 from edmlab.train import (
@@ -48,6 +48,11 @@ def make_noisy_blobs(seed=0, per_class=100, rho=0.6, omega=0.5):
 
 def make_test_blobs(seed=0, per_class=100):
     return make_synthetic_clean(4, per_class, 8, 0.5, seed=seed + 3000)
+
+
+def arrays(ds):
+    """The float64 features and one-hot observed labels training runs on."""
+    return ds.features.astype(np.float64), ds.one_hot_observed()
 
 
 def small_cfg(**kw):
@@ -87,7 +92,8 @@ class TestWarmup:
         d_before = [a.copy() for a in netd.flat()]
         s_before = [a.copy() for a in nets.flat()]
         cfg = small_cfg(warmup_epochs_netd=0, warmup_epochs_nets=0)
-        warmup(netd, nets, ds, cfg, np.random.default_rng(0))
+        assert warmup(netd, nets, *arrays(ds), cfg, np.random.default_rng(0)) \
+            is None
         for a, b in zip(netd.flat(), d_before):
             np.testing.assert_array_equal(a, b)
         for a, b in zip(nets.flat(), s_before):
@@ -99,7 +105,7 @@ class TestWarmup:
         netd = init_model((8, 64, 64, 4), seed=0, role=ROLE_NETD)
         nets = init_model((8, 64, 64, 4), seed=1, role=ROLE_NETS)
         cfg = TrainConfig(warmup_epochs_netd=10, warmup_epochs_nets=1)
-        warmup(netd, nets, ds, cfg, np.random.default_rng(0))
+        warmup(netd, nets, *arrays(ds), cfg, np.random.default_rng(0))
         pred = np.argmax(forward_logits(netd, ds.features), axis=1)
         assert np.mean(pred == ds.observed) >= 0.95
 
@@ -109,7 +115,7 @@ class TestWarmup:
         netd = init_model((8, 64, 64, 4), seed=0, role=ROLE_NETD)
         nets = init_model((8, 64, 64, 4), seed=1, role=ROLE_NETS)
         cfg = TrainConfig()
-        warmup(netd, nets, ds, cfg, np.random.default_rng(0))
+        warmup(netd, nets, *arrays(ds), cfg, np.random.default_rng(0))
         _, per_sample = sl_dataset_loss(nets, ds)
         means = [per_sample[ds.provenance == p].mean() for p in (0, 2, 1)]
         assert means[0] < means[1] < means[2]
@@ -264,7 +270,7 @@ class TestTrainNetdEpoch:
         w_cl[n_x:n_x + n_u] = 1.0
         w_op[n_x + n_u:] = 1.0
         split = PosteriorSplit(w=w, w_op=w_op, w_cl=w_cl)
-        part = partition(split, n)
+        part = partition(split)
         model = init_model((8, 16, 4), seed=0)
         cfg = small_cfg()
         opt = init_optim(model, 0.02, 0.8, 5e-4)
@@ -272,19 +278,19 @@ class TestTrainNetdEpoch:
 
     def test_iteration_count_matches_ceiling(self):
         ds, split, part, model, cfg, opt = self._setup(n_x=64)
-        _, stats = train_netd_epoch(model, ds, split, part, cfg, opt,
-                                    np.random.default_rng(0))
+        stats = train_netd_epoch(model, *arrays(ds), split, part, cfg, opt,
+                                 np.random.default_rng(0))
         assert stats.iterations == 1
         ds, split, part, model, cfg, opt = self._setup(n_x=65)
-        _, stats = train_netd_epoch(model, ds, split, part, cfg, opt,
-                                    np.random.default_rng(0))
+        stats = train_netd_epoch(model, *arrays(ds), split, part, cfg, opt,
+                                 np.random.default_rng(0))
         assert stats.iterations == 2
 
     def test_empty_unlabeled_set_still_trains(self):
         ds, split, part, model, cfg, opt = self._setup(n_x=64, n_u=0)
         before = [a.copy() for a in model.flat()]
-        _, stats = train_netd_epoch(model, ds, split, part, cfg, opt,
-                                    np.random.default_rng(0))
+        stats = train_netd_epoch(model, *arrays(ds), split, part, cfg, opt,
+                                 np.random.default_rng(0))
         assert stats.mean_unlabeled_loss == 0.0
         assert any(np.any(a != b) for a, b in zip(model.flat(), before))
 
@@ -292,8 +298,8 @@ class TestTrainNetdEpoch:
         ds, split, part, model, cfg, opt = self._setup(n_x=0, n_u=64)
         before = [a.copy() for a in model.flat()]
         with caplog.at_level(logging.WARNING, logger="edmlab"):
-            _, stats = train_netd_epoch(model, ds, split, part, cfg, opt,
-                                        np.random.default_rng(0))
+            stats = train_netd_epoch(model, *arrays(ds), split, part, cfg, opt,
+                                     np.random.default_rng(0))
         assert stats.iterations == 0
         assert "empty" in caplog.text
         for a, b in zip(model.flat(), before):
@@ -301,8 +307,8 @@ class TestTrainNetdEpoch:
 
     def test_discarded_samples_never_used(self):
         ds, split, part, model, cfg, opt = self._setup(n_x=80, n_u=40)
-        _, stats = train_netd_epoch(model, ds, split, part, cfg, opt,
-                                    np.random.default_rng(0))
+        stats = train_netd_epoch(model, *arrays(ds), split, part, cfg, opt,
+                                 np.random.default_rng(0))
         o_set = set(part.o_idx.tolist())
         assert not o_set.intersection(stats.used_labeled.tolist())
         assert not o_set.intersection(stats.used_unlabeled.tolist())
@@ -319,7 +325,8 @@ class TestTrainNetdEpoch:
         def one_step_each():
             _ce_pass(model, feats, labels, 64, opt, rng)
             _sl_pass(model, feats, labels, 64, opt, rng)
-            _, stats = train_netd_epoch(model, ds, split, part, cfg, opt, rng)
+            stats = train_netd_epoch(model, *arrays(ds), split, part, cfg, opt,
+                                     rng)
             assert stats.iterations == 1
 
         one_step_each()  # first calls set up library state once
@@ -342,15 +349,16 @@ class TestRelabel:
     def test_zero_model_trust_is_identity(self):
         ds = make_noisy_blobs(per_class=40)
         model = init_model((8, 16, 4), seed=0)
-        out = relabel_for_nets(model, ds, _full_split(ds, w_cl_value=0.0))
-        np.testing.assert_array_equal(out.observed, ds.observed)
+        out = relabel_for_nets(model, *arrays(ds), _full_split(ds, 0.0))
+        np.testing.assert_array_equal(out, ds.one_hot_observed())
 
     def test_full_model_trust_is_argmax(self):
         ds = make_noisy_blobs(per_class=40)
         model = init_model((8, 16, 4), seed=0)
-        out = relabel_for_nets(model, ds, _full_split(ds, w_cl_value=1.0))
+        out = relabel_for_nets(model, *arrays(ds), _full_split(ds, 1.0))
         want = np.argmax(softmax_probs(forward_logits(model, ds.features)), axis=1)
-        np.testing.assert_array_equal(out.observed, want)
+        assert out.shape == (len(ds), ds.num_classes)
+        np.testing.assert_array_equal(out, np.eye(ds.num_classes)[want])
 
     def test_blend_follows_larger_score(self):
         """With p=(0.9,0.1) and label two: w_cl=0.5 keeps the label
@@ -363,26 +371,21 @@ class TestRelabel:
             biases=[np.zeros(2)],
             role=ROLE_NETD,
         )
-        ds = DatasetManifest(
-            features=np.array([[1.0, 0.0], [1.0, 0.0]], dtype=np.float32),
-            observed=np.array([1, 1], dtype=np.int32),
-            true_class=np.array([1, 1], dtype=np.int32),
-            provenance=np.zeros(2, dtype=np.uint8),
-            num_classes=2,
-            noise_spec=NoiseSpec(rho=0.0, omega=0.0),
-        )
+        feats = np.array([[1.0, 0.0], [1.0, 0.0]])
+        labels = np.array([[0.0, 1.0], [0.0, 1.0]])
         split = PosteriorSplit(w=np.array([0.5, 0.1]), w_op=np.zeros(2),
                                w_cl=np.array([0.5, 0.9]))
-        out = relabel_for_nets(model, ds, split)
-        np.testing.assert_array_equal(out.observed, [1, 0])
+        out = relabel_for_nets(model, feats, labels, split)
+        np.testing.assert_array_equal(out, [[0.0, 1.0], [1.0, 0.0]])
 
     def test_provenance_and_features_untouched(self):
+        """The features and labels it is given are left as they were."""
         ds = make_noisy_blobs(per_class=40)
         model = init_model((8, 16, 4), seed=0)
-        out = relabel_for_nets(model, ds, _full_split(ds, w_cl_value=1.0))
-        np.testing.assert_array_equal(out.features, ds.features)
-        np.testing.assert_array_equal(out.provenance, ds.provenance)
-        np.testing.assert_array_equal(out.true_class, ds.true_class)
+        feats, labels = arrays(ds)
+        relabel_for_nets(model, feats, labels, _full_split(ds, w_cl_value=1.0))
+        np.testing.assert_array_equal(feats, ds.features.astype(np.float64))
+        np.testing.assert_array_equal(labels, ds.one_hot_observed())
 
 
 class TestTrainNetsEpoch:
@@ -391,7 +394,8 @@ class TestTrainNetsEpoch:
         nets = init_model((8, 16, 4), seed=1, role=ROLE_NETS)
         before = [a.copy() for a in nets.flat()]
         opt = init_optim(nets, 0.0, 0.8, 5e-4)
-        train_nets_epoch(nets, ds, small_cfg(), opt, np.random.default_rng(0))
+        assert train_nets_epoch(nets, *arrays(ds), small_cfg(), opt,
+                                np.random.default_rng(0)) is None
         for a, b in zip(nets.flat(), before):
             np.testing.assert_array_equal(a, b)
 
@@ -402,7 +406,7 @@ class TestTrainNetsEpoch:
         cfg = small_cfg(batch_size=len(ds))
         opt = init_optim(nets, 1e-3, 0.0, 0.0)
         before, _ = sl_dataset_loss(nets, ds)
-        train_nets_epoch(nets, ds, cfg, opt, np.random.default_rng(0))
+        train_nets_epoch(nets, *arrays(ds), cfg, opt, np.random.default_rng(0))
         after, _ = sl_dataset_loss(nets, ds)
         assert after < before
 
@@ -413,7 +417,7 @@ class TestTrainNetsEpoch:
         rng = np.random.default_rng(0)
         first, _ = sl_dataset_loss(nets, ds)
         for _ in range(5):
-            train_nets_epoch(nets, ds, small_cfg(), opt, rng)
+            train_nets_epoch(nets, *arrays(ds), small_cfg(), opt, rng)
         last, _ = sl_dataset_loss(nets, ds)
         assert last < first
 
@@ -429,7 +433,7 @@ class TestRun:
         netd_ss, nets_ss, rng = _seed_bundle(cfg.seed)
         netd = init_model((8, 64, 64, 4), netd_ss, role=ROLE_NETD)
         nets = init_model((8, 64, 64, 4), nets_ss, role=ROLE_NETS)
-        warmup(netd, nets, ds, cfg, rng)
+        warmup(netd, nets, *arrays(ds), cfg, rng)
         for a, b in zip(out.netd.flat(), netd.flat()):
             np.testing.assert_array_equal(a, b)
 
