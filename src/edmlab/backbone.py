@@ -178,8 +178,8 @@ def forward_logits_t(tensors: list[Tensor], batch: np.ndarray) -> Tensor:
     """Differentiable forward pass through tensors from :func:`param_tensors`.
 
     One node whose parents are the parameter leaves; it keeps each layer's
-    input for the backward pass.  Several forward nodes may share one set of
-    leaves; their gradients add up in :func:`backward`.
+    input for the backward pass.  A graph may hold several forward nodes
+    over one set of leaves: :func:`backward` adds up their gradients.
     """
     if len(tensors) < 2 or len(tensors) % 2 != 0:
         raise ValueError("expected an even-length W,b tensor list")
@@ -205,9 +205,9 @@ def backward(param_ts: list[Tensor], loss: Tensor) -> list[np.ndarray]:
     """Backpropagate a scalar loss and collect per-parameter gradients.
 
     Each node's gradient is pushed to its parents as soon as it is known;
-    backprop is linear, so a node reached along two paths may pass each
-    share on separately.  Raises if any parameter tensor is not part of the
-    loss graph.
+    backprop is linear, so a node reached along several paths may pass each
+    share on separately, and a leaf shared by several nodes sums its shares.
+    Raises if any parameter tensor is not part of the loss graph.
     """
     if loss.value.size != 1:
         raise ValueError("backward() requires a scalar loss")

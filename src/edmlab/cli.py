@@ -162,13 +162,15 @@ def parse_config(flag_values: dict, config_path: str | None,
                  command: str) -> tuple[TrainConfig, dict]:
     """Resolve every configuration key: flag > config file > default.
 
-    Returns the training configuration and the flat dict of all resolved
-    values (paths and benchmark geometry included).
+    Returns the training configuration and the resolved value of every key
+    ``command`` reads; ``run`` on a given manifest reads what ``train``
+    reads, because the manifest fixes the benchmark geometry.
     Raises ConfigError for unknown keys and for non-finite or out-of-range
-    values, naming the offending flag, and for a config-file key that
-    ``command`` does not read.
+    values, naming the offending flag, and for a flag or config-file key
+    that ``command`` does not read.
     """
     resolved = {k: spec.default for k, spec in _KEYS.items()}
+    explicit: dict[str, str] = {}  # key -> where it was set
 
     if config_path is not None:
         path = Path(config_path)
@@ -185,19 +187,25 @@ def parse_config(flag_values: dict, config_path: str | None,
             key = key.strip().replace("-", "_")
             if key not in _KEYS:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            if key not in _COMMAND_KEYS[command]:
-                raise ConfigError(
-                    f"{path}:{lineno}: key {key!r} is not read by {command}")
             try:
                 resolved[key] = _KEYS[key].cast(value.strip())
             except ValueError:
                 raise ConfigError(
                     f"{path}:{lineno}: {key} must be {_KEYS[key].rule}, "
                     f"got {value.strip()!r}") from None
+            explicit[key] = f"{path}:{lineno}: key {key!r}"
 
     for key, value in flag_values.items():
         if key in _KEYS and value is not None:
             resolved[key] = value
+            explicit[key] = _flag(key)
+
+    on_manifest = command == "run" and resolved["manifest"] is not None
+    read = _COMMAND_KEYS["train" if on_manifest else command]
+    for key, source in explicit.items():
+        if key not in read:
+            raise ConfigError(f"{source} is not read by {command}"
+                              + (" with --manifest" if on_manifest else ""))
 
     env_seed = os.environ.get("EDM_SEED")
     if env_seed is not None:
@@ -246,7 +254,7 @@ def parse_config(flag_values: dict, config_path: str | None,
         cfg.validate()
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    return cfg, resolved
+    return cfg, {key: resolved[key] for key in read}
 
 
 @dataclass
@@ -294,7 +302,7 @@ def _config_snapshot(command: str, resolved: dict, cfg: TrainConfig) -> dict:
     How the data were corrupted is not here: each manifest's own header
     records it, and ``input_digests`` pins the manifests.
     """
-    snapshot = {key: resolved[key] for key in _COMMAND_KEYS[command]}
+    snapshot = dict(resolved)
     if command == "eval":
         return snapshot
     snapshot.update({

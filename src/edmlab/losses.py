@@ -142,41 +142,33 @@ def reg_loss_t(mean_probs: Tensor) -> Tensor:
     return Tensor(value, (mean_probs,), lambda g: (g * d_mean,))
 
 
-def dm_batch_loss_t(logits_x: Tensor | None, labels_x: np.ndarray | None,
-                    logits_u: Tensor | None, targets_u: np.ndarray | None,
+def dm_batch_loss_t(logits: Tensor, targets: np.ndarray, n_x: int,
                     weights: LossWeights) -> tuple[Tensor, dict]:
-    """Combined objective over a labeled and an unlabeled mixed batch.
+    """Combined objective over the logits of one mixed batch of n rows.
 
-    Either part may be absent (None); its term is then a constant zero.  The
-    uniformity penalty uses the mean prediction over all rows present.
-    Returns one scalar node over the logits present, plus the float value
-    of each component.
+    The first ``n_x`` rows, ``0 < n_x <= n``, are labeled and score
+    cross-entropy against their targets; the rest (none when ``n_x == n``)
+    are unlabeled and score squared error.  The uniformity penalty uses the
+    mean prediction over every row.  Returns one scalar node over
+    ``logits``, plus the float value of each component.
     """
-    parts = [t for t in (logits_x, logits_u) if t is not None]
-    if not parts:
-        raise ValueError("combined loss needs at least one batch part")
-    probs = [softmax_probs(t.value) for t in parts]
-    row_sums = probs[0].sum(axis=0)
-    for p in probs[1:]:
-        row_sums = row_sums + p.sum(axis=0)
-    scale = 1.0 / sum(p.shape[0] for p in probs)
-    l_reg, d_mean = _reg(row_sums * scale)
+    n = logits.value.shape[0]
+    if not 0 < n_x <= n:
+        raise ValueError(f"n_x must lie in (0, {n}], got {n_x}")
+    p = softmax_probs(logits.value)
+    scale = 1.0 / n
+    l_reg, d_mean = _reg(p.sum(axis=0) * scale)
+    d_p = np.empty_like(p)
+    l_x, d_p[:n_x] = _ce(p[:n_x], targets[:n_x])
+    l_u = 0.0
+    if n_x < n:
+        l_u, d_u = _mse(p[n_x:], targets[n_x:])
+        d_p[n_x:] = weights.lambda_u * d_u
     # every probability row feeds the mean prediction with weight ``scale``
-    d_shared = (weights.lambda_reg * scale) * d_mean
+    d_p += (weights.lambda_reg * scale) * d_mean
 
-    l_x = l_u = 0.0
-    d_probs = []
-    if logits_x is not None:
-        l_x, d_p = _ce(probs[0], labels_x)
-        d_probs.append(d_p + d_shared)
-    if logits_u is not None:
-        l_u, d_p = _mse(probs[-1], targets_u)
-        d_probs.append(weights.lambda_u * d_p + d_shared)
-
-    def backprop(g):
-        return [_softmax_backprop(p, g * d) for p, d in zip(probs, d_probs)]
-
-    total = Tensor(weights.combine(l_x, l_u, l_reg), parts, backprop)
+    total = Tensor(weights.combine(l_x, l_u, l_reg), (logits,),
+                   lambda g: (_softmax_backprop(p, g * d_p),))
     components = {
         "labeled": float(l_x),
         "unlabeled": float(l_u),

@@ -101,6 +101,9 @@ class TrainConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        for name in ("learning_rate", "temperature", "mix_alpha"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
@@ -299,8 +302,9 @@ def train_netd_epoch(netd: ModelParams, feats: np.ndarray, labels: np.ndarray,
     Runs ceil(|X|/batch) iterations.  Each iteration augments its labeled
     and unlabeled batches M times, co-refines labels and sharpens guesses
     under no-grad forwards, mixes everything against a shuffled union, and
-    takes one SGD step on the combined objective.  Samples in O are never
-    touched.  An empty X skips the epoch with a warning.
+    takes one forward pass and one SGD step over that whole mixed batch on
+    the combined objective.  Samples in O are never touched.  An empty X
+    skips the epoch with a warning.
     """
     if len(part.x_idx) == 0:
         log.warning("labeled set X is empty this epoch; classifier update skipped")
@@ -317,37 +321,27 @@ def train_netd_epoch(netd: ModelParams, feats: np.ndarray, labels: np.ndarray,
 
     for it in range(num_iters):
         xb = x_order[it * batch:(it + 1) * batch]
-        if len(u_idx) > 0:
-            ub = rng.choice(u_idx, size=batch, replace=len(u_idx) < batch)
+        ub = (rng.choice(u_idx, size=batch, replace=len(u_idx) < batch)
+              if len(u_idx) > 0 else None)
+
+        # labeled rows first: co-refined, sharpened targets on M views
+        views, p_mean = guess_unlabeled(netd, feats[xb], m, rng)
+        targets = [co_refine(labels[xb], split.w[xb], p_mean, cfg.temperature)] * m
+
+        # then unlabeled rows: sharpened average-of-views pseudo-labels
+        if ub is not None:
             used_unlabeled.append(ub)
-        else:
-            ub = np.empty(0, dtype=np.int64)
-
-        # labeled part: co-refined, sharpened targets on M views
-        views_x, p_mean = guess_unlabeled(netd, feats[xb], m, rng)
-        refined = co_refine(labels[xb], split.w[xb], p_mean, cfg.temperature)
-        pool_inputs = views_x
-        pool_targets = [refined] * m
-
-        # unlabeled part: sharpened average-of-views pseudo-labels
-        if len(ub) > 0:
             views_u, q_mean = guess_unlabeled(netd, feats[ub], m, rng)
-            guessed = temp_sharpen(q_mean, cfg.temperature)
-            pool_inputs = pool_inputs + views_u
-            pool_targets = pool_targets + [guessed] * m
+            views += views_u
+            targets += [temp_sharpen(q_mean, cfg.temperature)] * m
 
-        mixed = mixmatch_batch(np.concatenate(pool_inputs, axis=0),
-                               np.concatenate(pool_targets, axis=0),
+        mixed = mixmatch_batch(np.concatenate(views, axis=0),
+                               np.concatenate(targets, axis=0),
                                cfg.mix_alpha, rng)
-        n_x = m * len(xb)
         ts = param_tensors(netd)
-        logits_x = forward_logits_t(ts, mixed.inputs[:n_x])
-        logits_u = (forward_logits_t(ts, mixed.inputs[n_x:])
-                    if len(ub) > 0 else None)
-        total, comps = dm_batch_loss_t(
-            logits_x, mixed.targets[:n_x], logits_u,
-            mixed.targets[n_x:] if len(ub) > 0 else None, cfg.loss_weights,
-        )
+        total, comps = dm_batch_loss_t(forward_logits_t(ts, mixed.inputs),
+                                       mixed.targets, m * len(xb),
+                                       cfg.loss_weights)
         if not np.isfinite(total.value):
             raise NumericsError(
                 f"non-finite combined loss at iteration {it}: {comps}"

@@ -142,6 +142,8 @@ def test_02_gradient_fidelity(capsys):
         y_lab = rng.dirichlet(np.ones(4), size=12)
         x_unl = rng.normal(size=(12, 6))
         y_unl = rng.dirichlet(np.ones(4), size=12)
+        x_mix = np.concatenate([x_lab, x_unl])
+        y_mix = np.concatenate([y_lab, y_unl])
 
         def sl_graph():
             ts = param_tensors(model)
@@ -154,9 +156,8 @@ def test_02_gradient_fidelity(capsys):
 
         def dm_graph():
             ts = param_tensors(model)
-            total, _ = dm_batch_loss_t(forward_logits_t(ts, x_lab), y_lab,
-                                       forward_logits_t(ts, x_unl), y_unl,
-                                       weights)
+            total, _ = dm_batch_loss_t(forward_logits_t(ts, x_mix), y_mix,
+                                       len(x_lab), weights)
             return ts, total
 
         bounds = np.cumsum([a.size for a in arrays])

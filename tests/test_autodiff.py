@@ -95,23 +95,37 @@ class TestBackwardHandCases:
         z = rng.normal(size=(6, 3))
         y = np.eye(3)[rng.integers(0, 3, size=6)]
         t = rng.dirichlet(np.ones(3), size=6)
-        w = LossWeights(lambda_u=25.0, lambda_reg=0.0)
-        both = _grad(lambda lz: dm_batch_loss_t(lz, y, lz, t, w)[0], z)
+
+        def ce_plus_mse(lx, lu):
+            """ce(lx) + 25·mse(lu) as one test-local node over two parents."""
+            ce = ce_batch_loss_t(softmax_t(lx), y)
+            mse = mse_batch_loss_t(softmax_t(lu), t)
+            return Tensor(ce.value + 25.0 * mse.value, (ce, mse),
+                          lambda g: (g, 25.0 * g))
+
+        both = _grad(lambda lz: ce_plus_mse(lz, lz), z)
         ce = _grad(lambda lz: ce_batch_loss_t(softmax_t(lz), y), z)
         mse = _grad(lambda lz: mse_batch_loss_t(softmax_t(lz), t), z)
         np.testing.assert_allclose(both, ce + 25.0 * mse, rtol=1e-12, atol=1e-15)
 
-        # two forward nodes over one set of parameter leaves
+        # two forward nodes over one set of parameter leaves, against one
+        # forward node used twice and one mixed batch holding both halves
         m = init_model((4, 6, 3), seed=2)
         x = rng.normal(size=(6, 4))
         ts = param_tensors(m)
-        shared = backward(ts, dm_batch_loss_t(forward_logits_t(ts, x), y,
-                                              forward_logits_t(ts, x), t, w)[0])
+        shared = backward(ts, ce_plus_mse(forward_logits_t(ts, x),
+                                          forward_logits_t(ts, x)))
         ts = param_tensors(m)
         once = forward_logits_t(ts, x)
-        single = backward(ts, dm_batch_loss_t(once, y, once, t, w)[0])
-        for a, b in zip(shared, single):
+        single = backward(ts, ce_plus_mse(once, once))
+        ts = param_tensors(m)
+        w = LossWeights(lambda_u=25.0, lambda_reg=0.0)
+        mixed = backward(ts, dm_batch_loss_t(
+            forward_logits_t(ts, np.concatenate([x, x])),
+            np.concatenate([y, t]), 6, w)[0])
+        for a, b, c in zip(shared, single, mixed):
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(c, b, rtol=1e-12, atol=1e-15)
 
     def test_division_gradients(self):
         """Evidence loss at logits (1, 1), label (1, 0), by hand.
@@ -217,20 +231,17 @@ class TestBackwardFiniteDifference:
     def test_composite_expression_gradcheck(self):
         """The combined objective matches central differences at its logits."""
         rng = np.random.default_rng(3)
-        zx = rng.normal(size=(4, 5))
-        zu = rng.normal(size=(3, 5))
-        yx = rng.dirichlet(np.ones(5), size=4)
-        tu = rng.dirichlet(np.ones(5), size=3)
+        z = np.concatenate([rng.normal(size=(4, 5)), rng.normal(size=(3, 5))])
+        targets = np.concatenate([rng.dirichlet(np.ones(5), size=4),
+                                  rng.dirichlet(np.ones(5), size=3)])
         w = LossWeights(lambda_u=3.0, lambda_reg=2.0)
 
-        def loss_of(lx, lu):
-            return dm_batch_loss_t(lx, yx, lu, tu, w)[0]
+        def loss_of(lz):
+            return dm_batch_loss_t(lz, targets, 4, w)[0]
 
-        gx, gu = _grad(loss_of, zx, zu)
-        coords = [(a, i) for a, arr in enumerate((zx, zu)) for i in range(arr.size)]
-        numeric = central_diff_at(
-            lambda: float(loss_of(Tensor(zx), Tensor(zu)).value), [zx, zu], coords)
-        analytic = np.concatenate([gx.reshape(-1), gu.reshape(-1)])
+        analytic = _grad(loss_of, z).reshape(-1)
+        numeric = central_diff_at(lambda: float(loss_of(Tensor(z)).value), [z],
+                                  [(0, i) for i in range(z.size)])
         assert rel_err(analytic, numeric).max() < 1e-6
 
     def test_deep_chain_does_not_recurse(self):

@@ -318,6 +318,34 @@ class TestRun:
         assert not (out_dir / "train.manifest").exists()
         assert (out_dir / "netd_last.ckpt").is_file()
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_geometry_with_given_manifests_rejected(self, tmp_path, capsys,
+                                                    source):
+        """A given manifest fixes the geometry; setting it exits 2 up front."""
+        train, test = gen_pair(tmp_path)
+        conf = tmp_path / "exp.conf"
+        conf.write_text("epochs=1\nrho=0.9\n")
+        extra = (("--per-class", 3) if source == "flag"
+                 else ("--config", conf))
+        out_dir = tmp_path / "out"
+        capsys.readouterr()
+        assert run_cli("run", "--manifest", train, "--test-manifest", test,
+                       *extra, "--out-dir", out_dir) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert ("--per-class" in err if source == "flag"
+                else f"{conf}:2: key 'rho'" in err)
+        assert not out_dir.exists()
+
+    def test_given_manifests_record_no_geometry(self, tmp_path):
+        train, test = gen_pair(tmp_path)
+        out_dir = tmp_path / "out"
+        assert run_cli("run", "--manifest", train, "--test-manifest", test,
+                       "--epochs", 1, "--warmup-d", 1, "--warmup-s", 2,
+                       "--out-dir", out_dir) == EXIT_OK
+        config = json.loads((out_dir / "run_manifest.json").read_text())["config"]
+        assert not set(config) & set(cli._GEOMETRY)
+        assert config["manifest"] == str(train)
+
     def test_half_specified_manifests_rejected(self, tmp_path):
         train, _ = gen_pair(tmp_path)
         assert run_cli("run", "--manifest", train,

@@ -326,9 +326,8 @@ class TestTensorVersionsAgree:
 
     def test_dm_batch_combination(self):
         w = LossWeights(lambda_u=25.0, lambda_reg=1.0)
-        lx = Tensor(self.logits[:10])
-        lu = Tensor(self.logits[10:])
-        total, comps = dm_batch_loss_t(lx, self.labels[:10], lu, self.soft[10:], w)
+        targets = np.concatenate([self.labels[:10], self.soft[10:]])
+        total, comps = dm_batch_loss_t(Tensor(self.logits), targets, 10, w)
         probs = softmax_probs(self.logits)
         want_x = _ce_mean(probs[:10], self.labels[:10])
         want_u = _mse_mean(probs[10:], self.soft[10:])
@@ -340,13 +339,19 @@ class TestTensorVersionsAgree:
                                    rtol=1e-12)
 
     def test_dm_batch_without_unlabeled_part(self):
+        """n_x equal to the row count: every row is labeled."""
         w = LossWeights(lambda_u=25.0, lambda_reg=1.0)
-        lx = Tensor(self.logits)
-        total, comps = dm_batch_loss_t(lx, self.labels, None, None, w)
+        total, comps = dm_batch_loss_t(Tensor(self.logits), self.labels, 16, w)
         assert comps["unlabeled"] == 0.0
         probs = softmax_probs(self.logits)
         want = _ce_mean(probs, self.labels) + _reg_ref(probs.mean(axis=0))
         np.testing.assert_allclose(total.value, want, rtol=1e-12)
+
+    @pytest.mark.parametrize("n_x", [0, -1, 17])
+    def test_dm_batch_rejects_labeled_count_outside_rows(self, n_x):
+        w = LossWeights()
+        with pytest.raises(ValueError, match="n_x"):
+            dm_batch_loss_t(Tensor(self.logits), self.labels, n_x, w)
 
 
 class TestLossGradients:
@@ -379,18 +384,19 @@ class TestLossGradients:
 
     def test_dm_gradcheck(self):
         rng = np.random.default_rng(8)
-        labels = np.eye(4)[rng.integers(0, 4, size=8)]
-        targets = rng.dirichlet(np.ones(4), size=8)
+        labels = np.eye(4)[rng.integers(0, 4, size=5)]
+        guesses = rng.dirichlet(np.ones(4), size=3)
+        targets = np.concatenate([labels, guesses])
         w = LossWeights(lambda_u=25.0, lambda_reg=1.0)
 
         def make(lg):
-            total, _ = dm_batch_loss_t(lg, labels, lg, targets, w)
+            total, _ = dm_batch_loss_t(lg, targets, 5, w)
             return total
 
         self._check(make, seed=8)
 
     def test_dm_gradient_without_unlabeled_part(self):
-        """logits_u=None, logits (ln 3, 0), label (0, 1), by hand.
+        """n_x equal to the one row, logits (ln 3, 0), label (0, 1), by hand.
 
         p = (3/4, 1/4): cross-entropy gives p - y = (3/4, -3/4); the
         regulariser's mean is p itself, dR/dp = -(1/2)/p = (-2/3, -2), which
@@ -398,7 +404,7 @@ class TestLossGradients:
         """
         z = Tensor(np.array([[np.log(3.0), 0.0]]))
         w = LossWeights(lambda_u=25.0, lambda_reg=2.0)
-        total, comps = dm_batch_loss_t(z, np.array([[0.0, 1.0]]), None, None, w)
+        total, comps = dm_batch_loss_t(z, np.array([[0.0, 1.0]]), 1, w)
         assert comps["unlabeled"] == 0.0
         (grad,) = backward([z], total)
         np.testing.assert_allclose(grad, [[1.25, -1.25]], atol=1e-15)

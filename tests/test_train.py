@@ -78,8 +78,11 @@ class TestTrainConfig:
         np.testing.assert_allclose(cfg.lr_at(150), 0.002)
 
     def test_rejects_bad_values(self):
+        inf, nan = float("inf"), float("nan")
         for kw in (dict(num_augments=0), dict(temperature=0.0),
-                   dict(mix_alpha=0.0), dict(batch_size=0), dict(epochs=-1)):
+                   dict(mix_alpha=0.0), dict(batch_size=0), dict(epochs=-1),
+                   dict(temperature=inf), dict(mix_alpha=inf),
+                   dict(learning_rate=inf), dict(learning_rate=nan)):
             with pytest.raises(ValueError):
                 TrainConfig(**kw).validate()
 
@@ -304,6 +307,23 @@ class TestTrainNetdEpoch:
         assert "empty" in caplog.text
         for a, b in zip(model.flat(), before):
             np.testing.assert_array_equal(a, b)
+
+    def test_one_forward_pass_per_step(self, monkeypatch):
+        """Each step runs the network once over the whole mixed batch."""
+        import edmlab.train as train_mod
+
+        calls = []
+
+        def counting(ts, batch):
+            calls.append(batch.shape[0])
+            return forward_logits_t(ts, batch)
+
+        monkeypatch.setattr(train_mod, "forward_logits_t", counting)
+        ds, split, part, model, cfg, opt = self._setup(n_x=80, n_u=40)
+        stats = train_netd_epoch(model, *arrays(ds), split, part, cfg, opt,
+                                 np.random.default_rng(0))
+        assert stats.iterations == 2
+        assert len(calls) == stats.iterations
 
     def test_discarded_samples_never_used(self):
         ds, split, part, model, cfg, opt = self._setup(n_x=80, n_u=40)
