@@ -25,7 +25,11 @@ ROLE_NETD = "NetD"
 ROLE_NETS = "NetS"
 ROLES = (ROLE_NETD, ROLE_NETS)
 
-#: rows per call in :func:`forward_logits_chunked`
+#: rows per no-grad forward call over a whole dataset: in
+#: :func:`forward_logits_chunked` (the loss scan ``losses.sl_dataset_loss``
+#: and ``train.relabel_for_nets``), and in ``evaluation.test_accuracy``,
+#: ``evaluation.export_features`` and ``evaluation.export_posteriors``, which
+#: also write their CSV rows this many at a time
 FORWARD_CHUNK = 4096
 
 #: standard deviation of the Gaussian jitter :func:`augment` adds
@@ -137,7 +141,10 @@ def hidden_features(params: ModelParams, batch: np.ndarray) -> np.ndarray:
         raise ValueError(f"batch shape {x.shape} incompatible with input width "
                          f"{params.input_dim}")
     for w, b in zip(params.weights[:-1], params.biases[:-1]):
-        x = np.maximum(x @ w + b, 0.0)
+        # in place on the fresh product: one layer's array per step, not three
+        x = x @ w
+        x += b
+        np.maximum(x, 0.0, out=x)
     return x
 
 

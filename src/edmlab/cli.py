@@ -118,10 +118,11 @@ _KEYS: dict[str, _Key] = {
     "psi": _Key(int, _TRAIN.gmm.num_components, lambda v: v >= 3,
                 "an integer >= 3",
                 "mixture components of the loss-band classifier"),
-    "mu_min": _Key(float, _TRAIN.gmm.mu_min, lambda v: 0.0 < v < 1.0,
-                   "in (0, 1)", "upper mean bound of the clean band"),
-    "mu_max": _Key(float, _TRAIN.gmm.mu_max, lambda v: 0.0 < v < 1.0,
-                   "in (0, 1)", "lower mean bound of the closed-set band"),
+    # GmmConfig.validate owns the band rule 0 < mu_min < mu_max < 1
+    "mu_min": _Key(float, _TRAIN.gmm.mu_min, None, "a number",
+                   "upper mean bound of the clean band"),
+    "mu_max": _Key(float, _TRAIN.gmm.mu_max, None, "a number",
+                   "lower mean bound of the closed-set band"),
     "warmup_d": _Key(int, _TRAIN.warmup_epochs_netd, lambda v: v >= 0,
                      "an integer >= 0", "classifier warm-up epochs"),
     "warmup_s": _Key(int, _TRAIN.warmup_epochs_nets, lambda v: v >= 0,
@@ -226,15 +227,17 @@ def parse_config(flag_values: dict, config_path: str | None,
         if spec.check is not None and value is not None and not spec.check(value):
             raise ConfigError(
                 f"{_flag(key)} must be {spec.rule}, got {value}")
-    if resolved["mu_min"] >= resolved["mu_max"]:
-        raise ConfigError(
-            f"--mu-min must be below --mu-max, got "
-            f"{resolved['mu_min']} >= {resolved['mu_max']}")
     if resolved["classes"] > resolved["dim"]:
         raise ConfigError(
             f"--classes must not exceed --dim (each class centre takes its own "
             f"axis), got {resolved['classes']} > {resolved['dim']}")
 
+    gmm = GmmConfig(num_components=resolved["psi"],
+                    mu_min=resolved["mu_min"], mu_max=resolved["mu_max"])
+    try:
+        gmm.validate()
+    except ValueError as exc:
+        raise ConfigError(f"--mu-min/--mu-max: {exc}") from None
     try:
         cfg = TrainConfig(
             epochs=resolved["epochs"],
@@ -247,8 +250,7 @@ def parse_config(flag_values: dict, config_path: str | None,
             mix_alpha=resolved["mix_alpha"],
             loss_weights=LossWeights(lambda_u=resolved["lambda_u"],
                                      lambda_reg=resolved["lambda_reg"]),
-            gmm=GmmConfig(num_components=resolved["psi"],
-                          mu_min=resolved["mu_min"], mu_max=resolved["mu_max"]),
+            gmm=gmm,
             seed=resolved["seed"],
         )
         cfg.validate()
@@ -424,7 +426,9 @@ def _eval_into(model, train_ds: DatasetManifest, test_ds: DatasetManifest,
     The noise split (the confusion in eval.json, posteriors, loss histogram)
     comes from ``splitter``'s evidence losses, partitioned as in training;
     test accuracy and features come from ``model``.  Without a splitter,
-    ``model`` does both.
+    ``model`` does both.  The CSV exports write their rows to the files as
+    they go, ``FORWARD_CHUNK`` rows at a time; ``eval.json`` is written
+    last.  Returns the artifact names and the eval.json summary.
     """
     _, per_sample = sl_dataset_loss(model if splitter is None else splitter,
                                     train_ds)

@@ -6,16 +6,23 @@ provenance), and writes plain comma-separated exports — loss histograms
 by provenance, penultimate-layer features, per-sample posterior triples —
 for external plotting.  Everything here is a pure reader: deterministic,
 no mutation.
+
+Memory stays bounded on large manifests: :func:`test_accuracy` and
+:func:`export_features` run the network FORWARD_CHUNK rows at a time,
+:func:`export_posteriors` formats its rows that many at a time, and all
+three exports (with :func:`export_loss_histogram`) write each row to the
+open file as it is formatted instead of building the whole table first.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
-from .backbone import ModelParams, forward_logits, hidden_features
+from .backbone import FORWARD_CHUNK, ModelParams, forward_logits, hidden_features
 from .benchgen import DatasetManifest, Provenance
 from .gmm import Partition, PosteriorSplit
 
@@ -51,6 +58,12 @@ class SplitConfusion:
         self.balanced_accuracy = float(self.recall[present].mean())
 
 
+def _chunks(n: int):
+    """Slices that cover ``range(n)`` in order, FORWARD_CHUNK rows each."""
+    return (slice(start, start + FORWARD_CHUNK)
+            for start in range(0, n, FORWARD_CHUNK))
+
+
 def split_confusion(part: Partition, manifest: DatasetManifest) -> SplitConfusion:
     """Tally the three-way split training uses against ground-truth provenance."""
     sizes = part.sizes()
@@ -71,8 +84,12 @@ def test_accuracy(model: ModelParams, test_manifest: DatasetManifest) -> float:
         raise ValueError("test set is empty")
     if np.any(test_manifest.provenance != Provenance.CLEAN):
         raise ValueError("test set must be all-clean")
-    pred = np.argmax(forward_logits(model, test_manifest.features), axis=1)
-    return float(np.mean(pred == test_manifest.true_class))
+    hits = 0
+    for block in _chunks(len(test_manifest)):
+        logits = forward_logits(model, test_manifest.features[block])
+        hits += int(np.count_nonzero(
+            np.argmax(logits, axis=1) == test_manifest.true_class[block]))
+    return hits / len(test_manifest)
 
 
 @dataclass
@@ -102,6 +119,18 @@ class AccuracyReport:
 # -- comma-separated exports -------------------------------------------
 
 
+def _write_csv(path: str | os.PathLike, header: str, rows) -> None:
+    """Write ``header``, then one line per row of string fields, as ASCII.
+
+    ``rows`` may be a generator: lines go to the open file as they come, so
+    the table is never held whole.
+    """
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(row) + "\n")
+
+
 def export_loss_histogram(losses: np.ndarray, provenance: np.ndarray,
                           bins: int, path: str | os.PathLike) -> None:
     """Per-provenance histogram of normalized losses over uniform [0,1] bins.
@@ -115,45 +144,45 @@ def export_loss_histogram(losses: np.ndarray, provenance: np.ndarray,
     provenance = np.asarray(provenance)
     if losses.shape != provenance.shape:
         raise ValueError("losses and provenance must align")
-    edges = np.linspace(0.0, 1.0, bins + 1)
-    counts = []
-    for prov in GROUP_ORDER:
-        vals = losses[provenance == int(prov)]
-        hist, _ = np.histogram(vals, bins=edges)
-        counts.append(hist)
-    lines = ["bin_lo,bin_hi,clean,closed,open"]
-    for b in range(bins):
-        row = [repr(float(edges[b])), repr(float(edges[b + 1]))]
-        row.extend(str(int(c[b])) for c in counts)
-        lines.append(",".join(row))
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+    edges = np.linspace(0.0, 1.0, bins + 1).tolist()
+    counts = [np.histogram(losses[provenance == int(prov)], bins=edges)[0]
+              for prov in GROUP_ORDER]
+    _write_csv(path, "bin_lo,bin_hi,clean,closed,open",
+               ([repr(edges[b]), repr(edges[b + 1]),
+                 *(str(int(c[b])) for c in counts)] for b in range(bins)))
 
 
 def export_features(model: ModelParams, manifest: DatasetManifest,
                     path: str | os.PathLike) -> None:
     """One row per sample: id, provenance, penultimate activation vector."""
-    feats = hidden_features(model, manifest.features)
-    width = feats.shape[1]
-    header = "id,provenance," + ",".join(f"h{j}" for j in range(width))
-    lines = [header]
-    # tolist() yields Python floats, whose repr is the exported text
-    for i, (prov, values) in enumerate(zip(manifest.provenance.tolist(), feats)):
-        lines.append(",".join([str(i), str(prov), *map(repr, values.tolist())]))
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+
+    def rows(block: slice):
+        feats = hidden_features(model, manifest.features[block])
+        ids = range(block.start, block.start + len(feats))
+        provs = manifest.provenance[block].tolist()
+        for i, prov, values in zip(ids, provs, feats):
+            # tolist() yields Python floats, whose repr is the exported text
+            yield [str(i), str(prov), *map(repr, values.tolist())]
+
+    # a chunk's rows are a generator of their own, so its activations are
+    # freed before the next chunk's are computed
+    width = model.widths[-2]
+    _write_csv(path, "id,provenance," + ",".join(f"h{j}" for j in range(width)),
+               chain.from_iterable(map(rows, _chunks(len(manifest)))))
 
 
 def export_posteriors(losses: np.ndarray, split: PosteriorSplit,
                       provenance: np.ndarray, path: str | os.PathLike) -> None:
     """One row per sample: normalized loss, posterior triple, provenance."""
     losses = np.asarray(losses, dtype=np.float64)
+    provenance = np.asarray(provenance)
     if not (len(losses) == len(split) == len(provenance)):
         raise ValueError("losses, split, and provenance must align")
-    lines = ["loss,w,w_op,w_cl,provenance"]
-    rows = zip(losses.tolist(), split.w.tolist(), split.w_op.tolist(),
-               split.w_cl.tolist(), np.asarray(provenance).tolist())
-    for *values, prov in rows:
-        lines.append(",".join([*map(repr, values), str(prov)]))
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+    columns = (losses, split.w, split.w_op, split.w_cl)
+
+    def rows(block: slice):
+        return zip(*(map(repr, c[block].tolist()) for c in columns),
+                   map(str, provenance[block].tolist()))
+
+    _write_csv(path, "loss,w,w_op,w_cl,provenance",
+               chain.from_iterable(map(rows, _chunks(len(losses)))))

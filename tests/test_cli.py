@@ -121,6 +121,11 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="--mu-min"):
             parse_config({"mu_min": 0.7, "mu_max": 0.3}, None, "run")
 
+    @pytest.mark.parametrize("bounds", [{"mu_min": 0.0}, {"mu_max": 1.5}])
+    def test_band_bounds_must_lie_inside_the_unit_interval(self, bounds):
+        with pytest.raises(ConfigError, match="--mu-min/--mu-max"):
+            parse_config(bounds, None, "run")
+
 
 class TestGen:
     def test_writes_manifest_with_exact_counts(self, tmp_path):

@@ -1,9 +1,18 @@
 """Tests for the evaluation harness: accuracy, split confusion, exports."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from edmlab.backbone import ModelParams, ROLE_NETD, forward_logits, init_model
+from edmlab import evaluation
+from edmlab.backbone import (
+    ModelParams,
+    ROLE_NETD,
+    forward_logits,
+    hidden_features,
+    init_model,
+)
 from edmlab.benchgen import (
     DatasetManifest,
     NoiseSpec,
@@ -250,7 +259,6 @@ class TestExports:
         assert len(rows) == len(ds) + 1
         first = rows[1].split(",")
         assert len(first) == 2 + 16  # id, provenance, one column per unit
-        from edmlab.backbone import hidden_features
         h0 = hidden_features(model, ds.features[:1])[0]
         np.testing.assert_allclose(np.array(first[2:], dtype=np.float64), h0,
                                    atol=1e-6)
@@ -278,3 +286,76 @@ class TestExports:
         with pytest.raises(ValueError):
             export_posteriors(np.zeros(2), split, np.zeros(3, dtype=np.uint8),
                               tmp_path / "x.csv")
+
+
+class TestChunking:
+    """Evaluation runs and writes FORWARD_CHUNK rows at a time; the chunk
+    size must show in no result, and memory must follow it, not n."""
+
+    def _data(self):
+        clean = make_synthetic_clean(4, 10, 8, 0.5, seed=2)
+        pool = make_open_pool(2, 20, 8, 0.5, 8.0, seed=9)
+        ds = inject_noise(clean, pool, NoiseSpec(rho=0.5, omega=0.5, seed=3))
+        rng = np.random.default_rng(4)
+        triples = rng.dirichlet(np.ones(3), size=len(ds))
+        split = PosteriorSplit(w=triples[:, 0], w_op=triples[:, 1],
+                               w_cl=triples[:, 2])
+        return ds, rng.uniform(size=len(ds)), split
+
+    def _export(self, monkeypatch, tmp_path, chunk, model, ds, losses, split):
+        monkeypatch.setattr(evaluation, "FORWARD_CHUNK", chunk)
+        out = tmp_path / f"chunk{chunk}"
+        out.mkdir()
+        export_features(model, ds, out / "features.csv")
+        export_posteriors(losses, split, ds.provenance, out / "posteriors.csv")
+        return ((out / "features.csv").read_bytes(),
+                (out / "posteriors.csv").read_bytes())
+
+    def test_exports_do_not_depend_on_the_chunk(self, monkeypatch, tmp_path):
+        ds, losses, split = self._data()
+        assert len(ds) == 40 and len(set(ds.provenance.tolist())) == 3
+        model = init_model((8, 16, 16, 4), seed=5)
+        chunked = self._export(monkeypatch, tmp_path, 7, model, ds, losses,
+                               split)
+        whole = self._export(monkeypatch, tmp_path, 64, model, ds, losses,
+                             split)
+        assert chunked == whole
+
+        feats = hidden_features(model, ds.features)
+        want_features = ["id,provenance," + ",".join(f"h{j}" for j in range(16))]
+        want_features += [
+            ",".join([str(i), str(int(ds.provenance[i])),
+                      *(repr(float(v)) for v in feats[i])])
+            for i in range(len(ds))]
+        want_posteriors = ["loss,w,w_op,w_cl,provenance"]
+        want_posteriors += [
+            ",".join([*(repr(float(c[i])) for c in
+                        (losses, split.w, split.w_op, split.w_cl)),
+                      str(int(ds.provenance[i]))])
+            for i in range(len(ds))]
+        assert chunked[0].decode("ascii") == "\n".join(want_features) + "\n"
+        assert chunked[1].decode("ascii") == "\n".join(want_posteriors) + "\n"
+
+    def test_accuracy_does_not_depend_on_the_chunk(self, monkeypatch):
+        ds = _clean_blobs(per_class=10, seed=6)
+        model = init_model((8, 16, 4), seed=7)
+        pred = np.argmax(forward_logits(model, ds.features), axis=1)
+        want = float(np.mean(pred == ds.true_class))
+        assert 0.0 < want < 1.0
+        monkeypatch.setattr(evaluation, "FORWARD_CHUNK", 7)
+        assert model_accuracy(model, ds) == want
+
+    def test_feature_export_memory_follows_the_chunk(self, monkeypatch,
+                                                     tmp_path):
+        ds = _clean_blobs(per_class=500)
+        width = 64
+        model = init_model((8, width, width, 4), seed=0)
+        monkeypatch.setattr(evaluation, "FORWARD_CHUNK", 100)
+        whole_table = len(ds) * width * 8  # every activation as float64
+        tracemalloc.start()
+        try:
+            export_features(model, ds, tmp_path / "features.csv")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < whole_table / 4
