@@ -3,11 +3,14 @@
 The model is a fully connected network ``d -> hidden... -> K`` with rectifier
 activations between layers and linear outputs.  Inference and every no-grad
 pass (loss scans, label guessing, relabelling) use the plain numpy forward;
-whole datasets go through it in bounded chunks.  An SGD step builds a graph
-of a few fused :class:`Tensor` nodes (this forward, then the loss heads in
-:mod:`edmlab.losses`), each with a hand-derived backward; the test suite
-checks those gradients against finite differences.  The training views of a
-batch (:func:`augment`) add Gaussian jitter of the fixed scale JITTER_SIGMA.
+whole datasets go through it in bounded chunks.  An SGD step builds no
+graph: :func:`forward_logits_t` keeps each layer's input, a loss head in
+:mod:`edmlab.losses` returns its value and its gradient at the logits in
+closed form, :func:`backward` writes every parameter's gradient into one
+flat array laid out like ``ModelParams.buffer``, and :func:`sgd_step`
+updates that buffer in place.  The test suite checks those gradients
+against finite differences.  The training views of a batch
+(:func:`augment`) add Gaussian jitter of the fixed scale JITTER_SIGMA.
 
 Parameters live in float64 in memory; :mod:`edmlab.manifest_io` reads and
 writes them as checkpoints.
@@ -34,6 +37,18 @@ FORWARD_CHUNK = 4096
 
 #: standard deviation of the Gaussian jitter :func:`augment` adds
 JITTER_SIGMA = 0.05
+
+
+def _views(flat: np.ndarray, arrays: list[np.ndarray]) -> list[np.ndarray]:
+    """Views of ``flat`` shaped like ``arrays``, laid end to end."""
+    views, offset = [], 0
+    for arr in arrays:
+        views.append(flat[offset:offset + arr.size].reshape(arr.shape))
+        offset += arr.size
+    if offset != flat.size:
+        raise ValueError(f"flat array of {flat.size} values does not hold "
+                         f"parameters of {offset}")
+    return views
 
 
 @dataclass
@@ -71,10 +86,7 @@ class ModelParams:
             if not np.all(np.isfinite(arr)):
                 raise ValueError("non-finite model parameter")
         self.buffer = np.concatenate([a.ravel() for a in self.flat()], dtype=np.float64)
-        views, offset = [], 0
-        for arr in self.flat():
-            views.append(self.buffer[offset:offset + arr.size].reshape(arr.shape))
-            offset += arr.size
+        views = _views(self.buffer, self.flat())
         self.weights, self.biases = views[0::2], views[1::2]
 
     @property
@@ -118,7 +130,7 @@ def init_model(widths, seed: int, role: str = ROLE_NETD) -> ModelParams:
 
 def forward_logits(params: ModelParams, batch: np.ndarray) -> np.ndarray:
     """Plain-numpy forward pass; pure function of (params, batch)."""
-    return hidden_features(params, batch) @ params.weights[-1] + params.biases[-1]
+    return forward_logits_t(params.flat(), batch)[-1]
 
 
 def forward_logits_chunked(params: ModelParams, batch: np.ndarray) -> np.ndarray:
@@ -136,16 +148,7 @@ def forward_logits_chunked(params: ModelParams, batch: np.ndarray) -> np.ndarray
 
 def hidden_features(params: ModelParams, batch: np.ndarray) -> np.ndarray:
     """Activations of the last hidden layer (the penultimate representation)."""
-    x = np.asarray(batch, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != params.input_dim:
-        raise ValueError(f"batch shape {x.shape} incompatible with input width "
-                         f"{params.input_dim}")
-    for w, b in zip(params.weights[:-1], params.biases[:-1]):
-        # in place on the fresh product: one layer's array per step, not three
-        x = x @ w
-        x += b
-        np.maximum(x, 0.0, out=x)
-    return x
+    return forward_logits_t(params.flat(), batch)[-2]
 
 
 def softmax_probs(logits: np.ndarray) -> np.ndarray:
@@ -156,97 +159,80 @@ def softmax_probs(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-class Tensor:
-    """A node of one SGD step's graph: a value and how its gradient flows back.
+# The step functions below keep the names ``edmlab.train`` calls them by,
+# which perfbench/layers.py wraps to time each part of a step.
 
-    A leaf (``backprop`` is None) is a parameter array or a constant.  Every
-    other node is one fused operation (the network forward, a softmax, a loss
-    head) whose ``backprop(grad)`` maps the gradient of its output to one
-    gradient per parent, in closed form from arrays cached at forward time.
-    The closure never refers to its own node, so a step's graph holds no
-    reference cycles and is freed as soon as the step drops it.
+
+def param_tensors(params: ModelParams) -> list[np.ndarray]:
+    """The parameter arrays a step differentiates, in canonical flat order."""
+    return params.flat()
+
+
+def forward_logits_t(arrays: list[np.ndarray], batch: np.ndarray) -> list[np.ndarray]:
+    """Forward pass over the arrays from :func:`param_tensors`.
+
+    Returns the input of every layer followed by the logits: ``[-1]`` is
+    the logits and ``[-2]`` the last hidden layer.  A training step keeps
+    the list for :func:`backward`.
     """
+    x = np.asarray(batch, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != arrays[0].shape[0]:
+        raise ValueError(f"batch shape {x.shape} incompatible with input width "
+                         f"{arrays[0].shape[0]}")
+    acts = [x]
+    for w, b in zip(arrays[0:-2:2], arrays[1:-2:2]):
+        # in place on the fresh product: one array per layer, not three
+        x = x @ w
+        x += b
+        np.maximum(x, 0.0, out=x)
+        acts.append(x)
+    x = x @ arrays[-2]
+    x += arrays[-1]
+    acts.append(x)
+    return acts
 
-    __slots__ = ("value", "grad", "parents", "backprop", "__weakref__")
 
-    def __init__(self, value, parents=(), backprop=None):
-        self.value = np.asarray(value, dtype=np.float64)
-        self.grad: np.ndarray | None = None
-        self.parents: tuple[Tensor, ...] = tuple(parents)
-        self.backprop = backprop
+def backward(arrays: list[np.ndarray], acts: list[np.ndarray],
+             grad: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Backpropagate dL/dlogits through the network of one forward pass.
 
-
-def param_tensors(params: ModelParams) -> list[Tensor]:
-    """Leaf tensors over the parameters, in canonical flat order."""
-    return [Tensor(arr) for arr in params.flat()]
-
-
-def forward_logits_t(tensors: list[Tensor], batch: np.ndarray) -> Tensor:
-    """Differentiable forward pass through tensors from :func:`param_tensors`.
-
-    One node whose parents are the parameter leaves; it keeps each layer's
-    input for the backward pass.  A graph may hold several forward nodes
-    over one set of leaves: :func:`backward` adds up their gradients.
+    ``arrays`` and ``acts`` come from :func:`param_tensors` and
+    :func:`forward_logits_t`; ``grad`` is a head's gradient at
+    ``acts[-1]``.  Every weight and bias gradient is written into ``out``
+    (a new array when None), one flat float64 array laid out like
+    ``ModelParams.buffer``, which is returned.  The rectifier passes no
+    gradient where its output is exactly 0.
     """
-    if len(tensors) < 2 or len(tensors) % 2 != 0:
-        raise ValueError("expected an even-length W,b tensor list")
-    weights = [t.value for t in tensors[0::2]]
-    biases = [t.value for t in tensors[1::2]]
-    inputs = [np.asarray(batch, dtype=np.float64)]
-    for w, b in zip(weights[:-1], biases[:-1]):
-        inputs.append(np.maximum(inputs[-1] @ w + b, 0.0))
-    logits = inputs[-1] @ weights[-1] + biases[-1]
-
-    def backprop(grad):
-        grads = []
-        for i in range(len(weights) - 1, -1, -1):
-            grads += [grad.sum(axis=0), inputs[i].T @ grad]
-            if i:
-                grad = (grad @ weights[i].T) * (inputs[i] > 0.0)
-        return grads[::-1]
-
-    return Tensor(logits, tensors, backprop)
-
-
-def backward(param_ts: list[Tensor], loss: Tensor) -> list[np.ndarray]:
-    """Backpropagate a scalar loss and collect per-parameter gradients.
-
-    Each node's gradient is pushed to its parents as soon as it is known;
-    backprop is linear, so a node reached along several paths may pass each
-    share on separately, and a leaf shared by several nodes sums its shares.
-    Raises if any parameter tensor is not part of the loss graph.
-    """
-    if loss.value.size != 1:
-        raise ValueError("backward() requires a scalar loss")
-    for t in param_ts:
-        t.grad = None
-    pending = [(loss, np.ones_like(loss.value))]
-    while pending:
-        node, grad = pending.pop()
-        if node.backprop is None:
-            node.grad = grad if node.grad is None else node.grad + grad
-            continue
-        pending.extend(zip(node.parents, node.backprop(grad)))
-    grads = []
-    for i, t in enumerate(param_ts):
-        if t.grad is None:
-            raise ValueError(f"loss is not connected to parameter tensor {i}")
-        grads.append(t.grad)
-    return grads
+    if grad.shape != acts[-1].shape:
+        raise ValueError(f"gradient shape {grad.shape} does not match the "
+                         f"logits {acts[-1].shape}")
+    if out is None:
+        out = np.empty(sum(a.size for a in arrays))
+    views = _views(out, arrays)
+    for i in range(len(arrays) // 2 - 1, -1, -1):
+        np.add.reduce(grad, axis=0, out=views[2 * i + 1])
+        np.matmul(acts[i].T, grad, out=views[2 * i])
+        if i:
+            grad = grad @ arrays[2 * i].T
+            grad *= acts[i] > 0.0
+    return out
 
 
 @dataclass
 class OptimState:
-    """SGD-with-momentum state: the velocity, laid out like ``ModelParams.buffer``."""
+    """SGD-with-momentum state: the velocity, and a scratch array each step
+    reuses, both laid out like ``ModelParams.buffer``."""
 
     learning_rate: float
     momentum: float
     weight_decay: float
     velocity: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    scratch: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.learning_rate < 0 or self.momentum < 0 or self.weight_decay < 0:
             raise ValueError("optimizer hyperparameters must be non-negative")
+        self.scratch = np.empty_like(self.velocity)
 
 
 def init_optim(params: ModelParams, learning_rate: float, momentum: float,
@@ -259,27 +245,29 @@ def init_optim(params: ModelParams, learning_rate: float, momentum: float,
     )
 
 
-def sgd_step(params: ModelParams, grads: list[np.ndarray],
-             opt: OptimState) -> None:
+def sgd_step(params: ModelParams, grad: np.ndarray, opt: OptimState) -> None:
     """v <- m*v + g + wd*theta; theta <- theta - lr*v (in place).
 
-    Classic coupled weight decay: the decay term enters the velocity.
-    A non-finite gradient aborts the step before touching any parameter.
+    ``grad`` is one flat array laid out like ``params.buffer``, as
+    :func:`backward` writes it.  Classic coupled weight decay: the decay
+    term enters the velocity.  A non-finite gradient aborts the step
+    before any parameter or velocity changes.
     """
-    flat = params.flat()
-    if len(grads) != len(flat) or opt.velocity.shape != params.buffer.shape:
-        raise ValueError("gradient/velocity count does not match parameters")
-    for i, g in enumerate(grads):
-        if g.shape != flat[i].shape:
-            raise ValueError(f"gradient {i} shape {g.shape} != {flat[i].shape}")
-    grad = np.concatenate([g.ravel() for g in grads])
+    theta, v, tmp = params.buffer, opt.velocity, opt.scratch
+    if grad.shape != theta.shape or v.shape != theta.shape:
+        raise ValueError(f"gradient {grad.shape} and velocity {v.shape} must "
+                         f"match the parameter buffer {theta.shape}")
     if not np.isfinite(grad).all():
-        bad = next(i for i, g in enumerate(grads) if not np.isfinite(g).all())
-        raise NumericsError(f"non-finite gradient in parameter array {bad}")
-    v, theta = opt.velocity, params.buffer
+        bad = next(i for i, g in enumerate(_views(grad, params.flat()))
+                   if not np.isfinite(g).all())
+        raise NumericsError(f"non-finite gradient in parameter array {bad} "
+                            f"({'Wb'[bad % 2]}{bad // 2})")
+    np.multiply(theta, opt.weight_decay, out=tmp)
+    tmp += grad
     v *= opt.momentum
-    v += grad + opt.weight_decay * theta
-    theta -= opt.learning_rate * v
+    v += tmp
+    np.multiply(v, opt.learning_rate, out=tmp)
+    theta -= tmp
 
 
 def augment(batch: np.ndarray, rng: np.random.Generator) -> np.ndarray:

@@ -12,7 +12,8 @@ optional config file is flat ``key=value`` text whose keys mirror the flag
 names.  The ``EDM_SEED`` environment variable, when set, overrides any seed.
 Epoch logs are line-buffered JSON lines carrying a schema version field, and
 every output directory gets a run manifest snapshotting the config keys the
-command reads, input digests, timestamps, and the complete artifact list.
+command reads, input digests, timestamps, the environment, the outcome (with
+the error and exit code of a failure), and the artifact list.
 
 Exit codes: 0 success, 2 configuration error, 3 data/file error, 4 runtime
 (numerical or unexpected) failure.
@@ -21,14 +22,18 @@ Exit codes: 0 success, 2 configuration error, 3 data/file error, 4 runtime
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime
 import hashlib
 import json
 import math
 import os
+import platform
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .backbone import JITTER_SIGMA
@@ -61,6 +66,15 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_RUNTIME = 4
+
+#: exit code and message prefix of each known failure, most specific first
+_FAILURES = (
+    (ConfigError, EXIT_CONFIG, "config error"),
+    (DataError, EXIT_DATA, "data error"),
+    (FileNotFoundError, EXIT_DATA, "data error"),
+    (NumericsError, EXIT_RUNTIME, "numerics error"),
+)
+
 
 
 @dataclass
@@ -259,9 +273,24 @@ def parse_config(flag_values: dict, config_path: str | None,
     return cfg, {key: resolved[key] for key in read}
 
 
+def _environment() -> dict:
+    """What a run's bytes depend on beyond its config: bitwise determinism
+    holds only within one Python, numpy, platform and BLAS thread setting."""
+    u = platform.uname()
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        # not platform.platform(): it reads the interpreter binary (8 ms)
+        "platform": f"{u.system}-{u.release}-{u.machine}",
+        "threads": {name: os.environ.get(name) for name in
+                    ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
+    }
+
+
 @dataclass
 class RunManifest:
-    """Reproducibility record written next to every run's artifacts."""
+    """Reproducibility record written next to every run's artifacts when the
+    command ends; ``artifacts`` lists what the command completed."""
 
     command: str
     config: dict
@@ -270,24 +299,53 @@ class RunManifest:
     started_at: str = ""
     finished_at: str = ""
     outcome: str = "incomplete"
+    error: str | None = None
+    exit_code: int | None = None
+    environment: dict = field(default_factory=_environment)
     schema_version: int = SCHEMA_VERSION
     artifact_version: str = __version__
 
-    def write(self, out_dir: Path) -> None:
+    def end(self, out_dir: Path, exit_code: int, error: str | None = None) -> None:
+        """Record how the command ended, then write the manifest."""
+        self.finished_at = _utc_now()
+        self.outcome = "ok" if exit_code == EXIT_OK else "failed"
+        self.exit_code, self.error = exit_code, error
         self.artifacts = sorted(set(self.artifacts + ["run_manifest.json"]))
         payload = json.dumps(self.__dict__, sort_keys=True, indent=2)
         (out_dir / "run_manifest.json").write_text(payload + "\n")
 
-    def finish(self, out_dir: Path, artifacts: list) -> None:
-        """Record a successful end with its artifacts, then write."""
-        self.artifacts += artifacts
-        self.finished_at = _utc_now()
-        self.outcome = "ok"
-        self.write(out_dir)
+
+@contextlib.contextmanager
+def _recorded(command: str, resolved: dict, cfg: TrainConfig):
+    """Create the output directory and yield it with the command's manifest,
+    which is written when the block ends: as failed if the block raises."""
+    out_dir = Path(resolved["out_dir"])
+    out_dir.mkdir(parents=True, exist_ok=True)
+    manifest = RunManifest(command=command,
+                           config=_config_snapshot(command, resolved, cfg),
+                           started_at=_utc_now())
+    try:
+        yield out_dir, manifest
+    except Exception as exc:
+        manifest.end(out_dir, *_failure(exc))
+        raise
+    manifest.end(out_dir, EXIT_OK)
+
+
+def _failure(exc: Exception) -> tuple[int, str]:
+    """The exit code and the message that report ``exc``."""
+    for kind, code, label in _FAILURES:
+        if isinstance(exc, kind):
+            return code, f"{label}: {exc}"
+    return EXIT_RUNTIME, f"runtime error: {exc}"
 
 
 def _utc_now() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
+
+
+def _digests(*paths: Path) -> dict:
+    return {str(p): _sha256(p) for p in paths}
 
 
 def _sha256(path: str | os.PathLike) -> str:
@@ -488,18 +546,10 @@ def cmd_train(ns: argparse.Namespace) -> int:
     if resolved["algo"] == ALGO_EDM:
         _check_fit_size(len(train_ds), cfg.gmm.num_components, "--manifest")
 
-    out_dir = Path(resolved["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = RunManifest(
-        command="train",
-        config=_config_snapshot("train", resolved, cfg),
-        input_digests={str(train_path): _sha256(train_path),
-                       str(test_path): _sha256(test_path)},
-        started_at=_utc_now(),
-    )
-    outcome, artifacts = _train_into(train_ds, test_ds, cfg,
-                                     resolved["algo"], out_dir)
-    manifest.finish(out_dir, artifacts)
+    with _recorded("train", resolved, cfg) as (out_dir, manifest):
+        manifest.input_digests = _digests(train_path, test_path)
+        outcome, manifest.artifacts = _train_into(train_ds, test_ds, cfg,
+                                                  resolved["algo"], out_dir)
     acc = outcome.accuracy
     _emit({"event": "train", "out_dir": str(out_dir), "algo": resolved["algo"],
            "epochs": cfg.epochs,
@@ -522,17 +572,10 @@ def cmd_eval(ns: argparse.Namespace) -> int:
                  (model.input_dim, model.num_classes), train_ds)
     _check_fit_size(len(train_ds), cfg.gmm.num_components, "--manifest")
 
-    out_dir = Path(resolved["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = RunManifest(
-        command="eval",
-        config=_config_snapshot("eval", resolved, cfg),
-        input_digests={str(p): _sha256(p)
-                       for p in (ckpt_path, train_path, test_path)},
-        started_at=_utc_now(),
-    )
-    artifacts, summary = _eval_into(model, train_ds, test_ds, cfg.gmm, out_dir)
-    manifest.finish(out_dir, artifacts)
+    with _recorded("eval", resolved, cfg) as (out_dir, manifest):
+        manifest.input_digests = _digests(ckpt_path, train_path, test_path)
+        manifest.artifacts, summary = _eval_into(model, train_ds, test_ds,
+                                                 cfg.gmm, out_dir)
     _emit({"event": "eval", "out_dir": str(out_dir),
            "test_accuracy": summary["test_accuracy"],
            "split_balanced_accuracy": summary["split_balanced_accuracy"]})
@@ -559,30 +602,22 @@ def cmd_run(ns: argparse.Namespace) -> int:
         _check_fit_size(classes * per_class, cfg.gmm.num_components,
                         f"--per-class {per_class} x --classes {classes}")
 
-    out_dir = Path(resolved["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    artifacts: list[str] = []
-    if generated:
-        train_ds = _generate_benchmark(resolved)
-        test_ds = _generate_test_set(resolved)
-        train_path = out_dir / "train.manifest"
-        test_path = out_dir / "test.manifest"
-        save_manifest(train_ds, train_path)
-        save_manifest(test_ds, test_path)
-        artifacts += ["train.manifest", "test.manifest"]
-
-    manifest = RunManifest(
-        command="run",
-        config=_config_snapshot("run", resolved, cfg),
-        input_digests={str(train_path): _sha256(train_path),
-                       str(test_path): _sha256(test_path)},
-        started_at=_utc_now(),
-    )
-    outcome, train_artifacts = _train_into(train_ds, test_ds, cfg,
-                                           resolved["algo"], out_dir)
-    eval_artifacts, summary = _eval_into(outcome.netd, train_ds, test_ds,
-                                         cfg.gmm, out_dir, splitter=outcome.nets)
-    manifest.finish(out_dir, artifacts + train_artifacts + eval_artifacts)
+    with _recorded("run", resolved, cfg) as (out_dir, manifest):
+        if generated:
+            train_ds = _generate_benchmark(resolved)
+            test_ds = _generate_test_set(resolved)
+            train_path = out_dir / "train.manifest"
+            test_path = out_dir / "test.manifest"
+            save_manifest(train_ds, train_path)
+            save_manifest(test_ds, test_path)
+            manifest.artifacts += ["train.manifest", "test.manifest"]
+        manifest.input_digests = _digests(train_path, test_path)
+        outcome, artifacts = _train_into(train_ds, test_ds, cfg,
+                                         resolved["algo"], out_dir)
+        manifest.artifacts += artifacts
+        artifacts, summary = _eval_into(outcome.netd, train_ds, test_ds,
+                                        cfg.gmm, out_dir, splitter=outcome.nets)
+        manifest.artifacts += artifacts
     acc = outcome.accuracy
     _emit({"event": "run", "out_dir": str(out_dir), "algo": resolved["algo"],
            "generated_benchmark": generated, "epochs": cfg.epochs,
@@ -626,21 +661,10 @@ def main(argv=None) -> int:
     ns = build_parser().parse_args(argv)
     try:
         return ns.func(ns)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except FileNotFoundError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except NumericsError as exc:
-        print(f"numerics error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except Exception as exc:  # pragma: no cover - defensive catch-all
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+    except Exception as exc:  # every failure ends as a message and exit code
+        code, message = _failure(exc)
+        print(message, file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -2,10 +2,10 @@
 penalty, uniformity regularizer, and their weighted combination.
 
 Each objective has one implementation: batched numpy code for its value
-and its closed-form gradient.  The ``*_t`` functions wrap it as single
-:class:`~edmlab.backbone.Tensor` nodes for the training loop to
-differentiate, and the per-sample loss scan evaluates the same
-evidence-loss rows on plain arrays.
+and its closed-form gradient.  The ``*_t`` heads that a training step calls
+return a batch's loss value together with its gradient at the logits,
+which :func:`edmlab.backbone.backward` carries through the network; the
+per-sample loss scan evaluates the same evidence-loss rows on plain arrays.
 
 The evidence loss treats rectified logits plus one as the concentration of
 a Dirichlet opinion; its value decomposes into a squared error between the
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backbone import Tensor, forward_logits_chunked, softmax_probs
+from .backbone import forward_logits_chunked, softmax_probs
 
 #: probability floor applied inside every logarithm
 EPS = 1e-12
@@ -47,10 +47,11 @@ class LossWeights:
 
 # -- batched objectives (what training differentiates) -----------------
 #
-# Each head is one graph node with a hand-derived gradient.  The private
-# helpers compute a loss value with a fixed op order, and its gradient with
-# respect to their array input (the evidence loss, whose per-sample scan
-# needs values only, leaves the gradient to its node).
+# The private helpers compute a loss value with a fixed op order, and its
+# gradient with respect to their array input (the evidence loss, whose
+# per-sample scan needs values only, leaves the gradient to its head).  The
+# heads below return ``(value, dL/dlogits)``; ``edmlab.train`` calls them by
+# these names, which perfbench/layers.py wraps.
 
 
 def _softmax_backprop(p: np.ndarray, grad: np.ndarray) -> np.ndarray:
@@ -75,7 +76,8 @@ def _mse(p: np.ndarray, targets) -> tuple[np.floating, np.ndarray]:
 
 
 def _reg(mean_probs: np.ndarray) -> tuple[np.floating, np.ndarray]:
-    """Uniformity penalty of a mean prediction; see :func:`reg_loss_t`."""
+    """Divergence of a mean prediction from the uniform distribution: zero
+    exactly when it is uniform, growing as mass collapses onto few classes."""
     pi = 1.0 / mean_probs.shape[-1]
     floored = np.maximum(mean_probs, EPS)
     value = (pi * (np.log(pi) - np.log(floored))).sum()
@@ -97,65 +99,47 @@ def _sl_parts(logits: np.ndarray, labels: np.ndarray):
     return err + var, p, strength, var
 
 
-def softmax_t(logits: Tensor) -> Tensor:
-    """Row-wise softmax node (max-shifted for overflow safety)."""
-    p = softmax_probs(logits.value)
-    return Tensor(p, (logits,), lambda g: (_softmax_backprop(p, g),))
+#: the cross-entropy step's softmax, whose output :func:`ce_batch_loss_t` takes
+softmax_t = softmax_probs
 
 
-def sl_batch_loss_t(logits: Tensor, labels_one_hot: np.ndarray) -> Tensor:
-    """Mean evidence loss of a batch, as a scalar node over the logits."""
+def sl_batch_loss_t(logits, labels_one_hot) -> tuple[np.floating, np.ndarray]:
+    """Mean evidence loss of a batch and its gradient at the logits."""
     labels = np.asarray(labels_one_hot, dtype=np.float64)
-    z = logits.value
+    z = np.asarray(logits, dtype=np.float64)
     rows, p, strength, var = _sl_parts(z, labels)
     scale = 1.0 / rows.shape[0]
-
-    def backprop(g):
-        s1 = strength + 1.0
-        d_p = 2.0 * (p - labels) + (1.0 - 2.0 * p) / s1
-        d_alpha = ((d_p - (d_p * p).sum(axis=1, keepdims=True)) / strength
-                   - var[:, None] / s1)
-        return ((g * scale) * d_alpha * (z > 0.0),)
-
-    return Tensor(rows.sum() * scale, (logits,), backprop)
+    s1 = strength + 1.0
+    d_p = 2.0 * (p - labels) + (1.0 - 2.0 * p) / s1
+    d_alpha = ((d_p - (d_p * p).sum(axis=1, keepdims=True)) / strength
+               - var[:, None] / s1)
+    return rows.sum() * scale, scale * d_alpha * (z > 0.0)
 
 
-def ce_batch_loss_t(probs: Tensor, labels: np.ndarray) -> Tensor:
-    """Mean cross-entropy of a batch against (possibly soft) labels."""
-    value, d_p = _ce(probs.value, labels)
-    return Tensor(value, (probs,), lambda g: (g * d_p,))
+def ce_batch_loss_t(probs: np.ndarray, labels) -> tuple[np.floating, np.ndarray]:
+    """Mean cross-entropy of a batch against (possibly soft) labels.
 
-
-def mse_batch_loss_t(probs: Tensor, targets: np.ndarray) -> Tensor:
-    """Mean per-row squared Euclidean distance to fixed target distributions."""
-    value, d_p = _mse(probs.value, targets)
-    return Tensor(value, (probs,), lambda g: (g * d_p,))
-
-
-def reg_loss_t(mean_probs: Tensor) -> Tensor:
-    """Divergence of a mean prediction from the uniform distribution.
-
-    Zero exactly when the mean prediction is uniform; grows as mass
-    collapses onto few classes.
+    ``probs`` is the softmax of the logits (:func:`softmax_t`); the
+    gradient returned is the one at those logits.
     """
-    value, d_mean = _reg(mean_probs.value)
-    return Tensor(value, (mean_probs,), lambda g: (g * d_mean,))
+    value, d_p = _ce(probs, labels)
+    return value, _softmax_backprop(probs, d_p)
 
 
-def dm_batch_loss_t(logits: Tensor, targets: np.ndarray, n_x: int,
-                    weights: LossWeights) -> tuple[Tensor, dict]:
+def dm_batch_loss_t(logits: np.ndarray, targets: np.ndarray, n_x: int,
+                    weights: LossWeights) -> tuple[np.floating, np.ndarray, dict]:
     """Combined objective over the logits of one mixed batch of n rows.
 
     The first ``n_x`` rows, ``0 < n_x <= n``, are labeled and score
     cross-entropy against their targets; the rest (none when ``n_x == n``)
     are unlabeled and score squared error.  The uniformity penalty uses the
-    mean prediction over every row.  Returns one scalar node over
-    ``logits``, plus the float value of each component.
+    mean prediction over every row.  Returns the value, its gradient at
+    ``logits``, and the float value of each component.
     """
-    n = logits.value.shape[0]
+    n = logits.shape[0]
     if not 0 < n_x <= n:
         raise ValueError(f"n_x must lie in (0, {n}], got {n_x}")
-    p = softmax_probs(logits.value)
+    p = softmax_probs(logits)
     scale = 1.0 / n
     l_reg, d_mean = _reg(p.sum(axis=0) * scale)
     d_p = np.empty_like(p)
@@ -167,14 +151,13 @@ def dm_batch_loss_t(logits: Tensor, targets: np.ndarray, n_x: int,
     # every probability row feeds the mean prediction with weight ``scale``
     d_p += (weights.lambda_reg * scale) * d_mean
 
-    total = Tensor(weights.combine(l_x, l_u, l_reg), (logits,),
-                   lambda g: (_softmax_backprop(p, g * d_p),))
     components = {
         "labeled": float(l_x),
         "unlabeled": float(l_u),
         "regularizer": float(l_reg),
     }
-    return total, components
+    return (weights.combine(l_x, l_u, l_reg), _softmax_backprop(p, d_p),
+            components)
 
 
 # -- per-sample scan ---------------------------------------------------

@@ -251,24 +251,26 @@ def mixmatch_batch(inputs: np.ndarray, targets: np.ndarray, mix_alpha: float,
 def _minibatch_pass(what: str, head, model: ModelParams, feats: np.ndarray,
                     labels: np.ndarray, batch_size: int, opt: OptimState,
                     rng: np.random.Generator) -> float:
-    """One shuffled minibatch epoch of ``head(logits, labels)``; returns its mean."""
-    n = feats.shape[0]
-    order = rng.permutation(n)
+    """One minibatch epoch of ``head(logits, labels)`` over contiguous slices
+    of the rows shuffled once; returns its mean."""
+    order = rng.permutation(feats.shape[0])
+    feats, labels = feats[order], labels[order]
+    grad = np.empty_like(model.buffer)
     total, steps = 0.0, 0
-    for start in range(0, n, batch_size):
-        idx = order[start:start + batch_size]
-        ts = param_tensors(model)
-        loss = head(forward_logits_t(ts, feats[idx]), labels[idx])
-        if not np.isfinite(loss.value):
+    for start in range(0, len(order), batch_size):
+        arrays = param_tensors(model)
+        acts = forward_logits_t(arrays, feats[start:start + batch_size])
+        loss, d_logits = head(acts[-1], labels[start:start + batch_size])
+        if not math.isfinite(loss):
             raise NumericsError(f"non-finite {what} loss")
-        sgd_step(model, backward(ts, loss), opt)
-        total += float(loss.value)
+        sgd_step(model, backward(arrays, acts, d_logits, grad), opt)
+        total += float(loss)
         steps += 1
     return total / max(steps, 1)
 
 
-# The heads look their losses up in this module at call time, so a wrapper
-# installed on one of these names (perfbench's tracer) sees every call.
+# A step calls its functions, and a head its losses, through this module's
+# globals at call time, so a wrapper on one of them (perfbench's) sees every call.
 _ce_pass = partial(_minibatch_pass, "cross-entropy",
                    lambda logits, y: ce_batch_loss_t(softmax_t(logits), y))
 _sl_pass = partial(_minibatch_pass, "evidence",
@@ -317,6 +319,7 @@ def train_netd_epoch(netd: ModelParams, feats: np.ndarray, labels: np.ndarray,
     u_idx = part.u_idx
     num_iters = math.ceil(len(x_order) / batch)
     sums = np.zeros(3)
+    grad = np.empty_like(netd.buffer)
     used_unlabeled: list[np.ndarray] = []
 
     for it in range(num_iters):
@@ -338,15 +341,15 @@ def train_netd_epoch(netd: ModelParams, feats: np.ndarray, labels: np.ndarray,
         mixed = mixmatch_batch(np.concatenate(views, axis=0),
                                np.concatenate(targets, axis=0),
                                cfg.mix_alpha, rng)
-        ts = param_tensors(netd)
-        total, comps = dm_batch_loss_t(forward_logits_t(ts, mixed.inputs),
-                                       mixed.targets, m * len(xb),
-                                       cfg.loss_weights)
-        if not np.isfinite(total.value):
+        arrays = param_tensors(netd)
+        acts = forward_logits_t(arrays, mixed.inputs)
+        total, d_logits, comps = dm_batch_loss_t(acts[-1], mixed.targets,
+                                                 m * len(xb), cfg.loss_weights)
+        if not math.isfinite(total):
             raise NumericsError(
                 f"non-finite combined loss at iteration {it}: {comps}"
             )
-        sgd_step(netd, backward(ts, total), opt)
+        sgd_step(netd, backward(arrays, acts, d_logits, grad), opt)
         sums += (comps["labeled"], comps["unlabeled"], comps["regularizer"])
 
     return NetdEpochStats(

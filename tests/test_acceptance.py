@@ -16,7 +16,6 @@ from conftest import central_diff_at, rel_err
 from edmlab.backbone import (
     ROLE_NETD,
     ROLE_NETS,
-    Tensor,
     backward,
     forward_logits_t,
     init_model,
@@ -40,10 +39,10 @@ from edmlab.gmm import (
 )
 from edmlab.losses import (
     LossWeights,
+    _mse,
+    _reg,
     ce_batch_loss_t,
     dm_batch_loss_t,
-    mse_batch_loss_t,
-    reg_loss_t,
     sl_batch_loss_t,
     sl_dataset_loss,
     sl_losses_from_logits,
@@ -99,10 +98,10 @@ def test_01_loss_unit_values(capsys):
     start = time.monotonic()
 
     def one_row(head, probs, target):
-        return float(head(Tensor([probs]), [target]).value)
+        return float(head(np.array([probs], dtype=np.float64), [target])[0])
 
     def reg(mean_probs):
-        return float(reg_loss_t(Tensor(mean_probs)).value)
+        return float(_reg(np.asarray(mean_probs, dtype=np.float64))[0])
 
     sl = sl_losses_from_logits([[0.0, 0.0], [2.0, -1.0], [2.0, -1.0]],
                                [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -113,9 +112,9 @@ def test_01_loss_unit_values(capsys):
         (one_row(ce_batch_loss_t, [0.5, 0.5], [1.0, 0.0]), np.log(2.0)),
         (one_row(ce_batch_loss_t, np.full(10, 0.1), np.eye(10)[3]), np.log(10.0)),
         (one_row(ce_batch_loss_t, [0.9, 0.1], [1.0, 0.0]), -np.log(0.9)),
-        (one_row(mse_batch_loss_t, [0.5, 0.5], [0.75, 0.25]), 0.125),
-        (one_row(mse_batch_loss_t, [0.0, 1.0], [1.0, 0.0]), 2.0),
-        (one_row(mse_batch_loss_t, [0.3, 0.7], [0.3, 0.7]), 0.0),
+        (one_row(_mse, [0.5, 0.5], [0.75, 0.25]), 0.125),
+        (one_row(_mse, [0.0, 1.0], [1.0, 0.0]), 2.0),
+        (one_row(_mse, [0.3, 0.7], [0.3, 0.7]), 0.0),
         (reg(np.full(4, 0.25)), 0.0),
         (reg([0.75, 0.25]), 0.5 * np.log(4.0 / 3.0)),
         (LossWeights().combine(1.0, 0.1, reg(np.full(4, 0.25))), 3.5),
@@ -137,7 +136,7 @@ def test_02_gradient_fidelity(capsys):
     for seed in range(5):
         rng = np.random.default_rng(1000 + seed)
         model = init_model((6, 16, 4), seed=seed)
-        arrays = model.flat()
+        arrays = param_tensors(model)
         x_lab = rng.normal(size=(12, 6))
         y_lab = rng.dirichlet(np.ones(4), size=12)
         x_unl = rng.normal(size=(12, 6))
@@ -145,33 +144,29 @@ def test_02_gradient_fidelity(capsys):
         x_mix = np.concatenate([x_lab, x_unl])
         y_mix = np.concatenate([y_lab, y_unl])
 
-        def sl_graph():
-            ts = param_tensors(model)
-            return ts, sl_batch_loss_t(forward_logits_t(ts, x_lab), y_lab)
+        # each head maps the logits to (value, dL/dlogits)
+        def sl_head(logits):
+            return sl_batch_loss_t(logits, y_lab)
 
-        def ce_graph():
-            ts = param_tensors(model)
-            return ts, ce_batch_loss_t(softmax_t(forward_logits_t(ts, x_lab)),
-                                       y_lab)
+        def ce_head(logits):
+            return ce_batch_loss_t(softmax_t(logits), y_lab)
 
-        def dm_graph():
-            ts = param_tensors(model)
-            total, _ = dm_batch_loss_t(forward_logits_t(ts, x_mix), y_mix,
-                                       len(x_lab), weights)
-            return ts, total
+        def dm_head(logits):
+            return dm_batch_loss_t(logits, y_mix, len(x_lab), weights)[:2]
 
         bounds = np.cumsum([a.size for a in arrays])
-        for graph in (sl_graph, ce_graph, dm_graph):
+        for head, x in ((sl_head, x_lab), (ce_head, x_lab), (dm_head, x_mix)):
             picks = rng.integers(0, bounds[-1], size=100)
             coords = []
             for pick in picks:
                 ai = int(np.searchsorted(bounds, pick, side="right"))
                 coords.append((ai, int(pick - (bounds[ai - 1] if ai else 0))))
-            ts, loss = graph()
-            grads = backward(ts, loss)
-            analytic = np.array([grads[ai].reshape(-1)[fi] for ai, fi in coords])
-            numeric = central_diff_at(lambda: float(graph()[1].value),
-                                      arrays, coords)
+            acts = forward_logits_t(arrays, x)
+            grad = backward(arrays, acts, head(acts[-1])[1])
+            analytic = grad[picks]
+            numeric = central_diff_at(
+                lambda: float(head(forward_logits_t(arrays, x)[-1])[0]),
+                arrays, coords)
             worst = max(worst, rel_err(analytic, numeric).max())
     elapsed = time.monotonic() - start
     ok = worst <= 1e-3 and elapsed < 30.0

@@ -7,8 +7,6 @@ from conftest import central_diff_at, rel_err
 from edmlab.backbone import (
     JITTER_SIGMA,
     ModelParams,
-    OptimState,
-    Tensor,
     augment,
     backward,
     forward_logits,
@@ -80,8 +78,8 @@ class TestForward:
     def test_tensor_path_matches_numpy_path(self):
         m = init_model((6, 16, 16, 4), seed=9)
         x = np.random.default_rng(0).normal(size=(10, 6))
-        logits_t = forward_logits_t(param_tensors(m), x)
-        np.testing.assert_allclose(logits_t.value, forward_logits(m, x), rtol=1e-12)
+        logits_t = forward_logits_t(param_tensors(m), x)[-1]
+        np.testing.assert_allclose(logits_t, forward_logits(m, x), rtol=1e-12)
 
     def test_hidden_features_feed_final_layer(self):
         m = init_model((6, 16, 4), seed=9)
@@ -118,18 +116,21 @@ class TestBackward:
         m = init_model((3, 4, 2), seed=0, role="NetS")
         m.biases[-1][:] = -1e3
         x = np.random.default_rng(0).normal(size=(5, 3))
-        ts = param_tensors(m)
-        grads = backward(ts, sl_batch_loss_t(forward_logits_t(ts, x),
-                                             np.eye(2)[[0, 1, 0, 1, 0]]))
-        for g in grads:
-            assert np.all(g == 0.0)
+        arrays = param_tensors(m)
+        acts = forward_logits_t(arrays, x)
+        _, d_logits = sl_batch_loss_t(acts[-1], np.eye(2)[[0, 1, 0, 1, 0]])
+        grad = backward(arrays, acts, d_logits)
+        assert grad.shape == m.buffer.shape
+        assert np.all(grad == 0.0)
 
     def test_disconnected_loss_rejected(self):
+        """A gradient at logits of another batch is not this pass's."""
         m = init_model((3, 4, 2), seed=1)
-        ts = param_tensors(m)
-        stray = sl_batch_loss_t(Tensor(np.ones((2, 2))), np.eye(2))
+        arrays = param_tensors(m)
+        acts = forward_logits_t(arrays, np.ones((5, 3)))
+        _, stray = sl_batch_loss_t(np.ones((2, 2)), np.eye(2))
         with pytest.raises(ValueError):
-            backward(ts, stray)
+            backward(arrays, acts, stray)
 
     def test_network_gradcheck_against_finite_differences(self):
         """Backprop through the full network matches central differences."""
@@ -143,18 +144,25 @@ class TestBackward:
             p = softmax_probs(logits)
             return float(-(labels * np.log(np.maximum(p, 1e-12))).sum(axis=1).mean())
 
-        ts = param_tensors(m)
-        loss = ce_batch_loss_t(softmax_t(forward_logits_t(ts, x)), labels)
-        grads = backward(ts, loss)
+        arrays = param_tensors(m)
+        acts = forward_logits_t(arrays, x)
+        _, d_logits = ce_batch_loss_t(softmax_t(acts[-1]), labels)
+        grad = backward(arrays, acts, d_logits)
 
         flat_params = m.flat()
+        offsets = np.cumsum([0] + [a.size for a in flat_params])
         coords = []
         for ai, arr in enumerate(flat_params):
             picks = rng.choice(arr.size, size=min(12, arr.size), replace=False)
             coords.extend((ai, int(i)) for i in picks)
         numeric = central_diff_at(loss_value, flat_params, coords)
-        analytic = np.array([grads[ai].reshape(-1)[fi] for ai, fi in coords])
+        analytic = np.array([grad[offsets[ai] + fi] for ai, fi in coords])
         assert rel_err(analytic, numeric).max() <= 1e-3
+
+
+def _flat(*arrays):
+    """Per-array gradients laid end to end, as ``sgd_step`` takes them."""
+    return np.concatenate([np.ravel(a) for a in arrays])
 
 
 class TestSgdStep:
@@ -163,7 +171,7 @@ class TestSgdStep:
         m = ModelParams(widths=(1, 1), weights=[np.array([[1.0]])],
                         biases=[np.array([0.0])], role="NetD")
         opt = init_optim(m, learning_rate=0.1, momentum=0.8, weight_decay=0.0)
-        g = [np.array([[1.0]]), np.array([0.0])]
+        g = _flat([[1.0]], [0.0])
         assert sgd_step(m, g, opt) is None  # updates in place
         np.testing.assert_allclose(opt.velocity, [1.0, 0.0])
         np.testing.assert_allclose(m.weights[0], [[0.9]])
@@ -175,8 +183,7 @@ class TestSgdStep:
         m = init_model((3, 4, 2), seed=0)
         before = [a.copy() for a in m.flat()]
         opt = init_optim(m, 0.0, 0.8, 5e-4)
-        grads = [np.ones_like(a) for a in m.flat()]
-        sgd_step(m, grads, opt)
+        sgd_step(m, np.ones_like(m.buffer), opt)
         for a, b in zip(m.flat(), before):
             np.testing.assert_array_equal(a, b)
 
@@ -187,7 +194,7 @@ class TestSgdStep:
         grads = [np.ones_like(a) for a in m.flat()]
         grads[2][0, 0] = np.nan
         with pytest.raises(NumericsError):
-            sgd_step(m, grads, opt)
+            sgd_step(m, _flat(*grads), opt)
         for a, b in zip(m.flat(), before):
             np.testing.assert_array_equal(a, b)
 
@@ -200,15 +207,14 @@ class TestSgdStep:
             return 0.5 * sum(float((a * a).sum()) for a in m.flat())
 
         before = quad()
-        grads = [a.copy() for a in m.flat()]
-        sgd_step(m, grads, opt)
+        sgd_step(m, m.buffer.copy(), opt)
         assert quad() < before
 
     def test_weight_decay_shrinks_parameters(self):
         m = ModelParams(widths=(1, 1), weights=[np.array([[2.0]])],
                         biases=[np.array([0.0])], role="NetD")
         opt = init_optim(m, 0.1, 0.0, 0.5)
-        sgd_step(m, [np.array([[0.0]]), np.array([0.0])], opt)
+        sgd_step(m, _flat([[0.0]], [0.0]), opt)
         np.testing.assert_allclose(m.weights[0], [[1.9]])  # 2 - 0.1*(0.5*2)
 
 

@@ -2,7 +2,9 @@
 artifact layout, exit codes, and rerun determinism."""
 
 import json
+import math
 import os
+import platform
 import struct
 import subprocess
 import sys
@@ -12,16 +14,18 @@ import numpy as np
 import pytest
 
 from edmlab import cli
+from edmlab import train as train_mod
 from edmlab.backbone import init_model
 from edmlab.benchgen import DatasetManifest, NoiseSpec
 from edmlab.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
     EXIT_OK,
+    EXIT_RUNTIME,
     main,
     parse_config,
 )
-from edmlab.errors import ConfigError
+from edmlab.errors import ConfigError, NumericsError
 from edmlab.evaluation import split_confusion
 from edmlab.gmm import GmmConfig, fit_em, group_posteriors, normalize_losses, partition
 from edmlab.losses import sl_dataset_loss
@@ -390,6 +394,64 @@ class TestRun:
             == split_confusion(partition(split), train_ds).matrix.tolist()
 
 
+class TestRunManifest:
+    def test_records_its_environment(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setenv("OMP_NUM_THREADS", "2")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        train, test = gen_pair(tmp_path)
+        out_dir = tmp_path / "out"
+        assert run_cli("train", "--manifest", train, "--test-manifest", test,
+                       "--epochs", 1, "--warmup-d", 1, "--warmup-s", 1,
+                       "--out-dir", out_dir) == EXIT_OK
+        manifest = json.loads((out_dir / "run_manifest.json").read_text())
+        assert (manifest["outcome"], manifest["exit_code"], manifest["error"]) \
+            == ("ok", EXIT_OK, None)
+        assert manifest["environment"] == {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "platform": "-".join((platform.system(), platform.release(),
+                                  platform.machine())),
+            "threads": {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2",
+                        "MKL_NUM_THREADS": None},
+        }
+
+    @pytest.mark.parametrize("command", ["run", "train", "eval"])
+    def test_failure_after_the_output_directory_exists_is_recorded(
+            self, tmp_path, capsys, monkeypatch, command):
+        def fail(*args, **kwargs):
+            raise NumericsError("non-finite cross-entropy loss")
+
+        train, test = gen_pair(tmp_path)
+        out_dir = tmp_path / "out"
+        if command == "eval":
+            ckpt = tmp_path / "netd.ckpt"
+            save_checkpoint(init_model((8, 64, 64, 4), seed=0), ckpt)
+            monkeypatch.setattr(cli, "export_features", fail)
+            args = ["--checkpoint", ckpt, "--manifest", train,
+                    "--test-manifest", test]
+        else:
+            # warm-up for run; for train, a phase after the epoch log opens
+            phase = "warmup" if command == "run" else "train_nets_epoch"
+            monkeypatch.setattr(train_mod, phase, fail)
+            args = (["--per-class", 10] if command == "run" else
+                    ["--manifest", train, "--test-manifest", test])
+            args += ["--epochs", 1, "--warmup-d", 1, "--warmup-s", 1]
+        capsys.readouterr()
+        assert run_cli(command, *args, "--out-dir", out_dir) == EXIT_RUNTIME
+        message = "numerics error: non-finite cross-entropy loss"
+        assert message in capsys.readouterr().err
+        manifest = json.loads((out_dir / "run_manifest.json").read_text())
+        assert manifest["outcome"] == "failed"
+        assert manifest["error"] == message
+        assert manifest["exit_code"] == EXIT_RUNTIME
+        assert manifest["started_at"] <= manifest["finished_at"]
+        assert len(manifest["input_digests"]) == (3 if command == "eval" else 2)
+        expected = {"run": ["run_manifest.json", "test.manifest", "train.manifest"],
+                    "train": ["run_manifest.json"], "eval": ["run_manifest.json"]}
+        assert manifest["artifacts"] == expected[command]
+
+
 class TestBadGeometry:
     @pytest.mark.parametrize("args, flag", [
         (("run", "--per-class", 2), "--per-class"),
@@ -539,3 +601,30 @@ class TestTracedBenchmark:
         fits = [span[4] for span in spans if span[0] == "gmm.fit"]
         assert fits and all(not f["capped"] and f["ll_drops"] == 0
                             for f in fits)
+
+        # each step span nests its loss head
+        steps = {i for i, span in enumerate(spans) if span[0] == "backbone.step"}
+        with_loss = set()
+        for span in spans:
+            if span[0] == "losses.batch_loss":
+                idx = span[3]
+                while idx >= 0 and idx not in steps:
+                    idx = spans[idx][3]
+                with_loss.add(idx)
+        assert with_loss == steps
+        if algo == "ce":
+            # 4 default classes of 10 samples, every pass one step per batch
+            passes = cli._KEYS["warmup_d"].default + 2
+            batches = math.ceil(4 * 10 / cli._KEYS["batch"].default)
+            assert len(steps) == passes * batches
+
+    def test_every_wrapped_name_resolves(self):
+        """perfbench's install() finds every edmlab name it wraps."""
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        env["PYTHONPATH"] = os.pathsep.join([str(REPO / "perfbench"),
+                                             str(REPO / "src")])
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "from layers import Tracer, install; install(Tracer())"],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr

@@ -5,7 +5,6 @@ import pytest
 from conftest import central_diff_at, rel_err
 
 from edmlab.backbone import (
-    Tensor,
     backward,
     forward_logits,
     forward_logits_t,
@@ -17,10 +16,10 @@ from edmlab.benchgen import DatasetManifest, NoiseSpec
 from edmlab.losses import (
     EPS,
     LossWeights,
+    _mse,
+    _reg,
     ce_batch_loss_t,
     dm_batch_loss_t,
-    mse_batch_loss_t,
-    reg_loss_t,
     sl_batch_loss_t,
     sl_dataset_loss,
     sl_losses_from_logits,
@@ -30,12 +29,15 @@ from edmlab.losses import (
 
 
 def _one_row(head, probs, target):
-    """A batch head's value on a one-row batch, as a float."""
-    return float(head(Tensor([probs]), [target]).value)
+    """A batch head's value on a one-row batch of probabilities, as a float.
+
+    ``head`` is the cross-entropy head or the squared-error helper ``_mse``.
+    """
+    return float(head(np.array([probs], dtype=np.float64), [target])[0])
 
 
-def _reg(mean_probs):
-    return float(reg_loss_t(Tensor(mean_probs)).value)
+def _reg_value(mean_probs):
+    return float(_reg(np.asarray(mean_probs, dtype=np.float64))[0])
 
 
 # Reference formulas, written out in plain numpy from each loss's definition.
@@ -203,23 +205,23 @@ class TestCeLoss:
 class TestUnlabeledMse:
     def test_hand_values(self):
         p = [0.3, 0.7]
-        assert _one_row(mse_batch_loss_t, p, p) == 0.0
-        assert abs(_one_row(mse_batch_loss_t, [0.0, 1.0], [1.0, 0.0]) - 2.0) <= 1e-9
-        assert abs(_one_row(mse_batch_loss_t, [0.5, 0.5], [0.75, 0.25])
+        assert _one_row(_mse, p, p) == 0.0
+        assert abs(_one_row(_mse, [0.0, 1.0], [1.0, 0.0]) - 2.0) <= 1e-9
+        assert abs(_one_row(_mse, [0.5, 0.5], [0.75, 0.25])
                    - 0.125) <= 1e-9
 
 
 class TestRegLoss:
     def test_uniform_is_zero(self):
-        assert abs(_reg(np.full(4, 0.25))) <= 1e-12
+        assert abs(_reg_value(np.full(4, 0.25))) <= 1e-12
 
     def test_hand_value(self):
         expected = 0.5 * np.log(0.5 / 0.75) + 0.5 * np.log(0.5 / 0.25)
-        assert abs(_reg([0.75, 0.25]) - expected) <= 1e-9
+        assert abs(_reg_value([0.75, 0.25]) - expected) <= 1e-9
         assert abs(expected - 0.5 * np.log(4 / 3)) <= 1e-12
 
     def test_monotone_in_imbalance(self):
-        values = [_reg([0.5 + t, 0.5 - t])
+        values = [_reg_value([0.5 + t, 0.5 - t])
                   for t in (0.0, 0.2, 0.4, 0.499, 0.5 - EPS)]
         assert all(a < b for a, b in zip(values, values[1:]))
         assert values[-1] > 10.0
@@ -228,7 +230,7 @@ class TestRegLoss:
         rng = np.random.default_rng(4)
         for _ in range(100):
             p = rng.dirichlet(np.ones(6))
-            assert _reg(p) >= -1e-12
+            assert _reg_value(p) >= -1e-12
 
 
 class TestDmLoss:
@@ -236,15 +238,15 @@ class TestDmLoss:
 
     def test_weighted_sum(self):
         w = LossWeights(lambda_u=25.0, lambda_reg=1.0)
-        val = w.combine(1.0, 0.1, _reg(np.full(4, 0.25)))
+        val = w.combine(1.0, 0.1, _reg_value(np.full(4, 0.25)))
         assert abs(val - 3.5) <= 1e-9
 
     def test_zero_weights_leave_labeled_term(self):
         w = LossWeights(lambda_u=0.0, lambda_reg=0.0)
-        assert abs(w.combine(1.25, 9.9, _reg([0.9, 0.1])) - 1.25) <= 1e-12
+        assert abs(w.combine(1.25, 9.9, _reg_value([0.9, 0.1])) - 1.25) <= 1e-12
 
     def test_reg_contribution_linear(self):
-        reg = _reg([0.7, 0.3])
+        reg = _reg_value([0.7, 0.3])
         base = LossWeights(lambda_u=0.0, lambda_reg=1.0).combine(0.0, 0.0, reg)
         double = LossWeights(lambda_u=0.0, lambda_reg=2.0).combine(0.0, 0.0, reg)
         assert abs(double - 2 * base) <= 1e-12
@@ -299,35 +301,35 @@ class TestTensorVersionsAgree:
         self.soft = rng.dirichlet(np.ones(4), size=16)
 
     def test_softmax_t(self):
-        out = softmax_t(Tensor(self.logits))
-        np.testing.assert_allclose(out.value, softmax_probs(self.logits), rtol=1e-12)
+        out = softmax_t(self.logits)
+        np.testing.assert_allclose(out, softmax_probs(self.logits), rtol=1e-12)
 
     def test_sl_batch(self):
-        got = sl_batch_loss_t(Tensor(self.logits), self.labels).value
+        got, _ = sl_batch_loss_t(self.logits, self.labels)
         want = np.mean([_sl_row(l, y) for l, y in zip(self.logits, self.labels)])
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
     def test_ce_batch(self):
         probs = softmax_probs(self.logits)
-        got = ce_batch_loss_t(softmax_t(Tensor(self.logits)), self.soft).value
+        got, _ = ce_batch_loss_t(softmax_t(self.logits), self.soft)
         want = _ce_mean(probs, self.soft)
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
     def test_mse_batch(self):
         probs = softmax_probs(self.logits)
-        got = mse_batch_loss_t(softmax_t(Tensor(self.logits)), self.soft).value
+        got, _ = _mse(softmax_t(self.logits), self.soft)
         want = _mse_mean(probs, self.soft)
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
     def test_reg_batch(self):
         probs = softmax_probs(self.logits)
-        got = reg_loss_t(Tensor(probs.mean(axis=0))).value
+        got, _ = _reg(probs.mean(axis=0))
         np.testing.assert_allclose(got, _reg_ref(probs.mean(axis=0)), rtol=1e-12)
 
     def test_dm_batch_combination(self):
         w = LossWeights(lambda_u=25.0, lambda_reg=1.0)
         targets = np.concatenate([self.labels[:10], self.soft[10:]])
-        total, comps = dm_batch_loss_t(Tensor(self.logits), targets, 10, w)
+        total, _, comps = dm_batch_loss_t(self.logits, targets, 10, w)
         probs = softmax_probs(self.logits)
         want_x = _ce_mean(probs[:10], self.labels[:10])
         want_u = _mse_mean(probs[10:], self.soft[10:])
@@ -335,47 +337,49 @@ class TestTensorVersionsAgree:
         np.testing.assert_allclose(comps["labeled"], want_x, rtol=1e-12)
         np.testing.assert_allclose(comps["unlabeled"], want_u, rtol=1e-12)
         np.testing.assert_allclose(comps["regularizer"], want_reg, rtol=1e-12)
-        np.testing.assert_allclose(total.value, want_x + 25 * want_u + want_reg,
+        np.testing.assert_allclose(total, want_x + 25 * want_u + want_reg,
                                    rtol=1e-12)
 
     def test_dm_batch_without_unlabeled_part(self):
         """n_x equal to the row count: every row is labeled."""
         w = LossWeights(lambda_u=25.0, lambda_reg=1.0)
-        total, comps = dm_batch_loss_t(Tensor(self.logits), self.labels, 16, w)
+        total, _, comps = dm_batch_loss_t(self.logits, self.labels, 16, w)
         assert comps["unlabeled"] == 0.0
         probs = softmax_probs(self.logits)
         want = _ce_mean(probs, self.labels) + _reg_ref(probs.mean(axis=0))
-        np.testing.assert_allclose(total.value, want, rtol=1e-12)
+        np.testing.assert_allclose(total, want, rtol=1e-12)
 
     @pytest.mark.parametrize("n_x", [0, -1, 17])
     def test_dm_batch_rejects_labeled_count_outside_rows(self, n_x):
         w = LossWeights()
         with pytest.raises(ValueError, match="n_x"):
-            dm_batch_loss_t(Tensor(self.logits), self.labels, n_x, w)
+            dm_batch_loss_t(self.logits, self.labels, n_x, w)
 
 
 class TestLossGradients:
     """Quick finite-difference checks through the backbone for each loss."""
 
     def _check(self, make_loss, seed):
+        """``make_loss(logits)`` returns a head's (value, dL/dlogits)."""
         rng = np.random.default_rng(seed)
         m = init_model((5, 12, 4), seed=seed, role="NetS")
         x = rng.normal(size=(8, 5))
 
         def value():
-            return float(make_loss(Tensor(forward_logits(m, x))).value)
+            return float(make_loss(forward_logits(m, x))[0])
 
-        ts = param_tensors(m)
-        loss = make_loss(forward_logits_t(ts, x))
-        grads = backward(ts, loss)
+        arrays = param_tensors(m)
+        acts = forward_logits_t(arrays, x)
+        grad = backward(arrays, acts, make_loss(acts[-1])[1])
 
         flat = m.flat()
+        offsets = np.cumsum([0] + [a.size for a in flat])
         coords = []
         for ai, arr in enumerate(flat):
             picks = rng.choice(arr.size, size=min(8, arr.size), replace=False)
             coords.extend((ai, int(i)) for i in picks)
         numeric = central_diff_at(value, flat, coords)
-        analytic = np.array([grads[ai].reshape(-1)[fi] for ai, fi in coords])
+        analytic = np.array([grad[offsets[ai] + fi] for ai, fi in coords])
         assert rel_err(analytic, numeric).max() <= 1e-3
 
     def test_sl_gradcheck(self):
@@ -388,12 +392,7 @@ class TestLossGradients:
         guesses = rng.dirichlet(np.ones(4), size=3)
         targets = np.concatenate([labels, guesses])
         w = LossWeights(lambda_u=25.0, lambda_reg=1.0)
-
-        def make(lg):
-            total, _ = dm_batch_loss_t(lg, targets, 5, w)
-            return total
-
-        self._check(make, seed=8)
+        self._check(lambda lg: dm_batch_loss_t(lg, targets, 5, w)[:2], seed=8)
 
     def test_dm_gradient_without_unlabeled_part(self):
         """n_x equal to the one row, logits (ln 3, 0), label (0, 1), by hand.
@@ -402,9 +401,8 @@ class TestLossGradients:
         regulariser's mean is p itself, dR/dp = -(1/2)/p = (-2/3, -2), which
         the softmax maps to (1/4, -1/4), doubled by lambda_reg = 2.
         """
-        z = Tensor(np.array([[np.log(3.0), 0.0]]))
+        z = np.array([[np.log(3.0), 0.0]])
         w = LossWeights(lambda_u=25.0, lambda_reg=2.0)
-        total, comps = dm_batch_loss_t(z, np.array([[0.0, 1.0]]), 1, w)
+        _, grad, comps = dm_batch_loss_t(z, np.array([[0.0, 1.0]]), 1, w)
         assert comps["unlabeled"] == 0.0
-        (grad,) = backward([z], total)
         np.testing.assert_allclose(grad, [[1.25, -1.25]], atol=1e-15)

@@ -2,7 +2,6 @@
 
 import gc
 import logging
-import weakref
 
 import numpy as np
 import pytest
@@ -314,9 +313,9 @@ class TestTrainNetdEpoch:
 
         calls = []
 
-        def counting(ts, batch):
+        def counting(arrays, batch):
             calls.append(batch.shape[0])
-            return forward_logits_t(ts, batch)
+            return forward_logits_t(arrays, batch)
 
         monkeypatch.setattr(train_mod, "forward_logits_t", counting)
         ds, split, part, model, cfg, opt = self._setup(n_x=80, n_u=40)
@@ -336,7 +335,7 @@ class TestTrainNetdEpoch:
         assert set(stats.used_unlabeled.tolist()).issubset(set(part.u_idx.tolist()))
 
     def test_steps_leave_no_cyclic_garbage(self):
-        """A step's graph is freed by reference counting, without the collector."""
+        """A step's arrays are freed by reference counting, without the collector."""
         ds, split, part, model, cfg, opt = self._setup(n_x=64)
         feats = ds.features[:64].astype(np.float64)
         labels = ds.one_hot_observed()[:64]
@@ -353,12 +352,10 @@ class TestTrainNetdEpoch:
         gc.collect()
         gc.disable()
         try:
-            ts = param_tensors(model)
-            loss = ce_batch_loss_t(softmax_t(forward_logits_t(ts, feats)), labels)
-            ref = weakref.ref(loss)
-            sgd_step(model, backward(ts, loss), opt)
-            del loss
-            assert ref() is None
+            params = param_tensors(model)
+            acts = forward_logits_t(params, feats)
+            _, d_logits = ce_batch_loss_t(softmax_t(acts[-1]), labels)
+            sgd_step(model, backward(params, acts, d_logits), opt)
             one_step_each()
             assert gc.collect() == 0
         finally:
