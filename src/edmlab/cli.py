@@ -30,7 +30,7 @@ import math
 import os
 import platform
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -452,7 +452,7 @@ def _train_into(train_ds: DatasetManifest, test_ds: DatasetManifest,
     with open(out_dir / "epochs.jsonl", "w", buffering=1) as fh:
 
         def on_epoch(report, netd, nets):
-            record = report.to_record()
+            record = asdict(report)
             record["schema_version"] = SCHEMA_VERSION
             record["algo"] = algo
             fh.write(json.dumps(record, sort_keys=True) + "\n")
@@ -489,10 +489,10 @@ def _eval_into(model, train_ds: DatasetManifest, test_ds: DatasetManifest,
     last.  Returns the artifact names and the eval.json summary.
     """
     _, per_sample = sl_dataset_loss(model if splitter is None else splitter,
-                                    train_ds)
+                                    train_ds.features,
+                                    train_ds.one_hot_observed())
     norm = normalize_losses(per_sample)
-    gmodel = fit_em(norm, gmm_cfg)
-    split = group_posteriors(gmodel, norm, gmm_cfg)
+    split = group_posteriors(fit_em(norm, gmm_cfg), gmm_cfg)
     confusion = split_confusion(partition(split), train_ds)
 
     export_loss_histogram(norm, train_ds.provenance, HISTOGRAM_BINS,

@@ -110,11 +110,6 @@ class AccuracyReport:
             raise ValueError("no epochs recorded")
         return self.per_epoch[-1]
 
-    @property
-    def gap(self) -> float:
-        """best − last: how much the run decayed from its peak."""
-        return self.best - self.last
-
 
 # -- comma-separated exports -------------------------------------------
 

@@ -15,7 +15,9 @@ with it, followed by a per-sample log-sum-exp, and the M-step's masses and
 first and second moments are one product of the responsibilities with it.
 Variances are E[x^2] - m^2, floored; a component whose responsibility mass
 vanishes keeps its old mean and variance.  EM stops once an iteration
-gains less than ``GmmConfig.tol`` log-likelihood per sample.
+gains less than ``GmmConfig.tol`` log-likelihood per sample.  The fitted
+model keeps that last E-step's responsibilities, and the band sums reuse
+them: one split runs one E-step per EM iteration plus the initial one.
 """
 
 from __future__ import annotations
@@ -70,14 +72,16 @@ class GmmConfig:
 class GmmModel:
     """A fitted mixture plus the log-likelihood trace of its EM run.
 
-    ``converged`` is True only when EM stopped on its tolerance, not at the
-    iteration cap.
+    ``resp`` holds the (psi, n) responsibilities of EM's final E-step, each
+    column summing to 1.  ``converged`` is True only when EM stopped on its
+    tolerance, not at the iteration cap.
     """
 
     weights: np.ndarray
     means: np.ndarray
     variances: np.ndarray
     log_likelihood_trace: np.ndarray
+    resp: np.ndarray
     converged: bool = False
 
     def __post_init__(self) -> None:
@@ -87,6 +91,8 @@ class GmmModel:
             raise ValueError("component weights must be non-negative")
         if np.any(self.variances <= 0):
             raise ValueError("variances must be positive")
+        if self.resp.ndim != 2 or self.resp.shape[0] != self.means.shape[0]:
+            raise ValueError("resp must be (num_components, n)")
 
     @property
     def num_components(self) -> int:
@@ -245,30 +251,20 @@ def fit_em(losses: np.ndarray, cfg: GmmConfig) -> GmmModel:
         if (ll - trace[-2]) / n < cfg.tol:
             converged = True
             break
+    resp /= norm
     return GmmModel(weights=weights, means=means + centre, variances=variances,
                     log_likelihood_trace=np.asarray(trace, dtype=np.float64),
-                    converged=converged)
+                    resp=resp, converged=converged)
 
 
-def responsibilities(model: GmmModel, losses: np.ndarray) -> np.ndarray:
-    """(n, psi) posterior component memberships under the fitted model."""
-    x = np.asarray(losses, dtype=np.float64)
-    basis, centre = _basis(x)
-    _, resp, norm = _loglik_resp(basis, model.weights, model.means - centre,
-                                 model.variances)
-    resp /= norm
-    return resp.T
-
-
-def group_posteriors(model: GmmModel, losses: np.ndarray,
-                     cfg: GmmConfig) -> PosteriorSplit:
-    """Sum component responsibilities over the three mean bands.
+def group_posteriors(model: GmmModel, cfg: GmmConfig) -> PosteriorSplit:
+    """Sum the fitted responsibilities over the three mean bands.
 
     Band rule: mean <= mu_min counts as clean, mean >= mu_max as closed,
     anything strictly between as open.  An empty band contributes exactly
     zero mass.
     """
-    resp = responsibilities(model, losses)
+    resp = model.resp.T
     clean_band = model.means <= cfg.mu_min
     closed_band = model.means >= cfg.mu_max
     open_band = ~(clean_band | closed_band)

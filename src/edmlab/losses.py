@@ -169,16 +169,17 @@ def sl_losses_from_logits(logits: np.ndarray, labels_one_hot: np.ndarray) -> np.
                      np.asarray(labels_one_hot, dtype=np.float64))[0]
 
 
-def sl_dataset_loss(model, dataset) -> tuple[float, np.ndarray]:
-    """Mean and per-sample evidence losses over a whole manifest.
+def sl_dataset_loss(model, feats: np.ndarray, labels: np.ndarray
+                    ) -> tuple[float, np.ndarray]:
+    """Mean and per-row evidence losses of (n, d) features against (n, K)
+    one-hot labels.
 
-    Per-sample values are ordered by sample id.  ``model`` is a
-    :class:`~edmlab.backbone.ModelParams`.
+    ``model`` is a :class:`~edmlab.backbone.ModelParams`.
     """
-    if len(dataset) == 0:
+    if feats.shape[0] == 0:
         raise ValueError("dataset is empty")
-    logits = forward_logits_chunked(model, dataset.features)
-    per_sample = sl_losses_from_logits(logits, dataset.one_hot_observed())
+    per_sample = sl_losses_from_logits(forward_logits_chunked(model, feats),
+                                       labels)
     return float(per_sample.mean()), per_sample
 
 

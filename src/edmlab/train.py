@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -148,9 +148,6 @@ class EpochReport:
     split_balanced_accuracy: float | None = None
     confusion: list[list[int]] | None = None
 
-    def to_record(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class RefinedBatch:
@@ -252,7 +249,8 @@ def _minibatch_pass(what: str, head, model: ModelParams, feats: np.ndarray,
                     labels: np.ndarray, batch_size: int, opt: OptimState,
                     rng: np.random.Generator) -> float:
     """One minibatch epoch of ``head(logits, labels)`` over contiguous slices
-    of the rows shuffled once; returns its mean."""
+    of the rows shuffled once; returns its mean.  A non-finite loss raises
+    :class:`NumericsError` naming the network and the step within the epoch."""
     order = rng.permutation(feats.shape[0])
     feats, labels = feats[order], labels[order]
     grad = np.empty_like(model.buffer)
@@ -262,7 +260,8 @@ def _minibatch_pass(what: str, head, model: ModelParams, feats: np.ndarray,
         acts = forward_logits_t(arrays, feats[start:start + batch_size])
         loss, d_logits = head(acts[-1], labels[start:start + batch_size])
         if not math.isfinite(loss):
-            raise NumericsError(f"non-finite {what} loss")
+            raise NumericsError(f"non-finite {what} loss in {model.role} "
+                                f"at step {steps} of the epoch")
         sgd_step(model, backward(arrays, acts, d_logits, grad), opt)
         total += float(loss)
         steps += 1
@@ -411,10 +410,8 @@ def run(dataset: DatasetManifest, test_dataset: DatasetManifest,
         opt_d.learning_rate = lr
         opt_s.learning_rate = lr
 
-        mean_sl, raw = sl_dataset_loss(nets, dataset)
-        norm = normalize_losses(raw)
-        gmodel = fit_em(norm, cfg.gmm)
-        split = group_posteriors(gmodel, norm, cfg.gmm)
+        mean_sl, raw = sl_dataset_loss(nets, feats, labels)
+        split = group_posteriors(fit_em(normalize_losses(raw), cfg.gmm), cfg.gmm)
         part = partition(split)
 
         stats = train_netd_epoch(netd, feats, labels, split, part, cfg, opt_d, rng)

@@ -386,9 +386,10 @@ class TestRun:
         out_dir = self._run_once(tmp_path, "r")
         train_ds = load_manifest(out_dir / "train.manifest")
         gmm_cfg = GmmConfig()
-        _, per_sample = sl_dataset_loss(outcomes[0].nets, train_ds)
-        norm = normalize_losses(per_sample)
-        split = group_posteriors(fit_em(norm, gmm_cfg), norm, gmm_cfg)
+        _, per_sample = sl_dataset_loss(outcomes[0].nets, train_ds.features,
+                                        train_ds.one_hot_observed())
+        split = group_posteriors(fit_em(normalize_losses(per_sample), gmm_cfg),
+                                 gmm_cfg)
         summary = json.loads((out_dir / "eval.json").read_text())
         assert summary["confusion"] \
             == split_confusion(partition(split), train_ds).matrix.tolist()
@@ -450,6 +451,26 @@ class TestRunManifest:
         expected = {"run": ["run_manifest.json", "test.manifest", "train.manifest"],
                     "train": ["run_manifest.json"], "eval": ["run_manifest.json"]}
         assert manifest["artifacts"] == expected[command]
+
+    def test_diverged_step_names_its_network(self, tmp_path):
+        """A non-finite warm-up loss is reported with the network and step.
+
+        Run as a subprocess: the overflow warnings on the way to it would
+        be errors under the suite's warning filter.
+        """
+        out_dir = tmp_path / "out"
+        env = {k: v for k, v in os.environ.items() if k != "EDM_SEED"}
+        env["PYTHONPATH"] = str(REPO / "src")
+        proc = subprocess.run(
+            [sys.executable, "-m", "edmlab.cli", "run", "--lr", "1e12",
+             "--epochs", "1", "--per-class", "20", "--out-dir", str(out_dir)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == EXIT_RUNTIME, proc.stderr
+        manifest = json.loads((out_dir / "run_manifest.json").read_text())
+        assert manifest["outcome"] == "failed"
+        assert manifest["error"].startswith(
+            "numerics error: non-finite cross-entropy loss in NetD at step ")
+        assert manifest["error"] in proc.stderr
 
 
 class TestBadGeometry:

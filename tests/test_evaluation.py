@@ -205,18 +205,16 @@ class TestAccuracyReport:
         rep = AccuracyReport([0.5, 0.9, 0.8])
         assert rep.best == 0.9
         assert rep.last == 0.8
-        assert rep.gap == pytest.approx(0.1)
 
     def test_monotone_run_has_zero_gap(self):
         rep = AccuracyReport([0.5, 0.6, 0.7])
-        assert rep.gap == 0.0
+        assert rep.best == rep.last == 0.7
 
     def test_best_never_below_last(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
             rep = AccuracyReport(list(rng.uniform(size=5)))
             assert rep.best >= rep.last
-            assert rep.gap >= 0.0
 
 
 class TestExports:

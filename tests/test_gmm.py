@@ -14,8 +14,8 @@ from edmlab.gmm import (
     group_posteriors,
     normalize_losses,
     partition,
-    responsibilities,
 )
+from edmlab import gmm
 
 
 class TestNormalizeLosses:
@@ -138,7 +138,7 @@ class TestFitEm:
         assert np.all(gains[:-1] >= cfg.tol) and gains[-1] < cfg.tol
 
     def test_hand_built_model_is_not_converged(self):
-        assert not _three_band_model().converged
+        assert not _three_band_model([0.5]).converged
 
 
 _LOG_2PI = np.log(2.0 * np.pi)
@@ -236,42 +236,40 @@ class TestEmKernel:
         assert np.all(resp[~deep] > 0.0)
 
 
-def _three_band_model(sigma=0.05):
-    var = sigma * sigma
+def _hand_built_model(x, weights, means, variances):
+    """A model at the given parameters, its responsibilities those of x."""
+    weights, means, variances = map(np.asarray, (weights, means, variances))
     return GmmModel(
-        weights=np.full(3, 1 / 3),
-        means=np.array([0.1, 0.5, 0.9]),
-        variances=np.full(3, var),
+        weights=weights, means=means, variances=variances,
         log_likelihood_trace=np.array([0.0]),
+        resp=_direct_e_step(np.asarray(x, dtype=np.float64), weights, means,
+                            variances)[1].T,
     )
+
+
+def _three_band_model(x, sigma=0.05):
+    return _hand_built_model(x, np.full(3, 1 / 3), [0.1, 0.5, 0.9],
+                             np.full(3, sigma * sigma))
 
 
 class TestGroupPosteriors:
     def test_low_loss_is_confidently_clean(self):
-        model = _three_band_model()
-        split = group_posteriors(model, np.array([0.10]), GmmConfig())
+        split = group_posteriors(_three_band_model([0.10]), GmmConfig())
         assert split.w[0] > 0.99
 
     def test_mid_loss_is_confidently_open(self):
-        model = _three_band_model()
-        split = group_posteriors(model, np.array([0.50]), GmmConfig())
+        split = group_posteriors(_three_band_model([0.50]), GmmConfig())
         assert split.w_op[0] > 0.99
 
     def test_high_loss_is_confidently_closed(self):
-        model = _three_band_model()
-        split = group_posteriors(model, np.array([0.90]), GmmConfig())
+        split = group_posteriors(_three_band_model([0.90]), GmmConfig())
         assert split.w_cl[0] > 0.99
 
     def test_boundary_mean_counts_as_clean(self):
         """A component mean exactly at mu_min belongs to the clean band."""
-        model = GmmModel(
-            weights=np.array([0.5, 0.5]),
-            means=np.array([0.3, 0.9]),
-            variances=np.array([0.0025, 0.0025]),
-            log_likelihood_trace=np.array([0.0]),
-        )
-        split = group_posteriors(model, np.array([0.3]),
-                                 GmmConfig(mu_min=0.3, mu_max=0.7))
+        model = _hand_built_model([0.3], [0.5, 0.5], [0.3, 0.9],
+                                  [0.0025, 0.0025])
+        split = group_posteriors(model, GmmConfig(mu_min=0.3, mu_max=0.7))
         assert split.w[0] > 0.99
         assert split.w_op[0] == 0.0  # no component in the open band at all
 
@@ -280,7 +278,7 @@ class TestGroupPosteriors:
         x = rng.uniform(0, 1, 400)
         cfg = GmmConfig(num_components=8)
         model = fit_em(x, cfg)
-        split = group_posteriors(model, x, cfg)
+        split = group_posteriors(model, cfg)
         np.testing.assert_allclose(split.w + split.w_op + split.w_cl, 1.0,
                                    atol=1e-6)
 
@@ -288,9 +286,38 @@ class TestGroupPosteriors:
         rng = np.random.default_rng(8)
         x = rng.uniform(0, 1, 200)
         model = fit_em(x, GmmConfig(num_components=5))
-        resp = responsibilities(model, x)
-        assert resp.shape == (200, 5)
-        np.testing.assert_allclose(resp.sum(axis=1), 1.0, atol=1e-9)
+        assert model.resp.shape == (5, 200)
+        np.testing.assert_allclose(model.resp.sum(axis=0), 1.0, atol=1e-9)
+
+    def test_one_split_runs_one_e_step_per_iteration(self, monkeypatch):
+        """The band sums reuse EM's final E-step: fitting and splitting run
+        the initial E-step plus one per iteration, and the sums are those
+        of the direct E-step at the fitted parameters."""
+        calls = []
+        real = gmm._loglik_resp
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(gmm, "_loglik_resp", counted)
+        rng = np.random.default_rng(10)
+        x = np.concatenate([rng.normal(0.15, 0.05, 600),
+                            rng.normal(0.5, 0.05, 200),
+                            rng.normal(0.85, 0.05, 200)]).clip(0, 1)
+        cfg = GmmConfig(num_components=8)
+        model = fit_em(x, cfg)
+        split = group_posteriors(model, cfg)
+        assert len(calls) == model.iterations + 1
+        _, ref, _ = _direct_e_step(x, model.weights, model.means,
+                                   model.variances)
+        bands = (model.means <= cfg.mu_min, model.means >= cfg.mu_max)
+        open_band = ~(bands[0] | bands[1])
+        for got, band in ((split.w, bands[0]), (split.w_op, open_band),
+                          (split.w_cl, bands[1])):
+            assert band.any()
+            np.testing.assert_allclose(got, ref[:, band].sum(axis=1),
+                                       rtol=0, atol=1e-12)
 
     def test_three_mode_split_oracle(self):
         """The strict-max partition recovers the generating mode >= 99%."""
@@ -300,7 +327,7 @@ class TestGroupPosteriors:
                        + rng.normal(0, 0.02, 3000), 0, 1)
         cfg = GmmConfig(num_components=20)
         model = fit_em(data, cfg)
-        part = partition(group_posteriors(model, data, cfg))
+        part = partition(group_posteriors(model, cfg))
         # modes 0.1, 0.5, 0.9 land in X (clean), O (open) and U (closed)
         pred = np.empty(len(data), dtype=np.int64)
         pred[part.x_idx], pred[part.o_idx], pred[part.u_idx] = 0, 1, 2

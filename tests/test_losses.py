@@ -12,7 +12,6 @@ from edmlab.backbone import (
     param_tensors,
     softmax_probs,
 )
-from edmlab.benchgen import DatasetManifest, NoiseSpec
 from edmlab.losses import (
     EPS,
     LossWeights,
@@ -127,16 +126,10 @@ class TestSlLoss:
 
 class TestSlDatasetLoss:
     @staticmethod
-    def _manifest(features, observed, k):
-        n = len(observed)
-        return DatasetManifest(
-            features=np.asarray(features, np.float32),
-            observed=np.asarray(observed, np.int32),
-            true_class=np.asarray(observed, np.int32),
-            provenance=np.zeros(n, np.uint8),
-            num_classes=k,
-            noise_spec=NoiseSpec(rho=0.0, omega=0.0, seed=0),
-        )
+    def _arrays(features, observed, k):
+        """Float64 features and one-hot labels, as ``train.run`` scans them."""
+        return (np.asarray(features, np.float64),
+                np.eye(k)[np.asarray(observed, np.int64)])
 
     @staticmethod
     def _fixed_logit_model():
@@ -152,15 +145,15 @@ class TestSlDatasetLoss:
     def test_two_sample_mean(self):
         """Confident-right and confident-wrong samples average to 0.7."""
         m = self._fixed_logit_model()
-        ds = self._manifest([[1, 0], [1, 0]], [0, 1], k=2)
-        mean, per = sl_dataset_loss(m, ds)
+        ds = self._arrays([[1, 0], [1, 0]], [0, 1], k=2)
+        mean, per = sl_dataset_loss(m, *ds)
         np.testing.assert_allclose(per, [0.2, 1.2], atol=1e-9)
         assert abs(mean - 0.7) <= 1e-9
 
     def test_single_sample(self):
         m = self._fixed_logit_model()
-        ds = self._manifest([[1, 0]], [0], k=2)
-        mean, per = sl_dataset_loss(m, ds)
+        ds = self._arrays([[1, 0]], [0], k=2)
+        mean, per = sl_dataset_loss(m, *ds)
         assert abs(mean - per[0]) <= 1e-12
         assert abs(mean - 0.2) <= 1e-9
 
@@ -169,17 +162,17 @@ class TestSlDatasetLoss:
         rng = np.random.default_rng(3)
         feats = rng.normal(size=(20, 4))
         obs = rng.integers(0, 3, size=20)
-        ds = self._manifest(feats, obs, k=3)
-        ds2 = self._manifest(np.tile(feats, (2, 1)), np.tile(obs, 2), k=3)
-        mean1, _ = sl_dataset_loss(m, ds)
-        mean2, _ = sl_dataset_loss(m, ds2)
+        ds = self._arrays(feats, obs, k=3)
+        ds2 = self._arrays(np.tile(feats, (2, 1)), np.tile(obs, 2), k=3)
+        mean1, _ = sl_dataset_loss(m, *ds)
+        mean2, _ = sl_dataset_loss(m, *ds2)
         assert abs(mean1 - mean2) <= 1e-9
 
     def test_empty_dataset_rejected(self):
         m = init_model((4, 8, 3), seed=0)
-        ds = self._manifest(np.zeros((0, 4)), np.zeros(0, int), k=3)
+        ds = self._arrays(np.zeros((0, 4)), np.zeros(0, int), k=3)
         with pytest.raises(ValueError):
-            sl_dataset_loss(m, ds)
+            sl_dataset_loss(m, *ds)
 
 
 class TestCeLoss:

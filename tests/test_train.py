@@ -2,6 +2,7 @@
 
 import gc
 import logging
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -118,7 +119,7 @@ class TestWarmup:
         nets = init_model((8, 64, 64, 4), seed=1, role=ROLE_NETS)
         cfg = TrainConfig()
         warmup(netd, nets, *arrays(ds), cfg, np.random.default_rng(0))
-        _, per_sample = sl_dataset_loss(nets, ds)
+        _, per_sample = sl_dataset_loss(nets, *arrays(ds))
         means = [per_sample[ds.provenance == p].mean() for p in (0, 2, 1)]
         assert means[0] < means[1] < means[2]
 
@@ -422,9 +423,9 @@ class TestTrainNetsEpoch:
         nets = init_model((8, 16, 4), seed=1, role=ROLE_NETS)
         cfg = small_cfg(batch_size=len(ds))
         opt = init_optim(nets, 1e-3, 0.0, 0.0)
-        before, _ = sl_dataset_loss(nets, ds)
+        before, _ = sl_dataset_loss(nets, *arrays(ds))
         train_nets_epoch(nets, *arrays(ds), cfg, opt, np.random.default_rng(0))
-        after, _ = sl_dataset_loss(nets, ds)
+        after, _ = sl_dataset_loss(nets, *arrays(ds))
         assert after < before
 
     def test_training_on_truth_reduces_loss_over_epochs(self):
@@ -432,10 +433,10 @@ class TestTrainNetsEpoch:
         nets = init_model((8, 16, 4), seed=1, role=ROLE_NETS)
         opt = init_optim(nets, 0.02, 0.8, 5e-4)
         rng = np.random.default_rng(0)
-        first, _ = sl_dataset_loss(nets, ds)
+        first, _ = sl_dataset_loss(nets, *arrays(ds))
         for _ in range(5):
             train_nets_epoch(nets, *arrays(ds), small_cfg(), opt, rng)
-        last, _ = sl_dataset_loss(nets, ds)
+        last, _ = sl_dataset_loss(nets, *arrays(ds))
         assert last < first
 
 
@@ -460,7 +461,7 @@ class TestRun:
         cfg = small_cfg(epochs=2)
         a = run(ds, test, cfg)
         b = run(ds, test, cfg)
-        assert [r.to_record() for r in a.reports] == [r.to_record() for r in b.reports]
+        assert [asdict(r) for r in a.reports] == [asdict(r) for r in b.reports]
         for x, y in zip(a.netd.flat(), b.netd.flat()):
             np.testing.assert_array_equal(x, y)
 
@@ -483,7 +484,7 @@ class TestBaseline:
         cfg = small_cfg(epochs=2)
         a = run_baseline_ce(ds, test, cfg)
         b = run_baseline_ce(ds, test, cfg)
-        assert [r.to_record() for r in a.reports] == [r.to_record() for r in b.reports]
+        assert [asdict(r) for r in a.reports] == [asdict(r) for r in b.reports]
 
     def test_noise_free_parity_with_full_algorithm(self):
         """Without noise the two procedures land within two points."""
