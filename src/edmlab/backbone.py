@@ -193,21 +193,18 @@ def forward_logits_t(arrays: list[np.ndarray], batch: np.ndarray) -> list[np.nda
 
 
 def backward(arrays: list[np.ndarray], acts: list[np.ndarray],
-             grad: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+             grad: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Backpropagate dL/dlogits through the network of one forward pass.
 
     ``arrays`` and ``acts`` come from :func:`param_tensors` and
     :func:`forward_logits_t`; ``grad`` is a head's gradient at
-    ``acts[-1]``.  Every weight and bias gradient is written into ``out``
-    (a new array when None), one flat float64 array laid out like
-    ``ModelParams.buffer``, which is returned.  The rectifier passes no
-    gradient where its output is exactly 0.
+    ``acts[-1]``.  Every weight and bias gradient is written into ``out``,
+    one flat float64 array laid out like ``ModelParams.buffer``, which is
+    returned.  The rectifier passes no gradient where its output is exactly 0.
     """
     if grad.shape != acts[-1].shape:
         raise ValueError(f"gradient shape {grad.shape} does not match the "
                          f"logits {acts[-1].shape}")
-    if out is None:
-        out = np.empty(sum(a.size for a in arrays))
     views = _views(out, arrays)
     for i in range(len(arrays) // 2 - 1, -1, -1):
         np.add.reduce(grad, axis=0, out=views[2 * i + 1])

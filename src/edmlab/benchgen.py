@@ -8,9 +8,9 @@ noisy samples whose corruption is a label flip).  The remaining
 an out-of-distribution pool and receive a uniformly random label; their true
 class is not part of the label set at all.
 
-Every sample keeps a hidden provenance tag (clean / closed / open) so that
-downstream noise classification can be scored against ground truth.  The tag
-is never an input to training.
+Every sample's provenance (clean / closed / open) is derived from its labels,
+so noise classification can be scored against a ground truth that cannot
+disagree with them.  Provenance is never an input to training.
 
 All randomness flows through ``numpy.random.default_rng`` (PCG64) seeded from
 the relevant spec, so equal inputs produce identical outputs across runs and
@@ -81,7 +81,7 @@ class NoiseSpec:
 
 @dataclass
 class DatasetManifest:
-    """Column-oriented dataset with per-sample provenance.
+    """Column-oriented dataset; each sample's provenance derives from its labels.
 
     Features are stored as float32 (the on-disk precision) so that
     save/load round-trips are bit-exact.  Sample ids are implicit: position
@@ -91,7 +91,6 @@ class DatasetManifest:
     features: np.ndarray  # (n, d) float32
     observed: np.ndarray  # (n,) int32 class indices
     true_class: np.ndarray  # (n,) int32, NO_CLASS for open-set samples
-    provenance: np.ndarray  # (n,) uint8 Provenance values
     num_classes: int
     noise_spec: NoiseSpec
 
@@ -99,7 +98,6 @@ class DatasetManifest:
         self.features = np.ascontiguousarray(self.features, dtype=np.float32)
         self.observed = np.asarray(self.observed, dtype=np.int32)
         self.true_class = np.asarray(self.true_class, dtype=np.int32)
-        self.provenance = np.asarray(self.provenance, dtype=np.uint8)
 
     def __len__(self) -> int:
         return self.features.shape[0]
@@ -109,13 +107,17 @@ class DatasetManifest:
         return self.features.shape[1]
 
     @property
+    def provenance(self) -> np.ndarray:
+        """(n,) uint8 tags, computed on each access: OPEN where the true class
+        is NO_CLASS, else CLOSED where the observed label differs from it."""
+        prov = (self.observed != self.true_class).view(np.uint8)
+        prov[self.true_class == NO_CLASS] = Provenance.OPEN
+        return prov
+
+    @property
     def counts(self) -> tuple[int, int, int]:
-        """(n_clean, n_closed, n_open) from a full provenance scan."""
-        return (
-            int(np.count_nonzero(self.provenance == Provenance.CLEAN)),
-            int(np.count_nonzero(self.provenance == Provenance.CLOSED)),
-            int(np.count_nonzero(self.provenance == Provenance.OPEN)),
-        )
+        """(n_clean, n_closed, n_open) from one provenance scan."""
+        return tuple(int(c) for c in np.bincount(self.provenance, minlength=3))
 
     def one_hot_observed(self) -> np.ndarray:
         """(n, num_classes) float64 one-hot matrix of observed labels."""
@@ -132,7 +134,6 @@ class DatasetManifest:
             and np.array_equal(self.features, other.features)
             and np.array_equal(self.observed, other.observed)
             and np.array_equal(self.true_class, other.true_class)
-            and np.array_equal(self.provenance, other.provenance)
         )
 
 
@@ -183,7 +184,6 @@ def make_synthetic_clean(
         features=features.astype(np.float32),
         observed=labels,
         true_class=labels.copy(),
-        provenance=np.full(n, Provenance.CLEAN, dtype=np.uint8),
         num_classes=num_classes,
         noise_spec=NoiseSpec(rho=0.0, omega=0.0, open_source="none", seed=seed),
     )
@@ -248,7 +248,6 @@ def inject_noise(
             features=clean.features.copy(),
             observed=clean.observed.copy(),
             true_class=clean.true_class.copy(),
-            provenance=clean.provenance.copy(),
             num_classes=clean.num_classes,
             noise_spec=replace(clean.noise_spec),
         )
@@ -272,7 +271,6 @@ def inject_noise(
     features = clean.features.copy()
     observed = clean.observed.copy()
     true_class = clean.true_class.copy()
-    provenance = clean.provenance.copy()
 
     rng = np.random.default_rng(spec.seed)
     perm = rng.permutation(n)
@@ -285,20 +283,17 @@ def inject_noise(
         observed[closed_idx] = np.where(
             draws >= true_class[closed_idx], draws + 1, draws
         ).astype(np.int32)
-        provenance[closed_idx] = Provenance.CLOSED
 
     if n_open > 0:
         observed[open_idx] = rng.integers(0, k, size=n_open).astype(np.int32)
         pool_pick = rng.permutation(pool.shape[0])[:n_open]
         features[open_idx] = pool[pool_pick].astype(np.float32)
         true_class[open_idx] = NO_CLASS
-        provenance[open_idx] = Provenance.OPEN
 
     return DatasetManifest(
         features=features,
         observed=observed,
         true_class=true_class,
-        provenance=provenance,
         num_classes=k,
         noise_spec=replace(spec),
     )

@@ -245,6 +245,11 @@ def parse_config(flag_values: dict, config_path: str | None,
         raise ConfigError(
             f"--classes must not exceed --dim (each class centre takes its own "
             f"axis), got {resolved['classes']} > {resolved['dim']}")
+    if "pool_clusters" in read and resolved["pool_clusters"] < 1:
+        noise = NoiseSpec(resolved["rho"], resolved["omega"])
+        if noise.counts(resolved["classes"] * resolved["per_class"])[1] > 0:
+            raise ConfigError("--pool-clusters must be >= 1 when open-set "
+                              "noise is requested")
 
     gmm = GmmConfig(num_components=resolved["psi"],
                     mu_min=resolved["mu_min"], mu_max=resolved["mu_max"])
@@ -425,9 +430,6 @@ def _generate_benchmark(resolved: dict) -> DatasetManifest:
     spec = NoiseSpec(rho=resolved["rho"], omega=resolved["omega"],
                      seed=seed + 2000)
     _, n_open = spec.counts(len(clean))
-    if n_open > 0 and resolved["pool_clusters"] < 1:
-        raise ConfigError(
-            "--pool-clusters must be >= 1 when open-set noise is requested")
     per_cluster = (max(1, math.ceil(n_open / resolved["pool_clusters"]))
                    if resolved["pool_clusters"] > 0 else 0)
     pool = make_open_pool(resolved["pool_clusters"], per_cluster,
@@ -495,10 +497,10 @@ def _eval_into(model, train_ds: DatasetManifest, test_ds: DatasetManifest,
     split = group_posteriors(fit_em(norm, gmm_cfg), gmm_cfg)
     confusion = split_confusion(partition(split), train_ds)
 
-    export_loss_histogram(norm, train_ds.provenance, HISTOGRAM_BINS,
+    provenance = train_ds.provenance
+    export_loss_histogram(norm, provenance, HISTOGRAM_BINS,
                           out_dir / "loss_histogram.csv")
-    export_posteriors(norm, split, train_ds.provenance,
-                      out_dir / "posteriors.csv")
+    export_posteriors(norm, split, provenance, out_dir / "posteriors.csv")
     export_features(model, train_ds, out_dir / "features.csv")
     summary = {
         "schema_version": SCHEMA_VERSION,

@@ -150,12 +150,12 @@ def export_loss_histogram(losses: np.ndarray, provenance: np.ndarray,
 def export_features(model: ModelParams, manifest: DatasetManifest,
                     path: str | os.PathLike) -> None:
     """One row per sample: id, provenance, penultimate activation vector."""
+    provenance = manifest.provenance
 
     def rows(block: slice):
         feats = hidden_features(model, manifest.features[block])
         ids = range(block.start, block.start + len(feats))
-        provs = manifest.provenance[block].tolist()
-        for i, prov, values in zip(ids, provs, feats):
+        for i, prov, values in zip(ids, provenance[block].tolist(), feats):
             # tolist() yields Python floats, whose repr is the exported text
             yield [str(i), str(prov), *map(repr, values.tolist())]
 

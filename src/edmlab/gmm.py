@@ -172,14 +172,14 @@ def _log_density_coef(weights, means, variances) -> np.ndarray:
     ], axis=1)
 
 
-def _loglik_resp(basis, weights, means, variances, logp=None, resp=None
+def _loglik_resp(basis, weights, means, variances, logp, resp
                  ) -> tuple[float, np.ndarray, np.ndarray]:
     """E-step: data log-likelihood, unnormalized (psi, n) responsibilities
     and their column sums; sample i's responsibilities are resp[:, i] / norm[i].
 
     Arrays are component-major, so the per-sample max and sum run over
-    psi rows of length n.  ``logp`` and ``resp`` are optional (psi, n)
-    buffers to write into; EM reuses one pair across iterations.
+    psi rows of length n.  ``logp`` and ``resp`` are the (psi, n) buffers
+    to write into; EM reuses one pair across iterations.
     """
     logp = np.matmul(_log_density_coef(weights, means, variances), basis,
                      out=logp)
@@ -187,8 +187,6 @@ def _loglik_resp(basis, weights, means, variances, logp=None, resp=None
     logp -= top
     # exp is exactly 0 below -746, where numpy's exp takes a slow path; the
     # tight loss bands of a trained splitter put many entries there
-    if resp is None:
-        resp = np.empty_like(logp)
     resp.fill(0.0)
     np.exp(logp, out=resp, where=logp > _EXP_UNDERFLOW)
     norm = resp.sum(axis=0)

@@ -12,8 +12,9 @@ A manifest (``.edm``) has magic ``EDMv1`` and keys
 ``n d classes rho omega open_source flip seed``; its body is ``n`` packed
 little-endian records, each
 ``id:u32  provenance:u8  true_class:i32  observed:i32  features:f32[d]``.
-Rates are written with ``repr`` so float round-trips are exact.  ``flip`` is
-always ``UNIFORM_EXCLUDING_TRUE``, the one flip rule.
+The provenance byte is the tag the record's labels give (it is derived,
+see ``DatasetManifest.provenance``).  Rates are written with ``repr`` so
+float round-trips are exact.  ``flip`` is always ``UNIFORM_EXCLUDING_TRUE``.
 
 A checkpoint has magic ``EDMCKPT1`` and keys ``role arch`` (the role tag and
 the comma-separated layer widths); its body is every parameter array as
@@ -26,7 +27,7 @@ bad or missing trailer, :class:`~edmlab.errors.DimensionError` when the body
 does not match the sizes the header declares, and
 :class:`~edmlab.errors.FormatError` for a malformed header (any other flip
 rule or role tag included) or inconsistent body contents (a NaN or infinite
-value included).
+value, or a provenance byte that disagrees with its record's labels).
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import numpy as np
 
 from .backbone import ROLES, ModelParams
 from .benchgen import (FLIP_UNIFORM_EXCLUDING_TRUE, NO_CLASS, DatasetManifest,
-                       NoiseSpec, Provenance)
+                       NoiseSpec)
 from .errors import ChecksumError, DimensionError, FormatError
 
 MAGIC = "EDMv1"
@@ -163,8 +164,6 @@ def load_manifest(path: str | os.PathLike) -> DatasetManifest:
     if n > 0:
         if not np.array_equal(records["id"], np.arange(n, dtype=np.uint32)):
             raise FormatError("record ids are not the dense sequence 0..n-1")
-        if not np.all(np.isin(records["prov"], [int(p) for p in Provenance])):
-            raise FormatError("record provenance tag outside the known set")
         if np.any((records["obs"] < 0) | (records["obs"] >= k)):
             raise FormatError("observed class index outside [0, classes)")
         bad_true = (records["true"] != NO_CLASS) & (
@@ -172,22 +171,19 @@ def load_manifest(path: str | os.PathLike) -> DatasetManifest:
         )
         if np.any(bad_true):
             raise FormatError("true class index outside [0, classes) and not NONE")
-        open_mask = records["prov"] == int(Provenance.OPEN)
-        if np.any(records["true"][open_mask] != NO_CLASS):
-            raise FormatError("open-set record carries an in-set true class")
-        if np.any(records["true"][~open_mask] == NO_CLASS):
-            raise FormatError("non-open record lacks a true class")
         if not np.all(np.isfinite(records["feat"])):
             raise FormatError("non-finite feature value in a record")
 
-    return DatasetManifest(
+    manifest = DatasetManifest(
         features=records["feat"].reshape(n, d).copy(),
         observed=records["obs"].astype(np.int32),
         true_class=records["true"].astype(np.int32),
-        provenance=records["prov"].astype(np.uint8),
         num_classes=k,
         noise_spec=spec,
     )
+    if not np.array_equal(records["prov"], manifest.provenance):
+        raise FormatError("record provenance tag disagrees with its labels")
+    return manifest
 
 
 def save_checkpoint(params: ModelParams, path: str | os.PathLike) -> None:

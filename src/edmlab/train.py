@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import logging
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -250,7 +251,7 @@ def _minibatch_pass(what: str, head, model: ModelParams, feats: np.ndarray,
                     rng: np.random.Generator) -> float:
     """One minibatch epoch of ``head(logits, labels)`` over contiguous slices
     of the rows shuffled once; returns its mean.  A non-finite loss raises
-    :class:`NumericsError` naming the network and the step within the epoch."""
+    :class:`NumericsError` naming the network and the step."""
     order = rng.permutation(feats.shape[0])
     feats, labels = feats[order], labels[order]
     grad = np.empty_like(model.buffer)
@@ -261,7 +262,7 @@ def _minibatch_pass(what: str, head, model: ModelParams, feats: np.ndarray,
         loss, d_logits = head(acts[-1], labels[start:start + batch_size])
         if not math.isfinite(loss):
             raise NumericsError(f"non-finite {what} loss in {model.role} "
-                                f"at step {steps} of the epoch")
+                                f"at step {steps}")
         sgd_step(model, backward(arrays, acts, d_logits, grad), opt)
         total += float(loss)
         steps += 1
@@ -276,6 +277,15 @@ _sl_pass = partial(_minibatch_pass, "evidence",
                    lambda logits, y: sl_batch_loss_t(logits, y))
 
 
+@contextmanager
+def _epoch(phase: str, epoch: int):
+    """Name the phase and epoch in a :class:`NumericsError` raised inside."""
+    try:
+        yield
+    except NumericsError as exc:
+        raise NumericsError(f"{exc} of {phase} epoch {epoch}") from None
+
+
 def warmup(netd: ModelParams, nets: ModelParams, feats: np.ndarray,
            labels: np.ndarray, cfg: TrainConfig, rng: np.random.Generator
            ) -> None:
@@ -284,14 +294,12 @@ def warmup(netd: ModelParams, nets: ModelParams, feats: np.ndarray,
     Both see the unchanged noisy labels (``labels``, one-hot) at the initial
     learning rate.
     """
-    if cfg.warmup_epochs_netd > 0:
-        opt_d = init_optim(netd, cfg.learning_rate, MOMENTUM, WEIGHT_DECAY)
-        for _ in range(cfg.warmup_epochs_netd):
-            _ce_pass(netd, feats, labels, cfg.batch_size, opt_d, rng)
-    if cfg.warmup_epochs_nets > 0:
-        opt_s = init_optim(nets, cfg.learning_rate, MOMENTUM, WEIGHT_DECAY)
-        for _ in range(cfg.warmup_epochs_nets):
-            _sl_pass(nets, feats, labels, cfg.batch_size, opt_s, rng)
+    for model, one_pass, epochs in ((netd, _ce_pass, cfg.warmup_epochs_netd),
+                                    (nets, _sl_pass, cfg.warmup_epochs_nets)):
+        opt = init_optim(model, cfg.learning_rate, MOMENTUM, WEIGHT_DECAY)
+        for epoch in range(epochs):
+            with _epoch("warm-up", epoch):
+                one_pass(model, feats, labels, cfg.batch_size, opt, rng)
 
 
 def train_netd_epoch(netd: ModelParams, feats: np.ndarray, labels: np.ndarray,
@@ -345,9 +353,8 @@ def train_netd_epoch(netd: ModelParams, feats: np.ndarray, labels: np.ndarray,
         total, d_logits, comps = dm_batch_loss_t(acts[-1], mixed.targets,
                                                  m * len(xb), cfg.loss_weights)
         if not math.isfinite(total):
-            raise NumericsError(
-                f"non-finite combined loss at iteration {it}: {comps}"
-            )
+            raise NumericsError(f"non-finite combined loss {comps} in "
+                                f"{netd.role} at step {it}")
         sgd_step(netd, backward(arrays, acts, d_logits, grad), opt)
         sums += (comps["labeled"], comps["unlabeled"], comps["regularizer"])
 
@@ -414,9 +421,10 @@ def run(dataset: DatasetManifest, test_dataset: DatasetManifest,
         split = group_posteriors(fit_em(normalize_losses(raw), cfg.gmm), cfg.gmm)
         part = partition(split)
 
-        stats = train_netd_epoch(netd, feats, labels, split, part, cfg, opt_d, rng)
-        targets = relabel_for_nets(netd, feats, labels, split)
-        train_nets_epoch(nets, feats, targets, cfg, opt_s, rng)
+        with _epoch("main-loop", epoch):
+            stats = train_netd_epoch(netd, feats, labels, split, part, cfg, opt_d, rng)
+            targets = relabel_for_nets(netd, feats, labels, split)
+            train_nets_epoch(nets, feats, targets, cfg, opt_s, rng)
 
         conf = split_confusion(part, dataset)
         report = EpochReport(
@@ -452,14 +460,16 @@ def run_baseline_ce(dataset: DatasetManifest, test_dataset: DatasetManifest,
     labels = dataset.one_hot_observed()
 
     opt = init_optim(model, cfg.learning_rate, MOMENTUM, WEIGHT_DECAY)
-    for _ in range(cfg.warmup_epochs_netd):
-        _ce_pass(model, feats, labels, cfg.batch_size, opt, rng)
+    for epoch in range(cfg.warmup_epochs_netd):
+        with _epoch("warm-up", epoch):
+            _ce_pass(model, feats, labels, cfg.batch_size, opt, rng)
 
     n = len(dataset)
     reports: list[EpochReport] = []
     for epoch in range(cfg.epochs):
         opt.learning_rate = cfg.lr_at(epoch)
-        mean_ce = _ce_pass(model, feats, labels, cfg.batch_size, opt, rng)
+        with _epoch("main-loop", epoch):
+            mean_ce = _ce_pass(model, feats, labels, cfg.batch_size, opt, rng)
         report = EpochReport(
             epoch=epoch,
             n_x=n, n_u=0, n_o=0,

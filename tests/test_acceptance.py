@@ -13,15 +13,8 @@ import numpy as np
 import pytest
 from conftest import central_diff_at, rel_err
 
-from edmlab.backbone import (
-    ROLE_NETD,
-    ROLE_NETS,
-    backward,
-    forward_logits_t,
-    init_model,
-    init_optim,
-    param_tensors,
-)
+from edmlab import train
+from edmlab.backbone import backward, forward_logits_t, init_model, param_tensors
 from edmlab.benchgen import (
     NoiseSpec,
     Provenance,
@@ -49,17 +42,7 @@ from edmlab.losses import (
     softmax_t,
     temp_sharpen,
 )
-from edmlab.train import (
-    HIDDEN_WIDTHS,
-    MOMENTUM,
-    WEIGHT_DECAY,
-    TrainConfig,
-    _seed_bundle,
-    run,
-    run_baseline_ce,
-    train_netd_epoch,
-    warmup,
-)
+from edmlab.train import TrainConfig, run, run_baseline_ce
 
 
 def _verdict(capsys, num, name, ok, detail=""):
@@ -162,7 +145,8 @@ def test_02_gradient_fidelity(capsys):
                 ai = int(np.searchsorted(bounds, pick, side="right"))
                 coords.append((ai, int(pick - (bounds[ai - 1] if ai else 0))))
             acts = forward_logits_t(arrays, x)
-            grad = backward(arrays, acts, head(acts[-1])[1])
+            grad = backward(arrays, acts, head(acts[-1])[1],
+                            np.empty_like(model.buffer))
             analytic = grad[picks]
             numeric = central_diff_at(
                 lambda: float(head(forward_logits_t(arrays, x)[-1])[0]),
@@ -271,19 +255,15 @@ def test_05_noise_injection_exactness(capsys):
 def test_06_warmup_loss_ordering(capsys):
     """After splitter warm-up, mean loss ranks clean < open < closed."""
     start = time.monotonic()
-    noisy, _ = _benchmark(0)
-    cfg = TrainConfig(seed=0)
-    widths = (noisy.feature_dim, *HIDDEN_WIDTHS, noisy.num_classes)
-    netd_ss, nets_ss, rng = _seed_bundle(cfg.seed)
-    netd = init_model(widths, netd_ss, role=ROLE_NETD)
-    nets = init_model(widths, nets_ss, role=ROLE_NETS)
-    feats, labels = noisy.features.astype(np.float64), noisy.one_hot_observed()
-    warmup(netd, nets, feats, labels, cfg, rng)
-    _, raw = sl_dataset_loss(nets, feats, labels)
+    noisy, test = _benchmark(0)
+    nets = run(noisy, test, TrainConfig(epochs=0, seed=0)).nets
+    _, raw = sl_dataset_loss(nets, noisy.features.astype(np.float64),
+                             noisy.one_hot_observed())
     norm = normalize_losses(raw)
-    mean_clean = norm[noisy.provenance == Provenance.CLEAN].mean()
-    mean_open = norm[noisy.provenance == Provenance.OPEN].mean()
-    mean_closed = norm[noisy.provenance == Provenance.CLOSED].mean()
+    provenance = noisy.provenance
+    mean_clean = norm[provenance == Provenance.CLEAN].mean()
+    mean_open = norm[provenance == Provenance.OPEN].mean()
+    mean_closed = norm[provenance == Provenance.CLOSED].mean()
     elapsed = time.monotonic() - start
     ok = mean_clean < mean_open < mean_closed and elapsed < 120.0
     assert _verdict(
@@ -346,7 +326,7 @@ def test_09_bitwise_determinism(capsys, tmp_path):
                     f"{len(compared)} artifacts compared, {elapsed:.1f}s")
 
 
-def test_10_structure_audits(capsys, trend_runs):
+def test_10_structure_audits(capsys, trend_runs, monkeypatch):
     """Each epoch covers all N samples three ways; discarded samples never
     reach a classifier gradient; posterior triples sum to one."""
     results, _ = trend_runs
@@ -357,30 +337,35 @@ def test_10_structure_audits(capsys, trend_runs):
         for report in edm.reports:
             ok &= report.n_x + report.n_u + report.n_o == 2000
 
-    # instrumented epochs: replicate the loop and audit the update sets
-    noisy, _ = _benchmark(0)
+    # instrumented epochs: the training loop itself, with each epoch's split,
+    # partition and classifier stats recorded through the module globals
+    splits, epochs = [], []
+    real_posteriors, real_epoch = train.group_posteriors, train.train_netd_epoch
+
+    def recorded_posteriors(*args):
+        splits.append(real_posteriors(*args))
+        return splits[-1]
+
+    def recorded_epoch(netd, feats, labels, split, part, *rest):
+        stats = real_epoch(netd, feats, labels, split, part, *rest)
+        epochs.append((split, part, stats))
+        return stats
+
+    monkeypatch.setattr(train, "group_posteriors", recorded_posteriors)
+    monkeypatch.setattr(train, "train_netd_epoch", recorded_epoch)
+    noisy, test = _benchmark(0)
     cfg = TrainConfig(epochs=3, seed=0)
-    widths = (noisy.feature_dim, *HIDDEN_WIDTHS, noisy.num_classes)
-    netd_ss, nets_ss, rng = _seed_bundle(cfg.seed)
-    netd = init_model(widths, netd_ss, role=ROLE_NETD)
-    nets = init_model(widths, nets_ss, role=ROLE_NETS)
-    feats, labels = noisy.features.astype(np.float64), noisy.one_hot_observed()
-    warmup(netd, nets, feats, labels, cfg, rng)
-    opt_d = init_optim(netd, cfg.learning_rate, MOMENTUM, WEIGHT_DECAY)
+    run(noisy, test, cfg)
     n = len(noisy)
-    for _ in range(cfg.epochs):
-        _, raw = sl_dataset_loss(nets, feats, labels)
-        gmodel = fit_em(normalize_losses(raw), cfg.gmm)
-        split = group_posteriors(gmodel, cfg.gmm)
+    ok &= len(epochs) == cfg.epochs and len(splits) == cfg.epochs
+    for made, (split, part, stats) in zip(splits, epochs):
+        ok &= split is made
         triple_sum = split.w + split.w_op + split.w_cl
         ok &= bool(np.all(np.abs(triple_sum - 1.0) <= 1e-6))
-        part = partition(split)
         sizes = part.sizes()
         ok &= sum(sizes) == n
         all_idx = np.concatenate([part.x_idx, part.u_idx, part.o_idx])
         ok &= len(np.unique(all_idx)) == n
-        stats = train_netd_epoch(netd, feats, labels, split, part, cfg, opt_d,
-                                 rng)
         o_set = set(part.o_idx.tolist())
         ok &= not o_set.intersection(stats.used_labeled.tolist())
         ok &= not o_set.intersection(stats.used_unlabeled.tolist())

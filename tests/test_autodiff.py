@@ -45,10 +45,15 @@ def _split(flat, arrays):
             for block, a in zip(np.split(flat, ends[:-1]), arrays)]
 
 
+def _buffer(arrays):
+    """A flat gradient buffer for ``arrays``, as training allocates one."""
+    return np.empty(sum(a.size for a in arrays))
+
+
 def _network_grad(arrays, x, d_logits_of):
     """The flat gradient of one step whose head gradient is ``d_logits_of``."""
     acts = forward_logits_t(arrays, x)
-    return backward(arrays, acts, d_logits_of(acts[-1]))
+    return backward(arrays, acts, d_logits_of(acts[-1]), _buffer(arrays))
 
 
 class TestForwardValues:
@@ -213,8 +218,10 @@ class TestBackwardHandCases:
         arrays = param_tensors(m)
         acts = forward_logits_t(arrays, np.ones((5, 3)))
         with pytest.raises(ValueError):
-            backward(arrays, acts, np.ones(5))  # one value per row
-        assert backward(arrays, acts, np.ones((5, 2))).shape == m.buffer.shape
+            # one value per row
+            backward(arrays, acts, np.ones(5), np.empty_like(m.buffer))
+        buf = np.empty_like(m.buffer)
+        assert backward(arrays, acts, np.ones((5, 2)), buf) is buf
 
     def test_grad_reset_between_backward_calls(self):
         """Each backward() overwrites its buffer: no accumulation across calls."""
@@ -228,7 +235,8 @@ class TestBackwardHandCases:
         first = buf.copy()
         backward(arrays, acts, d_logits, buf)
         np.testing.assert_array_equal(buf, first)
-        np.testing.assert_array_equal(backward(arrays, acts, d_logits), first)
+        np.testing.assert_array_equal(
+            backward(arrays, acts, d_logits, np.empty_like(m.buffer)), first)
 
 
 class TestBackwardFiniteDifference:
@@ -259,7 +267,7 @@ class TestBackwardFiniteDifference:
         g = np.array([[0.5, -1.0]])
         acts = forward_logits_t(arrays, x)
         np.testing.assert_array_equal(acts[-1], x)
-        blocks = _split(backward(arrays, acts, g), arrays)
+        blocks = _split(backward(arrays, acts, g, _buffer(arrays)), arrays)
         for d_w, d_b in zip(blocks[0::2], blocks[1::2]):
             np.testing.assert_array_equal(d_w, x.T @ g)
             np.testing.assert_array_equal(d_b, g[0])

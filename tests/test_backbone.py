@@ -119,7 +119,7 @@ class TestBackward:
         arrays = param_tensors(m)
         acts = forward_logits_t(arrays, x)
         _, d_logits = sl_batch_loss_t(acts[-1], np.eye(2)[[0, 1, 0, 1, 0]])
-        grad = backward(arrays, acts, d_logits)
+        grad = backward(arrays, acts, d_logits, np.empty_like(m.buffer))
         assert grad.shape == m.buffer.shape
         assert np.all(grad == 0.0)
 
@@ -130,7 +130,7 @@ class TestBackward:
         acts = forward_logits_t(arrays, np.ones((5, 3)))
         _, stray = sl_batch_loss_t(np.ones((2, 2)), np.eye(2))
         with pytest.raises(ValueError):
-            backward(arrays, acts, stray)
+            backward(arrays, acts, stray, np.empty_like(m.buffer))
 
     def test_network_gradcheck_against_finite_differences(self):
         """Backprop through the full network matches central differences."""
@@ -147,7 +147,7 @@ class TestBackward:
         arrays = param_tensors(m)
         acts = forward_logits_t(arrays, x)
         _, d_logits = ce_batch_loss_t(softmax_t(acts[-1]), labels)
-        grad = backward(arrays, acts, d_logits)
+        grad = backward(arrays, acts, d_logits, np.empty_like(m.buffer))
 
         flat_params = m.flat()
         offsets = np.cumsum([0] + [a.size for a in flat_params])

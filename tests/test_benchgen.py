@@ -230,3 +230,19 @@ class TestSampleView:
         assert onehot.shape == (400, 4)
         np.testing.assert_array_equal(onehot.argmax(axis=1), noisy.observed)
         np.testing.assert_array_equal(onehot.sum(axis=1), np.ones(400))
+
+    def test_provenance_follows_the_labels(self):
+        """Open where the true class is NO_CLASS, closed where the label
+        differs from it, clean otherwise; the tags cannot be assigned."""
+        ds = DatasetManifest(
+            features=np.zeros((4, 2), np.float32),
+            observed=np.array([0, 1, 1, 0], np.int32),
+            true_class=np.array([0, 0, NO_CLASS, NO_CLASS], np.int32),
+            num_classes=2, noise_spec=NoiseSpec(rho=0.75, omega=1 / 3))
+        np.testing.assert_array_equal(
+            ds.provenance, [Provenance.CLEAN, Provenance.CLOSED,
+                            Provenance.OPEN, Provenance.OPEN])
+        assert ds.provenance.dtype == np.uint8
+        assert ds.counts == (1, 1, 2)
+        with pytest.raises(AttributeError):
+            ds.provenance = np.zeros(4, np.uint8)

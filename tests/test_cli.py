@@ -5,6 +5,7 @@ import json
 import math
 import os
 import platform
+import re
 import struct
 import subprocess
 import sys
@@ -16,7 +17,7 @@ import pytest
 from edmlab import cli
 from edmlab import train as train_mod
 from edmlab.backbone import init_model
-from edmlab.benchgen import DatasetManifest, NoiseSpec
+from edmlab.benchgen import DatasetManifest, NoiseSpec, Provenance
 from edmlab.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
@@ -441,6 +442,8 @@ class TestRunManifest:
         capsys.readouterr()
         assert run_cli(command, *args, "--out-dir", out_dir) == EXIT_RUNTIME
         message = "numerics error: non-finite cross-entropy loss"
+        if command == "train":  # the main loop names the epoch it was in
+            message += " of main-loop epoch 0"
         assert message in capsys.readouterr().err
         manifest = json.loads((out_dir / "run_manifest.json").read_text())
         assert manifest["outcome"] == "failed"
@@ -453,7 +456,7 @@ class TestRunManifest:
         assert manifest["artifacts"] == expected[command]
 
     def test_diverged_step_names_its_network(self, tmp_path):
-        """A non-finite warm-up loss is reported with the network and step.
+        """A non-finite warm-up loss names the network, step, phase and epoch.
 
         Run as a subprocess: the overflow warnings on the way to it would
         be errors under the suite's warning filter.
@@ -468,8 +471,9 @@ class TestRunManifest:
         assert proc.returncode == EXIT_RUNTIME, proc.stderr
         manifest = json.loads((out_dir / "run_manifest.json").read_text())
         assert manifest["outcome"] == "failed"
-        assert manifest["error"].startswith(
-            "numerics error: non-finite cross-entropy loss in NetD at step ")
+        assert re.fullmatch(r"numerics error: non-finite cross-entropy loss "
+                            r"in NetD at step \d+ of warm-up epoch \d+",
+                            manifest["error"]), manifest["error"]
         assert manifest["error"] in proc.stderr
 
 
@@ -487,6 +491,8 @@ class TestBadGeometry:
         (("gen", "--pool-offset", "inf"), "--pool-offset"),
         (("run", "--lr", "inf"), "--lr"),
         (("run", "--mix-alpha", "inf"), "--mix-alpha"),
+        (("run", "--pool-clusters", 0), "--pool-clusters"),
+        (("gen", "--pool-clusters", 0), "--pool-clusters"),
     ])
     def test_rejected_before_anything_is_written(self, tmp_path, capsys, args, flag):
         out = tmp_path / "out"
@@ -567,7 +573,7 @@ class TestBadInputs:
         empty = tmp_path / "empty.manifest"
         save_manifest(DatasetManifest(
             features=np.zeros((0, 8), np.float32), observed=np.zeros(0, np.int32),
-            true_class=np.zeros(0, np.int32), provenance=np.zeros(0, np.uint8),
+            true_class=np.zeros(0, np.int32),
             num_classes=4, noise_spec=NoiseSpec(rho=0.0, omega=0.0)), empty)
         out = tmp_path / "out"
         capsys.readouterr()
@@ -586,6 +592,25 @@ class TestBadInputs:
         assert run_cli("train", "--manifest", train, "--test-manifest", test,
                        "--out-dir", out) == EXIT_DATA
         assert "non-finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_provenance_tag_disagreeing_with_labels_exits_three(
+            self, tmp_path, capsys):
+        """A closed-set record whose stored tag says clean is rejected."""
+        train, test = gen_pair(tmp_path)
+        provenance = load_manifest(train).provenance
+        closed = int(np.flatnonzero(provenance == Provenance.CLOSED)[0])
+        blob = bytearray(train.read_bytes())
+        # records are id:u32, provenance:u8, two i32 classes, 8 f32 features
+        blob[blob.index(b"\n") + 1 + closed * 45 + 4] = Provenance.CLEAN
+        train.write_bytes(bytes(blob))
+        ckpt = tmp_path / "netd.ckpt"
+        save_checkpoint(init_model((8, 64, 64, 4), seed=0), ckpt)
+        out = tmp_path / "out"
+        assert run_cli("eval", "--checkpoint", ckpt,
+                       "--manifest", train, "--test-manifest", test,
+                       "--out-dir", out) == EXIT_DATA
+        assert "disagrees with its labels" in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -67,7 +67,6 @@ class TestTestAccuracy:
             features=np.eye(k, dtype=np.float32)[true],
             observed=true.copy(),
             true_class=true.copy(),
-            provenance=np.zeros(len(true), dtype=np.uint8),
             num_classes=k,
             noise_spec=NoiseSpec(rho=0.0, omega=0.0),
         )
@@ -93,7 +92,6 @@ class TestTestAccuracy:
             features=np.ones((1, 1), dtype=np.float32),
             observed=np.array([1], dtype=np.int32),
             true_class=np.array([1], dtype=np.int32),
-            provenance=np.zeros(1, dtype=np.uint8),
             num_classes=2,
             noise_spec=NoiseSpec(rho=0.0, omega=0.0),
         )
@@ -109,7 +107,6 @@ class TestTestAccuracy:
             features=ds.features[perm],
             observed=ds.observed[perm],
             true_class=ds.true_class[perm],
-            provenance=ds.provenance[perm],
             num_classes=ds.num_classes,
             noise_spec=ds.noise_spec,
         )
@@ -122,7 +119,6 @@ class TestTestAccuracy:
             features=ds.features[:0],
             observed=ds.observed[:0],
             true_class=ds.true_class[:0],
-            provenance=ds.provenance[:0],
             num_classes=ds.num_classes,
             noise_spec=ds.noise_spec,
         )

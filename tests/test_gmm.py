@@ -171,7 +171,9 @@ def _direct_m_step(x, resp, means, variances):
 def _kernel(x, weights, means, variances):
     """One E-step and one M-step of the fitting kernel, in x's coordinates."""
     basis, centre = _basis(x)
-    ll, resp, norm = _loglik_resp(basis, weights, means - centre, variances)
+    logp, resp = (np.empty((len(weights), len(x))) for _ in range(2))
+    ll, resp, norm = _loglik_resp(basis, weights, means - centre, variances,
+                                  logp, resp)
     new_w, new_m, new_v = _m_step(resp, norm, basis, means - centre, variances)
     return ll, (resp / norm).T, (new_w, new_m + centre, new_v)
 

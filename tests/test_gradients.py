@@ -62,7 +62,7 @@ def test_flat_gradient_matches_central_differences(name):
     arrays = param_tensors(model)
     acts = forward_logits_t(arrays, x)
     value, d_logits = head(acts[-1], y)
-    grad = backward(arrays, acts, d_logits)
+    grad = backward(arrays, acts, d_logits, np.empty_like(model.buffer))
     assert grad.shape == model.buffer.shape
     assert value == head(forward_logits(model, x), y)[0]
 

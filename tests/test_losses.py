@@ -363,7 +363,8 @@ class TestLossGradients:
 
         arrays = param_tensors(m)
         acts = forward_logits_t(arrays, x)
-        grad = backward(arrays, acts, make_loss(acts[-1])[1])
+        grad = backward(arrays, acts, make_loss(acts[-1])[1],
+                        np.empty_like(m.buffer))
 
         flat = m.flat()
         offsets = np.cumsum([0] + [a.size for a in flat])

@@ -30,13 +30,27 @@ def _edit_header(edit):
     return lambda blob: _reframe(blob, edit(blob[:blob.index(b"\n")]))
 
 
+def _retagged(m, tmp_path, record, tag):
+    """``m`` saved, then record ``record``'s provenance byte set to ``tag``.
+
+    The byte follows the header line and the record's id:u32; the file's
+    length, and so its trailer, is unchanged.
+    """
+    path = tmp_path / "retagged.edm"
+    save_manifest(m, path)
+    blob = bytearray(path.read_bytes())
+    size = 4 + 1 + 4 + 4 + 4 * m.feature_dim
+    blob[blob.index(b"\n") + 1 + record * size + 4] = tag
+    path.write_bytes(bytes(blob))
+    return path
+
+
 class TestOnDiskBytes:
     def test_manifest_bytes(self, tmp_path):
         m = DatasetManifest(
             features=np.array([[0.5, -1.0], [2.0, 0.25]], np.float32),
             observed=np.array([0, 1], np.int32),
             true_class=np.array([0, -1], np.int32),
-            provenance=np.array([Provenance.CLEAN, Provenance.OPEN], np.uint8),
             num_classes=2,
             noise_spec=NoiseSpec(rho=0.5, omega=0.0, seed=7),
         )
@@ -76,6 +90,8 @@ _FRAME_CASES = [
     pytest.param(lambda blob: blob[:-1], ChecksumError, "mismatch", id="truncated-1"),
     pytest.param(lambda blob: blob[:-7], ChecksumError, "mismatch", id="truncated-7"),
     pytest.param(lambda blob: blob[:-40], ChecksumError, "mismatch", id="truncated-40"),
+    pytest.param(lambda blob: blob[:-(len(blob) // 2)], ChecksumError, "mismatch",
+                 id="truncated-half"),
     pytest.param(lambda blob: blob + b"\x00" * 16, ChecksumError, "mismatch",
                  id="appended-16"),
     pytest.param(_edit_header(lambda h: b"XXXv1" + h[h.index(b" "):]),
@@ -127,7 +143,6 @@ class TestRoundTrip:
             features=np.zeros((0, 3), np.float32),
             observed=np.zeros(0, np.int32),
             true_class=np.zeros(0, np.int32),
-            provenance=np.zeros(0, np.uint8),
             num_classes=2,
             noise_spec=NoiseSpec(rho=0.0, omega=0.0, seed=0),
         )
@@ -152,18 +167,6 @@ class TestRoundTrip:
 
 
 class TestErrorReporting:
-    def test_truncated_file_fails_checksum(self, tmp_path):
-        """Any truncation is caught by the trailing length check."""
-        m = _noisy_manifest()
-        path = tmp_path / "data.edm"
-        save_manifest(m, path)
-        blob = path.read_bytes()
-        for cut in (1, 7, 40, len(blob) // 2):
-            short = tmp_path / f"cut{cut}.edm"
-            short.write_bytes(blob[:-cut])
-            with pytest.raises(ChecksumError):
-                load_manifest(short)
-
     def test_tiny_file_fails_checksum(self, tmp_path):
         path = tmp_path / "tiny.edm"
         path.write_bytes(b"EDM")
@@ -190,6 +193,17 @@ class TestErrorReporting:
         with pytest.raises(FormatError):
             load_manifest(bad)
 
+    def test_missing_header_field_is_format_error(self, tmp_path):
+        m = _noisy_manifest()
+        path = tmp_path / "data.edm"
+        save_manifest(m, path)
+        blob = path.read_bytes()
+        header = blob[:blob.index(b"\n")].replace(b"seed=", b"sead=")
+        bad = tmp_path / "field.edm"
+        bad.write_bytes(_reframe(blob, header))
+        with pytest.raises(FormatError):
+            load_manifest(bad)
+
     def test_header_body_mismatch_is_dimension_error(self, tmp_path):
         """An in-place edit of the header's n leaves a wrong-sized body."""
         m = _noisy_manifest()
@@ -203,19 +217,6 @@ class TestErrorReporting:
         bad = tmp_path / "dim.edm"
         bad.write_bytes(doctored)
         with pytest.raises(DimensionError):
-            load_manifest(bad)
-
-    def test_missing_header_field_is_format_error(self, tmp_path):
-        m = _noisy_manifest()
-        path = tmp_path / "data.edm"
-        save_manifest(m, path)
-        blob = path.read_bytes()
-        header_end = blob.index(b"\n")
-        header = blob[:header_end].replace(b"seed=", b"sead=")
-        payload = header + blob[header_end:-8]
-        bad = tmp_path / "field.edm"
-        bad.write_bytes(payload + struct.pack("<Q", len(payload)))
-        with pytest.raises(FormatError):
             load_manifest(bad)
 
     def test_unknown_flip_rule_is_format_error(self, tmp_path):
@@ -249,18 +250,24 @@ class TestErrorReporting:
     def test_inconsistent_true_class_is_format_error(self, tmp_path):
         """An open-tagged record carrying an in-set true class is rejected."""
         m = _noisy_manifest()
-        bad_true = m.true_class.copy()
-        open_ids = np.flatnonzero(m.provenance == Provenance.OPEN)
-        bad_true[open_ids[0]] = 0
-        broken = DatasetManifest(
-            features=m.features, observed=m.observed, true_class=bad_true,
-            provenance=m.provenance, num_classes=m.num_classes,
-            noise_spec=m.noise_spec,
-        )
-        path = tmp_path / "broken.edm"
-        save_manifest(broken, path)
-        with pytest.raises(FormatError):
-            load_manifest(path)
+        clean = int(np.flatnonzero(m.provenance == Provenance.CLEAN)[0])
+        with pytest.raises(FormatError, match="disagrees with its labels"):
+            load_manifest(_retagged(m, tmp_path, clean, Provenance.OPEN))
+
+    @pytest.mark.parametrize("stored, tag", [
+        (Provenance.CLOSED, Provenance.CLEAN),
+        (Provenance.CLEAN, Provenance.CLOSED),
+        (Provenance.OPEN, Provenance.CLEAN),
+        (Provenance.CLEAN, 3),
+    ], ids=["closed-tagged-clean", "clean-tagged-closed", "open-tagged-clean",
+            "unknown-tag"])
+    def test_tag_disagreeing_with_labels_is_format_error(self, tmp_path,
+                                                         stored, tag):
+        """The stored provenance byte must be the tag the labels give."""
+        m = _noisy_manifest()
+        record = int(np.flatnonzero(m.provenance == stored)[0])
+        with pytest.raises(FormatError, match="disagrees with its labels"):
+            load_manifest(_retagged(m, tmp_path, record, tag))
 
     def test_observed_out_of_range_is_format_error(self, tmp_path):
         m = _noisy_manifest()
@@ -268,8 +275,7 @@ class TestErrorReporting:
         bad_obs[0] = 99
         broken = DatasetManifest(
             features=m.features, observed=bad_obs, true_class=m.true_class,
-            provenance=m.provenance, num_classes=m.num_classes,
-            noise_spec=m.noise_spec,
+            num_classes=m.num_classes, noise_spec=m.noise_spec,
         )
         path = tmp_path / "obs.edm"
         save_manifest(broken, path)

@@ -7,6 +7,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from edmlab import train as train_mod
 from edmlab.backbone import (
     ROLE_NETD,
     ROLE_NETS,
@@ -21,6 +22,7 @@ from edmlab.backbone import (
 )
 from edmlab.benchgen import NoiseSpec, inject_noise, make_open_pool, \
     make_synthetic_clean
+from edmlab.errors import NumericsError
 from edmlab.gmm import PosteriorSplit, partition
 from edmlab.losses import ce_batch_loss_t, sl_dataset_loss, softmax_t, temp_sharpen
 from edmlab.train import (
@@ -356,7 +358,8 @@ class TestTrainNetdEpoch:
             params = param_tensors(model)
             acts = forward_logits_t(params, feats)
             _, d_logits = ce_batch_loss_t(softmax_t(acts[-1]), labels)
-            sgd_step(model, backward(params, acts, d_logits), opt)
+            sgd_step(model, backward(params, acts, d_logits,
+                                      np.empty_like(model.buffer)), opt)
             one_step_each()
             assert gc.collect() == 0
         finally:
@@ -475,6 +478,27 @@ class TestRun:
             assert r.n_x + r.n_u + r.n_o == n
             assert 0.0 <= r.test_accuracy <= 1.0
             assert np.asarray(r.confusion).sum() == n
+
+    def test_nan_combined_loss_names_netd_and_epoch(self, monkeypatch):
+        """A non-finite NetD loss in the main loop names the network, the
+        step, the phase and the epoch."""
+        real_epoch, real_loss = train_mod.train_netd_epoch, train_mod.dm_batch_loss_t
+        epochs = []
+
+        def counted(*args):
+            epochs.append(len(epochs))
+            return real_epoch(*args)
+
+        def nan_in_epoch_one(*args):
+            total, d_logits, comps = real_loss(*args)
+            return (np.nan if len(epochs) == 2 else total), d_logits, comps
+
+        monkeypatch.setattr(train_mod, "train_netd_epoch", counted)
+        monkeypatch.setattr(train_mod, "dm_batch_loss_t", nan_in_epoch_one)
+        with pytest.raises(NumericsError, match=r"^non-finite combined loss .* "
+                           r"in NetD at step 0 of main-loop epoch 1$"):
+            run(make_noisy_blobs(per_class=50), make_test_blobs(per_class=50),
+                small_cfg(epochs=2))
 
 
 class TestBaseline:
