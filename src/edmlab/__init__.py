@@ -37,7 +37,6 @@ from .errors import (
     NumericsError,
 )
 from .evaluation import (
-    AccuracyReport,
     SplitConfusion,
     split_confusion,
     test_accuracy,
@@ -64,7 +63,6 @@ from .train import (
 )
 
 __all__ = [
-    "AccuracyReport",
     "ChecksumError",
     "ConfigError",
     "DataError",

@@ -28,11 +28,9 @@ ROLE_NETD = "NetD"
 ROLE_NETS = "NetS"
 ROLES = (ROLE_NETD, ROLE_NETS)
 
-#: rows per no-grad forward call over a whole dataset: in
-#: :func:`forward_logits_chunked` (the loss scan ``losses.sl_dataset_loss``
-#: and ``train.relabel_for_nets``), and in ``evaluation.test_accuracy``,
-#: ``evaluation.export_features`` and ``evaluation.export_posteriors``, which
-#: also write their CSV rows this many at a time
+#: rows per no-grad pass over a whole dataset: every such pass (the loss
+#: scan, relabelling, test accuracy, and the CSV exports, which also write
+#: their rows this many at a time) walks the slices of :func:`chunks`
 FORWARD_CHUNK = 4096
 
 #: standard deviation of the Gaussian jitter :func:`augment` adds
@@ -133,16 +131,21 @@ def forward_logits(params: ModelParams, batch: np.ndarray) -> np.ndarray:
     return forward_logits_t(params.flat(), batch)[-1]
 
 
+def chunks(n: int):
+    """Slices that cover ``range(n)`` in order, FORWARD_CHUNK rows each."""
+    return (slice(start, start + FORWARD_CHUNK)
+            for start in range(0, n, FORWARD_CHUNK))
+
+
 def forward_logits_chunked(params: ModelParams, batch: np.ndarray) -> np.ndarray:
-    """:func:`forward_logits` over a whole dataset, FORWARD_CHUNK rows at a time.
+    """:func:`forward_logits` over a whole dataset, one :func:`chunks` slice
+    at a time.
 
     Chunking bounds the hidden activations held at once on large manifests.
     """
-    n = batch.shape[0]
-    out = np.empty((n, params.num_classes), dtype=np.float64)
-    for start in range(0, n, FORWARD_CHUNK):
-        out[start:start + FORWARD_CHUNK] = forward_logits(
-            params, batch[start:start + FORWARD_CHUNK])
+    out = np.empty((batch.shape[0], params.num_classes), dtype=np.float64)
+    for block in chunks(batch.shape[0]):
+        out[block] = forward_logits(params, batch[block])
     return out
 
 

@@ -9,14 +9,15 @@ Four subcommands share one configuration model:
 
 Configuration precedence is flag > config-file line > built-in default.  The
 optional config file is flat ``key=value`` text whose keys mirror the flag
-names.  The ``EDM_SEED`` environment variable, when set, overrides any seed.
+names.  The ``EDM_SEED`` environment variable, when set, overrides the seed
+of the commands that read one (gen, train, run).
 Epoch logs are line-buffered JSON lines carrying a schema version field, and
 every output directory gets a run manifest snapshotting the config keys the
 command reads, input digests, timestamps, the environment, the outcome (with
 the error and exit code of a failure), and the artifact list.
 
-Exit codes: 0 success, 2 configuration error, 3 data/file error, 4 runtime
-(numerical or unexpected) failure.
+Exit codes: 0 success, 2 configuration error, 3 data/file error (any
+``OSError`` included), 4 runtime (numerical or unexpected) failure.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ EXIT_RUNTIME = 4
 _FAILURES = (
     (ConfigError, EXIT_CONFIG, "config error"),
     (DataError, EXIT_DATA, "data error"),
-    (FileNotFoundError, EXIT_DATA, "data error"),
+    (OSError, EXIT_DATA, "data error"),
     (NumericsError, EXIT_RUNTIME, "numerics error"),
 )
 
@@ -223,7 +224,7 @@ def parse_config(flag_values: dict, config_path: str | None,
                               + (" with --manifest" if on_manifest else ""))
 
     env_seed = os.environ.get("EDM_SEED")
-    if env_seed is not None:
+    if env_seed is not None and "seed" in read:
         try:
             resolved["seed"] = int(env_seed)
             valid = _KEYS["seed"].check(resolved["seed"])
@@ -487,8 +488,8 @@ def _eval_into(model, train_ds: DatasetManifest, test_ds: DatasetManifest,
     comes from ``splitter``'s evidence losses, partitioned as in training;
     test accuracy and features come from ``model``.  Without a splitter,
     ``model`` does both.  The CSV exports write their rows to the files as
-    they go, ``FORWARD_CHUNK`` rows at a time; ``eval.json`` is written
-    last.  Returns the artifact names and the eval.json summary.
+    they go, one ``backbone.chunks`` slice at a time; ``eval.json`` is
+    written last.  Returns the artifact names and the eval.json summary.
     """
     _, per_sample = sl_dataset_loss(model if splitter is None else splitter,
                                     train_ds.features,
@@ -552,11 +553,9 @@ def cmd_train(ns: argparse.Namespace) -> int:
         manifest.input_digests = _digests(train_path, test_path)
         outcome, manifest.artifacts = _train_into(train_ds, test_ds, cfg,
                                                   resolved["algo"], out_dir)
-    acc = outcome.accuracy
     _emit({"event": "train", "out_dir": str(out_dir), "algo": resolved["algo"],
-           "epochs": cfg.epochs,
-           "best_accuracy": acc.best if outcome.reports else None,
-           "last_accuracy": acc.last if outcome.reports else None})
+           "epochs": cfg.epochs, "best_accuracy": outcome.best_accuracy,
+           "last_accuracy": outcome.last_accuracy})
     return EXIT_OK
 
 
@@ -620,11 +619,10 @@ def cmd_run(ns: argparse.Namespace) -> int:
         artifacts, summary = _eval_into(outcome.netd, train_ds, test_ds,
                                         cfg.gmm, out_dir, splitter=outcome.nets)
         manifest.artifacts += artifacts
-    acc = outcome.accuracy
     _emit({"event": "run", "out_dir": str(out_dir), "algo": resolved["algo"],
            "generated_benchmark": generated, "epochs": cfg.epochs,
-           "best_accuracy": acc.best if outcome.reports else None,
-           "last_accuracy": acc.last if outcome.reports else None,
+           "best_accuracy": outcome.best_accuracy,
+           "last_accuracy": outcome.last_accuracy,
            "test_accuracy": summary["test_accuracy"],
            "split_balanced_accuracy": summary["split_balanced_accuracy"]})
     return EXIT_OK

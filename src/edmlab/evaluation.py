@@ -1,15 +1,15 @@
 """Measurement and export harness.
 
-Quantifies a trained classifier (test accuracy, best/last trajectory) and
-the noise classifier (the X/U/O partition training uses vs ground-truth
-provenance), and writes plain comma-separated exports — loss histograms
-by provenance, penultimate-layer features, per-sample posterior triples —
-for external plotting.  Everything here is a pure reader: deterministic,
-no mutation.
+Quantifies a trained classifier (test accuracy; a run's best and last are
+``train.TrainOutcome``'s) and the noise classifier (the X/U/O partition
+training uses vs ground-truth provenance), and writes plain comma-separated
+exports — loss histograms by provenance, penultimate-layer features,
+per-sample posterior triples — for external plotting.  Everything here is
+a pure reader: deterministic, no mutation.
 
 Memory stays bounded on large manifests: :func:`test_accuracy` and
-:func:`export_features` run the network FORWARD_CHUNK rows at a time,
-:func:`export_posteriors` formats its rows that many at a time, and all
+:func:`export_features` run the network one ``backbone.chunks`` slice at a
+time, :func:`export_posteriors` formats its rows slice by slice, and all
 three exports (with :func:`export_loss_histogram`) write each row to the
 open file as it is formatted instead of building the whole table first.
 """
@@ -22,7 +22,7 @@ from itertools import chain
 
 import numpy as np
 
-from .backbone import FORWARD_CHUNK, ModelParams, forward_logits, hidden_features
+from .backbone import ModelParams, chunks, forward_logits, hidden_features
 from .benchgen import DatasetManifest, Provenance
 from .gmm import Partition, PosteriorSplit
 
@@ -58,12 +58,6 @@ class SplitConfusion:
         self.balanced_accuracy = float(self.recall[present].mean())
 
 
-def _chunks(n: int):
-    """Slices that cover ``range(n)`` in order, FORWARD_CHUNK rows each."""
-    return (slice(start, start + FORWARD_CHUNK)
-            for start in range(0, n, FORWARD_CHUNK))
-
-
 def split_confusion(part: Partition, manifest: DatasetManifest) -> SplitConfusion:
     """Tally the three-way split training uses against ground-truth provenance."""
     sizes = part.sizes()
@@ -85,30 +79,11 @@ def test_accuracy(model: ModelParams, test_manifest: DatasetManifest) -> float:
     if np.any(test_manifest.provenance != Provenance.CLEAN):
         raise ValueError("test set must be all-clean")
     hits = 0
-    for block in _chunks(len(test_manifest)):
+    for block in chunks(len(test_manifest)):
         logits = forward_logits(model, test_manifest.features[block])
         hits += int(np.count_nonzero(
             np.argmax(logits, axis=1) == test_manifest.true_class[block]))
     return hits / len(test_manifest)
-
-
-@dataclass
-class AccuracyReport:
-    """Per-epoch test accuracies with their best and final values."""
-
-    per_epoch: list[float]
-
-    @property
-    def best(self) -> float:
-        if not self.per_epoch:
-            raise ValueError("no epochs recorded")
-        return max(self.per_epoch)
-
-    @property
-    def last(self) -> float:
-        if not self.per_epoch:
-            raise ValueError("no epochs recorded")
-        return self.per_epoch[-1]
 
 
 # -- comma-separated exports -------------------------------------------
@@ -163,7 +138,7 @@ def export_features(model: ModelParams, manifest: DatasetManifest,
     # freed before the next chunk's are computed
     width = model.widths[-2]
     _write_csv(path, "id,provenance," + ",".join(f"h{j}" for j in range(width)),
-               chain.from_iterable(map(rows, _chunks(len(manifest)))))
+               chain.from_iterable(map(rows, chunks(len(manifest)))))
 
 
 def export_posteriors(losses: np.ndarray, split: PosteriorSplit,
@@ -180,4 +155,4 @@ def export_posteriors(losses: np.ndarray, split: PosteriorSplit,
                    map(str, provenance[block].tolist()))
 
     _write_csv(path, "loss,w,w_op,w_cl,provenance",
-               chain.from_iterable(map(rows, _chunks(len(losses)))))
+               chain.from_iterable(map(rows, chunks(len(losses)))))

@@ -59,14 +59,6 @@ class GmmConfig:
                 f"need 0 < mu_min < mu_max < 1, got ({self.mu_min}, {self.mu_max})"
             )
 
-    def validate_for_training(self) -> None:
-        """The training loop needs enough components to cover three bands."""
-        self.validate()
-        if self.num_components < 3:
-            raise ValueError(
-                f"training requires num_components >= 3, got {self.num_components}"
-            )
-
 
 @dataclass(frozen=True)
 class GmmModel:

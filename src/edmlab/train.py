@@ -47,7 +47,7 @@ from .backbone import (
 )
 from .benchgen import DatasetManifest
 from .errors import NumericsError
-from .evaluation import AccuracyReport, split_confusion, test_accuracy
+from .evaluation import split_confusion, test_accuracy
 from .gmm import (
     GmmConfig,
     Partition,
@@ -119,7 +119,11 @@ class TrainConfig:
             raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
         if self.warmup_epochs_netd < 0 or self.warmup_epochs_nets < 0:
             raise ValueError("warm-up epoch counts must be >= 0")
-        self.gmm.validate_for_training()
+        self.gmm.validate()
+        # the split needs enough mixture components to cover three bands
+        if self.gmm.num_components < 3:
+            raise ValueError(f"training requires num_components >= 3, "
+                             f"got {self.gmm.num_components}")
 
     @property
     def resolved_lr_drop_epoch(self) -> int:
@@ -173,15 +177,22 @@ class NetdEpochStats:
 
 @dataclass
 class TrainOutcome:
-    """Final models plus the per-epoch report trail."""
+    """Final models plus the per-epoch report trail.
+
+    Best and last test accuracy are None after zero epochs.
+    """
 
     netd: ModelParams
     reports: list[EpochReport]
     nets: ModelParams | None = None
 
     @property
-    def accuracy(self) -> AccuracyReport:
-        return AccuracyReport([r.test_accuracy for r in self.reports])
+    def best_accuracy(self) -> float | None:
+        return max((r.test_accuracy for r in self.reports), default=None)
+
+    @property
+    def last_accuracy(self) -> float | None:
+        return self.reports[-1].test_accuracy if self.reports else None
 
 
 def _seed_bundle(seed: int):

@@ -279,11 +279,12 @@ def test_07_robustness_trend_over_baseline(capsys, trend_runs):
     ok = elapsed < 600.0
     details = []
     for seed, (edm, base) in enumerate(results):
-        ea, ba = edm.accuracy, base.accuracy
-        e_gap, b_gap = ea.best - ea.last, ba.best - ba.last
-        ok &= ea.last > ba.last
+        e_last, b_last = edm.last_accuracy, base.last_accuracy
+        e_gap = edm.best_accuracy - e_last
+        b_gap = base.best_accuracy - b_last
+        ok &= e_last > b_last
         ok &= e_gap <= b_gap
-        details.append(f"s{seed}: {ea.last:.3f}>{ba.last:.3f}, "
+        details.append(f"s{seed}: {e_last:.3f}>{b_last:.3f}, "
                        f"gap {e_gap:.3f}<={b_gap:.3f}")
     assert _verdict(capsys, 7, "robustness trend over baseline", ok,
                     "; ".join(details) + f", {elapsed:.0f}s < 600s")

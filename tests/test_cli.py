@@ -122,6 +122,11 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="EDM_SEED"):
             parse_config({}, None, "run")
 
+    def test_env_seed_ignored_by_a_command_without_a_seed(self, monkeypatch):
+        monkeypatch.setenv("EDM_SEED", "lots")
+        _, resolved = parse_config({}, None, "eval")
+        assert "seed" not in resolved
+
     def test_band_bounds_must_be_ordered(self):
         with pytest.raises(ConfigError, match="--mu-min"):
             parse_config({"mu_min": 0.7, "mu_max": 0.3}, None, "run")
@@ -250,6 +255,20 @@ class TestTrain:
         assert not (out_dir / "nets_last.ckpt").exists()
         rec = json.loads((out_dir / "epochs.jsonl").read_text().splitlines()[0])
         assert rec["algo"] == "ce"
+
+    def test_zero_epochs_report_no_accuracy(self, tmp_path, capsys):
+        train, test = gen_pair(tmp_path)
+        out_dir = tmp_path / "out"
+        capsys.readouterr()
+        assert run_cli("train", "--manifest", train, "--test-manifest", test,
+                       "--epochs", 0, "--warmup-d", 1, "--warmup-s", 1,
+                       "--out-dir", out_dir) == EXIT_OK
+        printed = json.loads(capsys.readouterr().out)
+        assert printed["best_accuracy"] is None
+        assert printed["last_accuracy"] is None
+        assert (out_dir / "epochs.jsonl").read_bytes() == b""
+        assert ((out_dir / "netd_best.ckpt").read_bytes()
+                == (out_dir / "netd_last.ckpt").read_bytes())
 
     def test_bad_algo_is_config_error(self, tmp_path):
         train, test = gen_pair(tmp_path)
@@ -612,6 +631,22 @@ class TestBadInputs:
                        "--out-dir", out) == EXIT_DATA
         assert "disagrees with its labels" in capsys.readouterr().err
         assert not out.exists()
+
+
+    @pytest.mark.parametrize("command, flag, target", [
+        ("gen", "--out", "directory"),
+        ("gen", "--out", "file/x.manifest"),
+        ("run", "--out-dir", "file"),
+    ])
+    def test_unwritable_output_path_exits_three(self, tmp_path, capsys,
+                                                command, flag, target):
+        (tmp_path / "directory").mkdir()
+        (tmp_path / "file").write_bytes(b"keep")
+        assert run_cli(command, "--per-class", 10, flag,
+                       tmp_path / target) == EXIT_DATA
+        assert capsys.readouterr().err.startswith("data error: ")
+        assert (tmp_path / "file").read_bytes() == b"keep"
+        assert not any((tmp_path / "directory").iterdir())
 
 
 class TestTracedBenchmark:

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from edmlab import evaluation
+from edmlab import backbone
 from edmlab.backbone import (
     ModelParams,
     ROLE_NETD,
@@ -22,7 +22,6 @@ from edmlab.benchgen import (
     make_synthetic_clean,
 )
 from edmlab.evaluation import (
-    AccuracyReport,
     GROUP_ORDER,
     SplitConfusion,
     export_features,
@@ -32,6 +31,7 @@ from edmlab.evaluation import (
 )
 from edmlab.evaluation import test_accuracy as model_accuracy
 from edmlab.gmm import Partition, PosteriorSplit, partition
+from edmlab.train import EpochReport, TrainOutcome
 
 
 def _clean_blobs(per_class=50, seed=0):
@@ -197,20 +197,31 @@ class TestSplitConfusion:
 
 
 class TestAccuracyReport:
+    """A run's best and last test accuracy, read from its epoch reports."""
+
+    @staticmethod
+    def _outcome(accuracies):
+        reports = [EpochReport(epoch=e, n_x=0, n_u=0, n_o=0, test_accuracy=a,
+                               learning_rate=0.1)
+                   for e, a in enumerate(accuracies)]
+        return TrainOutcome(netd=init_model((2, 2), seed=0), reports=reports)
+
     def test_best_last_gap(self):
-        rep = AccuracyReport([0.5, 0.9, 0.8])
-        assert rep.best == 0.9
-        assert rep.last == 0.8
+        rep = self._outcome([0.5, 0.9, 0.8])
+        assert rep.best_accuracy == 0.9
+        assert rep.last_accuracy == 0.8
+        empty = self._outcome([])
+        assert empty.best_accuracy is None and empty.last_accuracy is None
 
     def test_monotone_run_has_zero_gap(self):
-        rep = AccuracyReport([0.5, 0.6, 0.7])
-        assert rep.best == rep.last == 0.7
+        rep = self._outcome([0.5, 0.6, 0.7])
+        assert rep.best_accuracy == rep.last_accuracy == 0.7
 
     def test_best_never_below_last(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
-            rep = AccuracyReport(list(rng.uniform(size=5)))
-            assert rep.best >= rep.last
+            rep = self._outcome(rng.uniform(size=5).tolist())
+            assert rep.best_accuracy >= rep.last_accuracy
 
 
 class TestExports:
@@ -283,8 +294,8 @@ class TestExports:
 
 
 class TestChunking:
-    """Evaluation runs and writes FORWARD_CHUNK rows at a time; the chunk
-    size must show in no result, and memory must follow it, not n."""
+    """Evaluation runs and writes backbone.FORWARD_CHUNK rows at a time; the
+    chunk size must show in no result, and memory must follow it, not n."""
 
     def _data(self):
         clean = make_synthetic_clean(4, 10, 8, 0.5, seed=2)
@@ -297,7 +308,7 @@ class TestChunking:
         return ds, rng.uniform(size=len(ds)), split
 
     def _export(self, monkeypatch, tmp_path, chunk, model, ds, losses, split):
-        monkeypatch.setattr(evaluation, "FORWARD_CHUNK", chunk)
+        monkeypatch.setattr(backbone, "FORWARD_CHUNK", chunk)
         out = tmp_path / f"chunk{chunk}"
         out.mkdir()
         export_features(model, ds, out / "features.csv")
@@ -336,7 +347,7 @@ class TestChunking:
         pred = np.argmax(forward_logits(model, ds.features), axis=1)
         want = float(np.mean(pred == ds.true_class))
         assert 0.0 < want < 1.0
-        monkeypatch.setattr(evaluation, "FORWARD_CHUNK", 7)
+        monkeypatch.setattr(backbone, "FORWARD_CHUNK", 7)
         assert model_accuracy(model, ds) == want
 
     def test_feature_export_memory_follows_the_chunk(self, monkeypatch,
@@ -344,7 +355,7 @@ class TestChunking:
         ds = _clean_blobs(per_class=500)
         width = 64
         model = init_model((8, width, width, 4), seed=0)
-        monkeypatch.setattr(evaluation, "FORWARD_CHUNK", 100)
+        monkeypatch.setattr(backbone, "FORWARD_CHUNK", 100)
         whole_table = len(ds) * width * 8  # every activation as float64
         tracemalloc.start()
         try:

@@ -16,6 +16,7 @@ from edmlab.gmm import (
     partition,
 )
 from edmlab import gmm
+from edmlab.train import TrainConfig
 
 
 class TestNormalizeLosses:
@@ -43,7 +44,8 @@ class TestNormalizeLosses:
 
 class TestGmmConfig:
     def test_defaults_are_valid(self):
-        GmmConfig().validate_for_training()
+        GmmConfig().validate()
+        TrainConfig(gmm=GmmConfig()).validate()
 
     def test_band_ordering_enforced(self):
         with pytest.raises(ValueError):
@@ -53,8 +55,9 @@ class TestGmmConfig:
 
     def test_training_needs_three_components(self):
         GmmConfig(num_components=1).validate()  # fine for bare fitting
-        with pytest.raises(ValueError):
-            GmmConfig(num_components=2).validate_for_training()
+        TrainConfig(gmm=GmmConfig(num_components=3)).validate()
+        with pytest.raises(ValueError, match="num_components >= 3"):
+            TrainConfig(gmm=GmmConfig(num_components=2)).validate()
 
 
 class TestFitEm:

@@ -518,7 +518,7 @@ class TestBaseline:
                           seed=0)
         edm = run(ds, test, cfg)
         base = run_baseline_ce(ds, test, cfg)
-        assert abs(edm.accuracy.last - base.accuracy.last) <= 0.02
+        assert abs(edm.last_accuracy - base.last_accuracy) <= 0.02
 
     def test_shares_classifier_init_with_full_algorithm(self):
         ds = make_noisy_blobs(per_class=50)
