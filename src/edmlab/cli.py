@@ -130,10 +130,10 @@ _KEYS: dict[str, _Key] = {
               "augmented views per sample"),
     "t": _Key(float, _TRAIN.temperature, lambda v: v > 0, "a positive number",
               "sharpening temperature"),
-    "psi": _Key(int, _TRAIN.gmm.num_components, lambda v: v >= 3,
-                "an integer >= 3",
+    # TrainConfig.validate owns the rule psi >= 3 and GmmConfig.validate the
+    # band rule 0 < mu_min < mu_max < 1
+    "psi": _Key(int, _TRAIN.gmm.num_components, None, "an integer",
                 "mixture components of the loss-band classifier"),
-    # GmmConfig.validate owns the band rule 0 < mu_min < mu_max < 1
     "mu_min": _Key(float, _TRAIN.gmm.mu_min, None, "a number",
                    "upper mean bound of the clean band"),
     "mu_max": _Key(float, _TRAIN.gmm.mu_max, None, "a number",
@@ -168,6 +168,10 @@ _COMMAND_KEYS = {
              "mu_max", "out_dir"),
     "run": _GEOMETRY + ("manifest", "test_manifest") + _TRAINING + ("out_dir",),
 }
+
+#: the flags that set the config fields whose rules the key checks leave to
+#: TrainConfig.validate, to name them in its errors
+_FIELD_FLAGS = {"num_components": "--psi", "mu_min": "--mu-min/--mu-max"}
 
 
 def _flag(key: str) -> str:
@@ -252,12 +256,6 @@ def parse_config(flag_values: dict, config_path: str | None,
             raise ConfigError("--pool-clusters must be >= 1 when open-set "
                               "noise is requested")
 
-    gmm = GmmConfig(num_components=resolved["psi"],
-                    mu_min=resolved["mu_min"], mu_max=resolved["mu_max"])
-    try:
-        gmm.validate()
-    except ValueError as exc:
-        raise ConfigError(f"--mu-min/--mu-max: {exc}") from None
     try:
         cfg = TrainConfig(
             epochs=resolved["epochs"],
@@ -270,12 +268,16 @@ def parse_config(flag_values: dict, config_path: str | None,
             mix_alpha=resolved["mix_alpha"],
             loss_weights=LossWeights(lambda_u=resolved["lambda_u"],
                                      lambda_reg=resolved["lambda_reg"]),
-            gmm=gmm,
+            gmm=GmmConfig(num_components=resolved["psi"],
+                          mu_min=resolved["mu_min"], mu_max=resolved["mu_max"]),
             seed=resolved["seed"],
         )
         cfg.validate()
     except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        message = str(exc)
+        flag = next((flag for field, flag in _FIELD_FLAGS.items()
+                     if field in message), None)
+        raise ConfigError(f"{flag}: {message}" if flag else message) from None
     return cfg, {key: resolved[key] for key in read}
 
 

@@ -521,6 +521,19 @@ class TestBadGeometry:
         assert flag in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize("command, psi, rule", [
+        ("run", 2, "num_components >= 3"),
+        ("run", 0, "num_components must be >= 1"),
+        ("eval", 2, "num_components >= 3"),
+    ])
+    def test_psi_reports_the_config_rule_it_breaks(self, tmp_path, capsys,
+                                                   command, psi, rule):
+        out = tmp_path / "out"
+        assert run_cli(command, "--psi", psi, "--out-dir", out) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "--psi" in err and rule in err
+        assert not out.exists()
+
     def test_non_finite_config_value_rejected_before_anything_is_written(
             self, tmp_path, capsys):
         conf = tmp_path / "exp.conf"

@@ -227,6 +227,8 @@ class TestEmKernel:
         self._check(x, weights, np.array([0.25, 0.75]), new_v)
 
     def test_entries_below_exp_underflow_are_exactly_zero(self):
+        """Shifted log-densities at or below the E-step's floor get exactly
+        zero responsibility, here every sample's other component."""
         rng = np.random.default_rng(14)
         x = np.concatenate([rng.normal(0.1, 0.01, 300),
                             rng.normal(0.6, 0.01, 300)])
@@ -235,10 +237,24 @@ class TestEmKernel:
         self._check(x, weights, means, variances)
         _, resp, _ = _kernel(x, weights, means, variances)
         _, _, shifted = _direct_e_step(x, weights, means, variances)
-        deep = shifted < -746.0
+        deep = shifted <= gmm._EXP_FLOOR
         assert deep.sum() == 600  # every sample, for the other component
         assert np.all(resp[deep] == 0.0)
         assert np.all(resp[~deep] > 0.0)
+
+    def test_fit_stays_on_the_fast_exp_path(self):
+        """A fit to uniform losses leaves no subnormal responsibility, and an
+        E-step at its parameters never underflows in exp, whose subnormal
+        results cost up to 150 times a normal one."""
+        x = np.random.default_rng(0).uniform(0, 1, 2000)
+        model = fit_em(x, GmmConfig())
+        tiny = np.finfo(np.float64).tiny
+        assert np.all((model.resp == 0.0) | (model.resp >= tiny))
+        basis, centre = _basis(x)
+        buffers = (np.empty(model.resp.shape) for _ in range(2))
+        with np.errstate(under="raise"):
+            _loglik_resp(basis, model.weights, model.means - centre,
+                         model.variances, *buffers)
 
 
 def _hand_built_model(x, weights, means, variances):
