@@ -218,22 +218,32 @@ def co_refine(labels: np.ndarray, clean_weight: np.ndarray, mean_probs: np.ndarr
     return temp_sharpen(w * labels + (1.0 - w) * mean_probs, temperature)
 
 
-def guess_unlabeled(model: ModelParams, feats: np.ndarray, num_augments: int,
-                    rng: np.random.Generator) -> tuple[list[np.ndarray], np.ndarray]:
-    """M stochastic views of a batch and the model's average softmax over them.
+def guess_unlabeled(model: ModelParams, batches: list[np.ndarray],
+                    num_augments: int, rng: np.random.Generator
+                    ) -> tuple[np.ndarray, list[np.ndarray]]:
+    """M stochastic views of each batch, stacked, and the model's average
+    softmax over each batch's views.
 
-    The average is MixMatch's label guess: unlabeled rows train on it
-    sharpened, labeled rows blend it with their label first (:func:`co_refine`).
+    The views are batch 0's M copies, then batch 1's, and so on, jittered by
+    one :func:`augment` call and run through one no-grad forward; the
+    generator is consumed as M sequential ``augment`` calls per batch would
+    consume it.  Each average is MixMatch's label guess: unlabeled rows
+    train on it sharpened, labeled rows blend it with their label first
+    (:func:`co_refine`).
     """
     if num_augments < 1:
         raise ValueError(f"num_augments must be >= 1, got {num_augments}")
-    views, acc = [], None
-    for _ in range(num_augments):
-        v = augment(feats, rng)
-        views.append(v)
-        p = softmax_probs(forward_logits(model, v))
-        acc = p if acc is None else acc + p
-    return views, acc / num_augments
+    stacked = np.concatenate([b for b in batches for _ in range(num_augments)])
+    views = augment(stacked, rng)
+    probs = softmax_probs(forward_logits(model, views))
+    means, start = [], 0
+    for b in batches:
+        stop = start + num_augments * len(b)
+        # a reduction over the leading axis adds the views in draw order
+        means.append(probs[start:stop].reshape(num_augments, len(b), -1)
+                     .sum(axis=0) / num_augments)
+        start = stop
+    return views, means
 
 
 def mixmatch_batch(inputs: np.ndarray, targets: np.ndarray, mix_alpha: float,
@@ -319,12 +329,13 @@ def train_netd_epoch(netd: ModelParams, feats: np.ndarray, labels: np.ndarray,
                      ) -> NetdEpochStats:
     """One semi-supervised epoch of the classifier on X (labeled) and U.
 
-    Runs ceil(|X|/batch) iterations.  Each iteration augments its labeled
-    and unlabeled batches M times, co-refines labels and sharpens guesses
-    under no-grad forwards, mixes everything against a shuffled union, and
-    takes one forward pass and one SGD step over that whole mixed batch on
-    the combined objective.  Samples in O are never touched.  An empty X
-    skips the epoch with a warning.
+    Runs ceil(|X|/batch) iterations.  Each iteration draws M views of its
+    labeled and unlabeled batches and guesses their labels in one no-grad
+    forward (:func:`guess_unlabeled`), co-refines labels and sharpens
+    guesses, mixes everything against a shuffled union, and takes one
+    forward pass and one SGD step over that whole mixed batch on the
+    combined objective.  Samples in O are never touched.  An empty X skips
+    the epoch with a warning.
     """
     if len(part.x_idx) == 0:
         log.warning("labeled set X is empty this epoch; classifier update skipped")
@@ -338,26 +349,24 @@ def train_netd_epoch(netd: ModelParams, feats: np.ndarray, labels: np.ndarray,
     num_iters = math.ceil(len(x_order) / batch)
     sums = np.zeros(3)
     grad = np.empty_like(netd.buffer)
-    used_unlabeled: list[np.ndarray] = []
+    used_u = np.zeros(feats.shape[0], dtype=bool)
 
     for it in range(num_iters):
         xb = x_order[it * batch:(it + 1) * batch]
-        ub = (rng.choice(u_idx, size=batch, replace=len(u_idx) < batch)
-              if len(u_idx) > 0 else None)
+        batches = [feats[xb]]
+        if len(u_idx) > 0:
+            ub = rng.choice(u_idx, size=batch, replace=len(u_idx) < batch)
+            used_u[ub] = True
+            batches.append(feats[ub])
 
-        # labeled rows first: co-refined, sharpened targets on M views
-        views, p_mean = guess_unlabeled(netd, feats[xb], m, rng)
-        targets = [co_refine(labels[xb], split.w[xb], p_mean, cfg.temperature)] * m
+        # labeled rows (first) get co-refined, sharpened targets; unlabeled
+        # rows sharpened average-of-views pseudo-labels
+        views, means = guess_unlabeled(netd, batches, m, rng)
+        targets = [co_refine(labels[xb], split.w[xb], means[0], cfg.temperature)]
+        targets += [temp_sharpen(q, cfg.temperature) for q in means[1:]]
 
-        # then unlabeled rows: sharpened average-of-views pseudo-labels
-        if ub is not None:
-            used_unlabeled.append(ub)
-            views_u, q_mean = guess_unlabeled(netd, feats[ub], m, rng)
-            views += views_u
-            targets += [temp_sharpen(q_mean, cfg.temperature)] * m
-
-        mixed = mixmatch_batch(np.concatenate(views, axis=0),
-                               np.concatenate(targets, axis=0),
+        mixed = mixmatch_batch(views,
+                               np.concatenate([t for t in targets for _ in range(m)]),
                                cfg.mix_alpha, rng)
         arrays = param_tensors(netd)
         acts = forward_logits_t(arrays, mixed.inputs)
@@ -371,9 +380,8 @@ def train_netd_epoch(netd: ModelParams, feats: np.ndarray, labels: np.ndarray,
 
     return NetdEpochStats(
         iterations=num_iters,
-        used_labeled=np.unique(x_order),
-        used_unlabeled=(np.unique(np.concatenate(used_unlabeled))
-                        if used_unlabeled else np.empty(0, dtype=np.int64)),
+        used_labeled=part.x_idx,
+        used_unlabeled=np.flatnonzero(used_u),
         mean_labeled_loss=float(sums[0] / num_iters),
         mean_unlabeled_loss=float(sums[1] / num_iters),
         mean_reg_loss=float(sums[2] / num_iters),

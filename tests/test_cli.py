@@ -495,6 +495,21 @@ class TestRunManifest:
                             manifest["error"]), manifest["error"]
         assert manifest["error"] in proc.stderr
 
+    def test_run_never_imports_numpy_ma(self, tmp_path):
+        """A run loads no ``numpy.ma``, which costs 10-30 ms to import and
+        which ``np.quantile`` and ``np.unique`` pull in."""
+        env = {k: v for k, v in os.environ.items() if k != "EDM_SEED"}
+        env["PYTHONPATH"] = str(REPO / "src")
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from edmlab.cli import main; "
+             "rc = main(['run', '--epochs', '2', '--per-class', '20', "
+             f"'--out-dir', {str(tmp_path / 'out')!r}]); "
+             "print(rc, 'numpy.ma' in sys.modules)"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == f"{EXIT_OK} False"
+
 
 class TestBadGeometry:
     @pytest.mark.parametrize("args, flag", [

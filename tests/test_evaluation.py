@@ -31,7 +31,7 @@ from edmlab.evaluation import (
 )
 from edmlab.evaluation import test_accuracy as model_accuracy
 from edmlab.gmm import Partition, PosteriorSplit, partition
-from edmlab.train import EpochReport, TrainOutcome
+from edmlab.train import HIDDEN_WIDTHS, EpochReport, TrainOutcome
 
 
 def _clean_blobs(per_class=50, seed=0):
@@ -315,6 +315,12 @@ class TestChunking:
         export_posteriors(losses, split, ds.provenance, out / "posteriors.csv")
         return ((out / "features.csv").read_bytes(),
                 (out / "posteriors.csv").read_bytes())
+
+    def test_chunk_activation_fits_a_resident_block(self):
+        """A chunk's widest float64 activation stays within 256 KiB: larger
+        blocks glibc maps or trims away on free, so every no-grad pass
+        faulted its memory back in from the OS."""
+        assert backbone.FORWARD_CHUNK * max(HIDDEN_WIDTHS) * 8 <= 256 * 1024
 
     def test_exports_do_not_depend_on_the_chunk(self, monkeypatch, tmp_path):
         ds, losses, split = self._data()

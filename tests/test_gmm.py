@@ -181,6 +181,21 @@ def _kernel(x, weights, means, variances):
     return ll, (resp / norm).T, (new_w, new_m + centre, new_v)
 
 
+class TestQuantileStart:
+    def test_sort_quantiles_equal_numpy_bit_for_bit(self):
+        """The fit's starting means are ``np.quantile``'s, from one sort, on
+        random, tied and constant vectors of every size up to 3,000."""
+        rng = np.random.default_rng(0)
+        for trial in range(600):
+            n = int(rng.integers(1, 3000))
+            x = (rng.random(n), rng.integers(0, 5, n) / 4.0,
+                 np.full(n, rng.random()))[trial % 3]
+            psi = int(rng.integers(1, 40))
+            q = (np.arange(psi, dtype=np.float64) + 0.5) / psi
+            np.testing.assert_array_equal(gmm._quantiles(x, q).view(np.int64),
+                                          np.quantile(x, q).view(np.int64))
+
+
 class TestEmKernel:
     """The matmul E- and M-step against the direct two-pass formulas."""
 

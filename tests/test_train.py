@@ -11,6 +11,7 @@ from edmlab import train as train_mod
 from edmlab.backbone import (
     ROLE_NETD,
     ROLE_NETS,
+    augment,
     backward,
     forward_logits,
     forward_logits_t,
@@ -154,8 +155,8 @@ class TestCoRefine:
 
 def _guess_row(model, sample, num_augments, temperature, rng):
     """The loop's unlabeled target for a one-row batch: sharpened mean of views."""
-    views, mean = guess_unlabeled(model, sample[None, :], num_augments, rng)
-    assert len(views) == num_augments
+    views, (mean,) = guess_unlabeled(model, [sample[None, :]], num_augments, rng)
+    assert views.shape == (num_augments, sample.shape[0])
     return temp_sharpen(mean, temperature)[0]
 
 
@@ -187,6 +188,22 @@ class TestGuessUnlabeled:
         one = _guess_row(m, x, 1, 0.5, _NoJitter())
         two = _guess_row(m, x, 2, 0.5, _NoJitter())
         np.testing.assert_allclose(one, two, atol=1e-12)
+
+    def test_stacked_draw_matches_sequential_augments(self):
+        """One stacked draw gives the views M ``augment`` calls per batch
+        would, row for row, and leaves the generator in the same state."""
+        m = init_model((4, 8, 3), seed=2)
+        data = np.random.default_rng(0).normal(size=(9, 4))
+        batches = [data[:5], data[5:]]
+        rng_stacked, rng_seq = np.random.default_rng(7), np.random.default_rng(7)
+        views, means = guess_unlabeled(m, batches, 3, rng_stacked)
+        want = [augment(b, rng_seq) for b in batches for _ in range(3)]
+        np.testing.assert_array_equal(views, np.concatenate(want))
+        assert rng_stacked.bit_generator.state == rng_seq.bit_generator.state
+        for b, mean, first in zip(batches, means, (0, 3)):
+            acc = sum(softmax_probs(forward_logits(m, v)) for v in want[first:first + 3])
+            np.testing.assert_allclose(mean, acc / 3, rtol=1e-12)
+            assert mean.shape == (len(b), 3)
 
 
 class _FixedDraws:
@@ -326,6 +343,24 @@ class TestTrainNetdEpoch:
                                  np.random.default_rng(0))
         assert stats.iterations == 2
         assert len(calls) == stats.iterations
+
+    def test_one_label_guess_forward_per_step(self, monkeypatch):
+        """Each step guesses the labels of all its views in one no-grad
+        forward: the labeled rows' M views, then the unlabeled rows'."""
+        calls = []
+
+        def counting(model, batch):
+            calls.append(batch.shape[0])
+            return forward_logits(model, batch)
+
+        monkeypatch.setattr(train_mod, "forward_logits", counting)
+        ds, split, part, model, cfg, opt = self._setup(n_x=80, n_u=40)
+        stats = train_netd_epoch(model, *arrays(ds), split, part, cfg, opt,
+                                 np.random.default_rng(0))
+        m, b = cfg.num_augments, cfg.batch_size
+        assert stats.iterations == 2
+        # 80 labeled rows make batches of b and 80 - b; each step draws b unlabeled
+        assert calls == [m * (b + b), m * ((80 - b) + b)]
 
     def test_discarded_samples_never_used(self):
         ds, split, part, model, cfg, opt = self._setup(n_x=80, n_u=40)
