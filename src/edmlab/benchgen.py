@@ -143,9 +143,8 @@ def class_centers(num_classes: int, feature_dim: int, cluster_spread: float) -> 
     Requires num_classes <= feature_dim so every class gets its own axis.
     """
     if num_classes > feature_dim:
-        raise ValueError(
-            f"feature_dim={feature_dim} too small to place {num_classes} separated centers"
-        )
+        raise ValueError(f"num_classes={num_classes} exceeds feature_dim={feature_dim}: "
+                         f"each class centre takes its own axis")
     centers = np.zeros((num_classes, feature_dim), dtype=np.float64)
     for c in range(num_classes):
         centers[c, c] = CENTER_SCALE * cluster_spread

@@ -10,7 +10,10 @@ Four subcommands share one configuration model:
 Configuration precedence is flag > config-file line > built-in default.  The
 optional config file is flat ``key=value`` text whose keys mirror the flag
 names.  The ``EDM_SEED`` environment variable, when set, overrides the seed
-of the commands that read one (gen, train, run).
+of the commands that read one (gen, train, run).  The CLI only parses a
+key (a float must be finite); its range rule belongs to the library object
+or generator the key feeds, whose error exits 2 under the key's flag before
+anything is written.
 Epoch logs are line-buffered JSON lines carrying a schema version field, and
 every output directory gets a run manifest snapshotting the config keys the
 command reads, input digests, timestamps, the environment, the outcome (with
@@ -80,12 +83,11 @@ _FAILURES = (
 
 @dataclass
 class _Key:
-    """One configuration key: its type, default, range rule, and help text."""
+    """One configuration key: its type, default and help text.  The library
+    objects it feeds own its range rules (see ``_FIELD_FLAGS``)."""
 
     cast: type
     default: object
-    check: object  # predicate over the parsed value, or None
-    rule: str  # human-readable range description used in error messages
     help: str
 
 
@@ -94,64 +96,44 @@ _TRAIN = TrainConfig()
 
 _KEYS: dict[str, _Key] = {
     # benchmark geometry
-    "classes": _Key(int, 4, lambda v: v >= 2, "an integer >= 2",
-                    "number of in-distribution classes"),
-    "per_class": _Key(int, 500, lambda v: v >= 1, "an integer >= 1",
-                      "training samples per class"),
-    "dim": _Key(int, 8, lambda v: v >= 2, "an integer >= 2",
-                "feature dimension"),
-    "spread": _Key(float, 0.5, lambda v: v > 0, "a positive number",
-                   "cluster standard deviation"),
-    "rho": _Key(float, 0.6, lambda v: 0.0 <= v <= 1.0, "in [0, 1]",
-                "total label-noise rate"),
-    "omega": _Key(float, 0.5, lambda v: 0.0 <= v <= 1.0, "in [0, 1]",
-                  "closed-set share of the noisy portion"),
-    "pool_clusters": _Key(int, 2, lambda v: v >= 0, "an integer >= 0",
-                          "number of out-of-distribution pool clusters"),
-    "pool_offset": _Key(float, 8.0, lambda v: v > 0, "a positive number",
+    "classes": _Key(int, 4, "number of in-distribution classes"),
+    "per_class": _Key(int, 500, "training samples per class"),
+    "dim": _Key(int, 8, "feature dimension"),
+    "spread": _Key(float, 0.5, "cluster standard deviation"),
+    "rho": _Key(float, 0.6, "total label-noise rate"),
+    "omega": _Key(float, 0.5, "closed-set share of the noisy portion"),
+    "pool_clusters": _Key(int, 2, "number of out-of-distribution pool clusters"),
+    "pool_offset": _Key(float, 8.0,
                         "distance of the pool from the clean clusters"),
     # optimization
-    "epochs": _Key(int, _TRAIN.epochs, lambda v: v >= 0, "an integer >= 0",
-                   "main-loop epochs"),
-    "batch": _Key(int, _TRAIN.batch_size, lambda v: v >= 1,
-                  "an integer >= 1", "minibatch size"),
-    "lr": _Key(float, _TRAIN.learning_rate, lambda v: v > 0,
-               "a positive number", "initial learning rate"),
-    "lambda_u": _Key(float, _TRAIN.loss_weights.lambda_u, lambda v: v >= 0,
-                     "a number >= 0",
+    "epochs": _Key(int, _TRAIN.epochs, "main-loop epochs"),
+    "batch": _Key(int, _TRAIN.batch_size, "minibatch size"),
+    "lr": _Key(float, _TRAIN.learning_rate, "initial learning rate"),
+    "lambda_u": _Key(float, _TRAIN.loss_weights.lambda_u,
                      "weight of the unlabeled consistency term"),
     "lambda_reg": _Key(float, _TRAIN.loss_weights.lambda_reg,
-                       lambda v: v >= 0, "a number >= 0",
                        "weight of the uniform-prior regularizer"),
-    "mix_alpha": _Key(float, _TRAIN.mix_alpha, lambda v: v > 0,
-                      "a positive number",
+    "mix_alpha": _Key(float, _TRAIN.mix_alpha,
                       "Beta parameter of the pairwise mixing coefficient"),
-    "m": _Key(int, _TRAIN.num_augments, lambda v: v >= 1, "an integer >= 1",
-              "augmented views per sample"),
-    "t": _Key(float, _TRAIN.temperature, lambda v: v > 0, "a positive number",
-              "sharpening temperature"),
-    # TrainConfig.validate owns the rule psi >= 3 and GmmConfig.validate the
-    # band rule 0 < mu_min < mu_max < 1
-    "psi": _Key(int, _TRAIN.gmm.num_components, None, "an integer",
+    "m": _Key(int, _TRAIN.num_augments, "augmented views per sample"),
+    "t": _Key(float, _TRAIN.temperature, "sharpening temperature"),
+    "psi": _Key(int, _TRAIN.gmm.num_components,
                 "mixture components of the loss-band classifier"),
-    "mu_min": _Key(float, _TRAIN.gmm.mu_min, None, "a number",
+    "mu_min": _Key(float, _TRAIN.gmm.mu_min,
                    "upper mean bound of the clean band"),
-    "mu_max": _Key(float, _TRAIN.gmm.mu_max, None, "a number",
+    "mu_max": _Key(float, _TRAIN.gmm.mu_max,
                    "lower mean bound of the closed-set band"),
-    "warmup_d": _Key(int, _TRAIN.warmup_epochs_netd, lambda v: v >= 0,
-                     "an integer >= 0", "classifier warm-up epochs"),
-    "warmup_s": _Key(int, _TRAIN.warmup_epochs_nets, lambda v: v >= 0,
-                     "an integer >= 0", "splitter warm-up epochs"),
-    "seed": _Key(int, 0, lambda v: v >= 0, "an integer >= 0",
-                 "master random seed"),
-    "algo": _Key(str, ALGO_EDM, lambda v: v in (ALGO_EDM, ALGO_CE),
-                 f"one of {{{ALGO_EDM}, {ALGO_CE}}}", "training procedure"),
+    "warmup_d": _Key(int, _TRAIN.warmup_epochs_netd,
+                     "classifier warm-up epochs"),
+    "warmup_s": _Key(int, _TRAIN.warmup_epochs_nets, "splitter warm-up epochs"),
+    "seed": _Key(int, _TRAIN.seed, "master random seed"),
+    "algo": _Key(str, ALGO_EDM, f"training procedure: {ALGO_EDM} or {ALGO_CE}"),
     # paths (no defaults; requiredness is per-subcommand)
-    "manifest": _Key(str, None, None, "a path", "training manifest file"),
-    "test_manifest": _Key(str, None, None, "a path", "all-clean test manifest"),
-    "checkpoint": _Key(str, None, None, "a path", "model checkpoint file"),
-    "out": _Key(str, None, None, "a path", "output manifest file"),
-    "out_dir": _Key(str, None, None, "a path", "output directory"),
+    "manifest": _Key(str, None, "training manifest file"),
+    "test_manifest": _Key(str, None, "all-clean test manifest"),
+    "checkpoint": _Key(str, None, "model checkpoint file"),
+    "out": _Key(str, None, "output manifest file"),
+    "out_dir": _Key(str, None, "output directory"),
 }
 
 _GEOMETRY = ("classes", "per_class", "dim", "spread", "rho", "omega",
@@ -169,9 +151,31 @@ _COMMAND_KEYS = {
     "run": _GEOMETRY + ("manifest", "test_manifest") + _TRAINING + ("out_dir",),
 }
 
-#: the flags that set the config fields whose rules the key checks leave to
-#: TrainConfig.validate, to name them in its errors
-_FIELD_FLAGS = {"num_components": "--psi", "mu_min": "--mu-min/--mu-max"}
+#: the flag that sets each field or argument the library names in its range
+#: errors; an error is reported under the first entry its message contains,
+#: so an entry that contains another (warmup_epochs_netd, epochs) comes first
+_FIELD_FLAGS = {
+    "num_classes": "--classes", "per_class": "--per-class",
+    "feature_dim": "--dim", "cluster_spread": "--spread",
+    "rho": "--rho", "omega": "--omega", "num_clusters": "--pool-clusters",
+    "pool": "--pool-clusters", "offset": "--pool-offset",
+    "warmup_epochs_netd": "--warmup-d", "warmup_epochs_nets": "--warmup-s",
+    "epochs": "--epochs", "batch_size": "--batch", "learning_rate": "--lr",
+    "lambda_u": "--lambda-u", "lambda_reg": "--lambda-reg",
+    "mix_alpha": "--mix-alpha", "num_augments": "--m", "temperature": "--t",
+    "num_components": "--psi", "mu_min": "--mu-min/--mu-max", "seed": "--seed",
+}
+
+
+@contextlib.contextmanager
+def _as_config_errors(flags: dict = _FIELD_FLAGS):
+    """Report a library ValueError as a ConfigError under its field's flag."""
+    try:
+        yield
+    except ValueError as exc:
+        message = str(exc)
+        flag = next((f for name, f in flags.items() if name in message), None)
+        raise ConfigError(f"{flag}: {message}" if flag else message) from None
 
 
 def _flag(key: str) -> str:
@@ -185,9 +189,10 @@ def parse_config(flag_values: dict, config_path: str | None,
     Returns the training configuration and the resolved value of every key
     ``command`` reads; ``run`` on a given manifest reads what ``train``
     reads, because the manifest fixes the benchmark geometry.
-    Raises ConfigError for unknown keys and for non-finite or out-of-range
-    values, naming the offending flag, and for a flag or config-file key
-    that ``command`` does not read.
+    Builds and validates the TrainConfig, and the NoiseSpec when ``command``
+    reads ``rho``.  Raises ConfigError for unknown keys, for non-finite or
+    out-of-range values, naming the offending flag, and for a flag or
+    config-file key that ``command`` does not read.
     """
     resolved = {k: spec.default for k, spec in _KEYS.items()}
     explicit: dict[str, str] = {}  # key -> where it was set
@@ -210,9 +215,9 @@ def parse_config(flag_values: dict, config_path: str | None,
             try:
                 resolved[key] = _KEYS[key].cast(value.strip())
             except ValueError:
-                raise ConfigError(
-                    f"{path}:{lineno}: {key} must be {_KEYS[key].rule}, "
-                    f"got {value.strip()!r}") from None
+                kind = "an integer" if _KEYS[key].cast is int else "a number"
+                raise ConfigError(f"{path}:{lineno}: {key} must be {kind}, "
+                                  f"got {value.strip()!r}") from None
             explicit[key] = f"{path}:{lineno}: key {key!r}"
 
     for key, value in flag_values.items():
@@ -227,36 +232,25 @@ def parse_config(flag_values: dict, config_path: str | None,
             raise ConfigError(f"{source} is not read by {command}"
                               + (" with --manifest" if on_manifest else ""))
 
+    flags = _FIELD_FLAGS
     env_seed = os.environ.get("EDM_SEED")
     if env_seed is not None and "seed" in read:
         try:
             resolved["seed"] = int(env_seed)
-            valid = _KEYS["seed"].check(resolved["seed"])
         except ValueError:
-            valid = False
-        if not valid:
             raise ConfigError(
-                f"EDM_SEED must be {_KEYS['seed'].rule}, got {env_seed!r}")
+                f"EDM_SEED must be an integer, got {env_seed!r}") from None
+        flags = {**_FIELD_FLAGS, "seed": "EDM_SEED"}
 
     for key, spec in _KEYS.items():
-        value = resolved[key]
-        if spec.cast is float and not math.isfinite(value):
+        if spec.cast is float and not math.isfinite(resolved[key]):
             raise ConfigError(
-                f"{_flag(key)} must be a finite number, got {value}")
-        if spec.check is not None and value is not None and not spec.check(value):
-            raise ConfigError(
-                f"{_flag(key)} must be {spec.rule}, got {value}")
-    if resolved["classes"] > resolved["dim"]:
-        raise ConfigError(
-            f"--classes must not exceed --dim (each class centre takes its own "
-            f"axis), got {resolved['classes']} > {resolved['dim']}")
-    if "pool_clusters" in read and resolved["pool_clusters"] < 1:
-        noise = NoiseSpec(resolved["rho"], resolved["omega"])
-        if noise.counts(resolved["classes"] * resolved["per_class"])[1] > 0:
-            raise ConfigError("--pool-clusters must be >= 1 when open-set "
-                              "noise is requested")
+                f"{_flag(key)} must be a finite number, got {resolved[key]}")
+    if resolved["algo"] not in (ALGO_EDM, ALGO_CE):
+        raise ConfigError(f"--algo must be one of {{{ALGO_EDM}, {ALGO_CE}}}, "
+                          f"got {resolved['algo']}")
 
-    try:
+    with _as_config_errors(flags):
         cfg = TrainConfig(
             epochs=resolved["epochs"],
             batch_size=resolved["batch"],
@@ -273,11 +267,8 @@ def parse_config(flag_values: dict, config_path: str | None,
             seed=resolved["seed"],
         )
         cfg.validate()
-    except ValueError as exc:
-        message = str(exc)
-        flag = next((flag for field, flag in _FIELD_FLAGS.items()
-                     if field in message), None)
-        raise ConfigError(f"{flag}: {message}" if flag else message) from None
+        if "rho" in read:
+            NoiseSpec(resolved["rho"], resolved["omega"]).validate()
     return cfg, {key: resolved[key] for key in read}
 
 
@@ -530,7 +521,8 @@ def cmd_gen(ns: argparse.Namespace) -> int:
     _, resolved = parse_config(vars(ns), ns.config, ns.command)
     if resolved["out"] is None:
         raise ConfigError("--out is required")
-    dataset = _generate_benchmark(resolved)
+    with _as_config_errors():
+        dataset = _generate_benchmark(resolved)
     out = Path(resolved["out"])
     out.parent.mkdir(parents=True, exist_ok=True)
     save_manifest(dataset, out)
@@ -594,21 +586,22 @@ def cmd_run(ns: argparse.Namespace) -> int:
             "--manifest and --test-manifest must be given together")
 
     generated = resolved["manifest"] is None
-    if not generated:
+    if generated:
+        with _as_config_errors():
+            train_ds = _generate_benchmark(resolved)
+            test_ds = _generate_test_set(resolved)
+        source = (f"--per-class {resolved['per_class']} "
+                  f"x --classes {resolved['classes']}")
+    else:
         train_path = _require_file(resolved["manifest"], "--manifest")
         test_path = _require_file(resolved["test_manifest"], "--test-manifest")
         train_ds = load_manifest(train_path)
         test_ds = _load_test_set(test_path, train_ds)
-        _check_fit_size(len(train_ds), cfg.gmm.num_components, "--manifest")
-    else:
-        per_class, classes = resolved["per_class"], resolved["classes"]
-        _check_fit_size(classes * per_class, cfg.gmm.num_components,
-                        f"--per-class {per_class} x --classes {classes}")
+        source = "--manifest"
+    _check_fit_size(len(train_ds), cfg.gmm.num_components, source)
 
     with _recorded("run", resolved, cfg) as (out_dir, manifest):
         if generated:
-            train_ds = _generate_benchmark(resolved)
-            test_ds = _generate_test_set(resolved)
             train_path = out_dir / "train.manifest"
             test_path = out_dir / "test.manifest"
             save_manifest(train_ds, train_path)

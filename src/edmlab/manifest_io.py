@@ -26,8 +26,9 @@ Errors are reported distinctly: :class:`~edmlab.errors.ChecksumError` for a
 bad or missing trailer, :class:`~edmlab.errors.DimensionError` when the body
 does not match the sizes the header declares, and
 :class:`~edmlab.errors.FormatError` for a malformed header (any other flip
-rule or role tag included) or inconsistent body contents (a NaN or infinite
-value, or a provenance byte that disagrees with its record's labels).
+rule or role tag, or a noise rate outside [0, 1], included) or inconsistent
+body contents (a NaN or infinite value, or a provenance byte that disagrees
+with its record's labels).
 """
 
 from __future__ import annotations
@@ -116,6 +117,7 @@ def _record_dtype(d: int) -> np.dtype:
 
 def save_manifest(m: DatasetManifest, path: str | os.PathLike) -> None:
     """Write a manifest; the result reloads bit-identically."""
+    m.noise_spec.validate()
     n = len(m)
     records = np.zeros(n, dtype=_record_dtype(m.feature_dim))
     records["id"] = np.arange(n, dtype=np.uint32)
@@ -148,8 +150,9 @@ def load_manifest(path: str | os.PathLike) -> DatasetManifest:
         spec = NoiseSpec(rho=float(fields["rho"]), omega=float(fields["omega"]),
                          open_source=fields["open_source"],
                          seed=int(fields["seed"]))
+        spec.validate()
     except ValueError as exc:
-        raise FormatError(f"unparseable header value: {exc}") from None
+        raise FormatError(f"bad header value: {exc}") from None
     if n < 0 or d < 1 or k < 1:
         raise FormatError(f"implausible header sizes: n={n} d={d} classes={k}")
 

@@ -115,10 +115,11 @@ class TrainConfig:
             raise ValueError(f"temperature must be > 0, got {self.temperature}")
         if self.mix_alpha <= 0:
             raise ValueError(f"mix_alpha must be > 0, got {self.mix_alpha}")
-        if self.learning_rate < 0:
-            raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
-        if self.warmup_epochs_netd < 0 or self.warmup_epochs_nets < 0:
-            raise ValueError("warm-up epoch counts must be >= 0")
+        if self.learning_rate <= 0:
+            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+        for name in ("warmup_epochs_netd", "warmup_epochs_nets", "seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         self.gmm.validate()
         # the split needs enough mixture components to cover three bands
         if self.gmm.num_components < 3:

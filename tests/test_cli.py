@@ -1,6 +1,7 @@
 """Tests for the command-line interface: config resolution, subcommands,
 artifact layout, exit codes, and rerun determinism."""
 
+import argparse
 import json
 import math
 import os
@@ -527,6 +528,17 @@ class TestBadGeometry:
         (("run", "--mix-alpha", "inf"), "--mix-alpha"),
         (("run", "--pool-clusters", 0), "--pool-clusters"),
         (("gen", "--pool-clusters", 0), "--pool-clusters"),
+    ] + [((command, flag, value), flag)
+         for command in ("run", "gen")
+         for flag, value in (("--per-class", 0), ("--dim", 1), ("--spread", 0),
+                             ("--pool-offset", 0), ("--rho", 1.5),
+                             ("--omega", 2), ("--classes", 1),
+                             ("--pool-clusters", -1))
+    ] + [(("run", flag, value), flag)
+         for flag, value in (("--epochs", -1), ("--batch", 0), ("--lr", 0),
+                             ("--m", 0), ("--t", 0), ("--mix-alpha", 0),
+                             ("--warmup-d", -1), ("--warmup-s", -1),
+                             ("--lambda-u", -1), ("--lambda-reg", -1))
     ])
     def test_rejected_before_anything_is_written(self, tmp_path, capsys, args, flag):
         out = tmp_path / "out"
@@ -557,6 +569,15 @@ class TestBadGeometry:
         assert run_cli("run", "--config", conf, "--out-dir", out) == EXIT_CONFIG
         assert "--lambda-u must be a finite number" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_every_field_flag_is_a_parser_flag(self):
+        """Each flag a library error can be reported under exists."""
+        sub = next(action for action in cli.build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction))
+        defined = {option for parser in sub.choices.values()
+                   for option in parser._option_string_actions}
+        for flags in cli._FIELD_FLAGS.values():
+            assert set(flags.split("/")) <= defined, flags
 
     def test_negative_env_seed_names_the_variable(self, tmp_path, capsys,
                                                   monkeypatch):

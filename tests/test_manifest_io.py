@@ -204,6 +204,20 @@ class TestErrorReporting:
         with pytest.raises(FormatError):
             load_manifest(bad)
 
+    def test_out_of_range_noise_rate_is_format_error(self, tmp_path):
+        m = _noisy_manifest()
+        path = tmp_path / "data.edm"
+        save_manifest(m, path)
+        blob = path.read_bytes()
+        header = blob[:blob.index(b"\n")].replace(b"rho=0.6", b"rho=1.6")
+        bad = tmp_path / "rho.edm"
+        bad.write_bytes(_reframe(blob, header))
+        with pytest.raises(FormatError, match="rho must be in"):
+            load_manifest(bad)
+        m.noise_spec = NoiseSpec(rho=0.5, omega=-2.0)
+        with pytest.raises(ValueError, match="omega must be in"):
+            save_manifest(m, tmp_path / "omega.edm")
+
     def test_header_body_mismatch_is_dimension_error(self, tmp_path):
         """An in-place edit of the header's n leaves a wrong-sized body."""
         m = _noisy_manifest()

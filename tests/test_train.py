@@ -85,7 +85,9 @@ class TestTrainConfig:
         for kw in (dict(num_augments=0), dict(temperature=0.0),
                    dict(mix_alpha=0.0), dict(batch_size=0), dict(epochs=-1),
                    dict(temperature=inf), dict(mix_alpha=inf),
-                   dict(learning_rate=inf), dict(learning_rate=nan)):
+                   dict(learning_rate=inf), dict(learning_rate=nan),
+                   dict(learning_rate=0.0), dict(seed=-1),
+                   dict(warmup_epochs_netd=-1)):
             with pytest.raises(ValueError):
                 TrainConfig(**kw).validate()
 
