@@ -481,7 +481,8 @@ def _eval_into(model, train_ds: DatasetManifest, test_ds: DatasetManifest,
     comes from ``splitter``'s evidence losses, partitioned as in training;
     test accuracy and features come from ``model``.  Without a splitter,
     ``model`` does both.  The CSV exports write their rows to the files as
-    they go, one ``backbone.chunks`` slice at a time; ``eval.json`` is
+    they go, one ``backbone.chunks`` slice at a time (features and
+    posteriors in two processes, see ``evaluation``); ``eval.json`` is
     written last.  Returns the artifact names and the eval.json summary.
     """
     _, per_sample = sl_dataset_loss(model if splitter is None else splitter,

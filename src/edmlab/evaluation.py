@@ -12,13 +12,27 @@ Memory stays bounded on large manifests: :func:`test_accuracy` and
 time, :func:`export_posteriors` formats its rows slice by slice, and all
 three exports (with :func:`export_loss_histogram`) write each row to the
 open file as it is formatted instead of building the whole table first.
+
+Turning floats into text is most of an export's time, so
+:func:`export_features` and :func:`export_posteriors` split it between two
+processes when their table spans two or more slices: a forked worker
+formats the second half of the slices into an unnamed temporary file beside
+the export while this process writes the header and the first half, then
+appends the worker's bytes.  Each process streams its rows, and the file's
+bytes are the same as one process writes, which it does where it cannot
+fork.
 """
 
 from __future__ import annotations
 
 import os
+import shutil
+import signal
+import sys
+import tempfile
+import traceback
 from dataclasses import dataclass, field
-from itertools import chain
+from io import TextIOWrapper
 
 import numpy as np
 
@@ -89,16 +103,89 @@ def test_accuracy(model: ModelParams, test_manifest: DatasetManifest) -> float:
 # -- comma-separated exports -------------------------------------------
 
 
-def _write_csv(path: str | os.PathLike, header: str, rows) -> None:
-    """Write ``header``, then one line per row of string fields, as ASCII.
+#: exit status of an export worker whose failure was an ``OSError``, which
+#: its parent raises again as one
+_WORKER_OS_ERROR = 3
 
-    ``rows`` may be a generator: lines go to the open file as they come, so
-    the table is never held whole.
+
+def _write_rows(fh, rows, blocks) -> None:
+    """Write one line per row of string fields that ``rows(block)`` yields,
+    for each of ``blocks`` in turn."""
+    for block in blocks:
+        for row in rows(block):
+            fh.write(",".join(row) + "\n")
+
+
+def _fork_writer(rows, blocks, directory: str):
+    """Fork a worker that writes ``blocks``' rows into a new unnamed
+    temporary file in ``directory``.
+
+    Returns the worker's pid and the file, or ``None`` where this platform
+    or the system cannot fork.  The worker ends only through ``os._exit``:
+    with 0, or after printing its traceback to stderr with a non-zero
+    status (``_WORKER_OS_ERROR`` for an ``OSError``).
     """
+    if not hasattr(os, "fork"):
+        return None
+    tail = tempfile.TemporaryFile(dir=directory)
+    try:
+        pid = os.fork()
+    except OSError:
+        tail.close()
+        return None
+    if pid == 0:
+        status = 1
+        try:
+            with TextIOWrapper(tail, encoding="ascii") as fh:
+                _write_rows(fh, rows, blocks)
+            status = 0
+        except BaseException as exc:
+            traceback.print_exc()
+            sys.stderr.flush()
+            if isinstance(exc, OSError):
+                status = _WORKER_OS_ERROR
+        finally:
+            os._exit(status)
+    return pid, tail
+
+
+def _write_csv(path: str | os.PathLike, header: str, rows, blocks) -> None:
+    """Write ``header``, then one line per row of string fields that
+    ``rows(block)`` yields for each of ``blocks`` in turn, as ASCII.
+
+    Lines go to the open file as they are formatted, so the table is never
+    held whole.  With two or more blocks, a forked worker (see
+    :func:`_fork_writer`) writes the second half of them while this process
+    writes the first; once it is reaped its bytes are appended.  A failed
+    worker raises here, naming its exit status; if this process fails
+    first, the worker is killed.  Either way no worker outlives the call.
+    """
+    cut = len(blocks) // 2
     with open(path, "w", encoding="ascii") as fh:
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+        worker = None
+        if cut:
+            worker = _fork_writer(rows, blocks[cut:],
+                                  os.path.dirname(os.path.abspath(path)))
+        if worker is None:
+            _write_rows(fh, rows, blocks)
+            return
+        pid, tail = worker
+        with tail:
+            try:
+                _write_rows(fh, rows, blocks[:cut])
+            except BaseException:
+                os.kill(pid, signal.SIGKILL)
+                raise
+            finally:
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            if code:
+                kind = OSError if code == _WORKER_OS_ERROR else RuntimeError
+                raise kind(f"the worker formatting the second half of {path} "
+                           f"exited with status {code}")
+            fh.flush()
+            tail.seek(0)
+            shutil.copyfileobj(tail, fh.buffer)
 
 
 def export_loss_histogram(losses: np.ndarray, provenance: np.ndarray,
@@ -118,8 +205,10 @@ def export_loss_histogram(losses: np.ndarray, provenance: np.ndarray,
     counts = [np.histogram(losses[provenance == int(prov)], bins=edges)[0]
               for prov in GROUP_ORDER]
     _write_csv(path, "bin_lo,bin_hi,clean,closed,open",
-               ([repr(edges[b]), repr(edges[b + 1]),
-                 *(str(int(c[b])) for c in counts)] for b in range(bins)))
+               lambda block: ([repr(edges[b]), repr(edges[b + 1]),
+                               *(str(int(c[b])) for c in counts)]
+                              for b in range(block.start, block.stop)),
+               [slice(0, bins)])
 
 
 def export_features(model: ModelParams, manifest: DatasetManifest,
@@ -138,7 +227,7 @@ def export_features(model: ModelParams, manifest: DatasetManifest,
     # freed before the next chunk's are computed
     width = model.widths[-2]
     _write_csv(path, "id,provenance," + ",".join(f"h{j}" for j in range(width)),
-               chain.from_iterable(map(rows, chunks(len(manifest)))))
+               rows, list(chunks(len(manifest))))
 
 
 def export_posteriors(losses: np.ndarray, split: PosteriorSplit,
@@ -154,5 +243,5 @@ def export_posteriors(losses: np.ndarray, split: PosteriorSplit,
         return zip(*(map(repr, c[block].tolist()) for c in columns),
                    map(str, provenance[block].tolist()))
 
-    _write_csv(path, "loss,w,w_op,w_cl,provenance",
-               chain.from_iterable(map(rows, chunks(len(losses)))))
+    _write_csv(path, "loss,w,w_op,w_cl,provenance", rows,
+               list(chunks(len(losses))))

@@ -1,11 +1,15 @@
 """Tests for the evaluation harness: accuracy, split confusion, exports."""
 
+import errno
+import json
+import os
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from edmlab import backbone
+from edmlab import backbone, evaluation
 from edmlab.backbone import (
     ModelParams,
     ROLE_NETD,
@@ -21,6 +25,7 @@ from edmlab.benchgen import (
     make_open_pool,
     make_synthetic_clean,
 )
+from edmlab.cli import EXIT_DATA, EXIT_RUNTIME, main
 from edmlab.evaluation import (
     GROUP_ORDER,
     SplitConfusion,
@@ -293,19 +298,44 @@ class TestExports:
                               tmp_path / "x.csv")
 
 
+def _export_data():
+    """40 samples of all three provenances, with losses and posteriors."""
+    clean = make_synthetic_clean(4, 10, 8, 0.5, seed=2)
+    pool = make_open_pool(2, 20, 8, 0.5, 8.0, seed=9)
+    ds = inject_noise(clean, pool, NoiseSpec(rho=0.5, omega=0.5, seed=3))
+    rng = np.random.default_rng(4)
+    triples = rng.dirichlet(np.ones(3), size=len(ds))
+    split = PosteriorSplit(w=triples[:, 0], w_op=triples[:, 1],
+                           w_cl=triples[:, 2])
+    return ds, rng.uniform(size=len(ds)), split
+
+
+def _reference_exports(model, ds, losses, split):
+    """``features.csv`` and ``posteriors.csv`` as one ``repr`` per float."""
+    feats = hidden_features(model, ds.features)
+    width = feats.shape[1]
+    features = ["id,provenance," + ",".join(f"h{j}" for j in range(width))]
+    features += [
+        ",".join([str(i), str(int(ds.provenance[i])),
+                  *(repr(float(v)) for v in feats[i])])
+        for i in range(len(ds))]
+    posteriors = ["loss,w,w_op,w_cl,provenance"]
+    posteriors += [
+        ",".join([*(repr(float(c[i])) for c in
+                    (losses, split.w, split.w_op, split.w_cl)),
+                  str(int(ds.provenance[i]))])
+        for i in range(len(ds))]
+    return "\n".join(features) + "\n", "\n".join(posteriors) + "\n"
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 class TestChunking:
     """Evaluation runs and writes backbone.FORWARD_CHUNK rows at a time; the
     chunk size must show in no result, and memory must follow it, not n."""
-
-    def _data(self):
-        clean = make_synthetic_clean(4, 10, 8, 0.5, seed=2)
-        pool = make_open_pool(2, 20, 8, 0.5, 8.0, seed=9)
-        ds = inject_noise(clean, pool, NoiseSpec(rho=0.5, omega=0.5, seed=3))
-        rng = np.random.default_rng(4)
-        triples = rng.dirichlet(np.ones(3), size=len(ds))
-        split = PosteriorSplit(w=triples[:, 0], w_op=triples[:, 1],
-                               w_cl=triples[:, 2])
-        return ds, rng.uniform(size=len(ds)), split
 
     def _export(self, monkeypatch, tmp_path, chunk, model, ds, losses, split):
         monkeypatch.setattr(backbone, "FORWARD_CHUNK", chunk)
@@ -323,7 +353,7 @@ class TestChunking:
         assert backbone.FORWARD_CHUNK * max(HIDDEN_WIDTHS) * 8 <= 256 * 1024
 
     def test_exports_do_not_depend_on_the_chunk(self, monkeypatch, tmp_path):
-        ds, losses, split = self._data()
+        ds, losses, split = _export_data()
         assert len(ds) == 40 and len(set(ds.provenance.tolist())) == 3
         model = init_model((8, 16, 16, 4), seed=5)
         chunked = self._export(monkeypatch, tmp_path, 7, model, ds, losses,
@@ -332,20 +362,9 @@ class TestChunking:
                              split)
         assert chunked == whole
 
-        feats = hidden_features(model, ds.features)
-        want_features = ["id,provenance," + ",".join(f"h{j}" for j in range(16))]
-        want_features += [
-            ",".join([str(i), str(int(ds.provenance[i])),
-                      *(repr(float(v)) for v in feats[i])])
-            for i in range(len(ds))]
-        want_posteriors = ["loss,w,w_op,w_cl,provenance"]
-        want_posteriors += [
-            ",".join([*(repr(float(c[i])) for c in
-                        (losses, split.w, split.w_op, split.w_cl)),
-                      str(int(ds.provenance[i]))])
-            for i in range(len(ds))]
-        assert chunked[0].decode("ascii") == "\n".join(want_features) + "\n"
-        assert chunked[1].decode("ascii") == "\n".join(want_posteriors) + "\n"
+        want = _reference_exports(model, ds, losses, split)
+        assert chunked[0].decode("ascii") == want[0]
+        assert chunked[1].decode("ascii") == want[1]
 
     def test_accuracy_does_not_depend_on_the_chunk(self, monkeypatch):
         ds = _clean_blobs(per_class=10, seed=6)
@@ -370,3 +389,142 @@ class TestChunking:
         finally:
             tracemalloc.stop()
         assert peak < whole_table / 4
+
+
+class TestForkedWriter:
+    """A chunked export of two or more slices forks one worker for the
+    second half; the file's bytes must not show it, and no worker may
+    outlive the export."""
+
+    @staticmethod
+    def _counting_fork(monkeypatch):
+        forks = []
+        real_fork = os.fork
+
+        def fork():
+            forks.append(threading.active_count())
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", fork)
+        return forks
+
+    @pytest.mark.parametrize("chunk, n_chunks", [(40, 1), (20, 2), (9, 5)])
+    def test_bytes_equal_the_reference(self, monkeypatch, tmp_path, chunk,
+                                       n_chunks):
+        ds, losses, split = _export_data()
+        model = init_model((8, 16, 16, 4), seed=5)
+        want = _reference_exports(model, ds, losses, split)
+        monkeypatch.setattr(backbone, "FORWARD_CHUNK", chunk)
+        assert len(list(backbone.chunks(len(ds)))) == n_chunks
+        forks = self._counting_fork(monkeypatch)
+        exports = [
+            ("features.csv", lambda out: export_features(model, ds, out)),
+            ("posteriors.csv",
+             lambda out: export_posteriors(losses, split, ds.provenance, out)),
+        ]
+        for (name, export), text in zip(exports, want):
+            out_dir = tmp_path / name.split(".")[0]
+            out_dir.mkdir()
+            export(out_dir / name)
+            _assert_no_child_left()
+            assert os.listdir(out_dir) == [name]
+            assert (out_dir / name).read_bytes() == text.encode("ascii")
+        assert len(forks) == (0 if n_chunks == 1 else 2)
+
+    def test_failed_fork_writes_in_process(self, monkeypatch, tmp_path):
+        ds, losses, split = _export_data()
+        model = init_model((8, 16, 16, 4), seed=5)
+        want = _reference_exports(model, ds, losses, split)
+        monkeypatch.setattr(backbone, "FORWARD_CHUNK", 9)
+
+        def fork():
+            raise OSError(errno.EAGAIN, "fork refused")
+
+        monkeypatch.setattr(os, "fork", fork)
+        export_features(model, ds, tmp_path / "features.csv")
+        export_posteriors(losses, split, ds.provenance,
+                          tmp_path / "posteriors.csv")
+        assert sorted(os.listdir(tmp_path)) == ["features.csv",
+                                                "posteriors.csv"]
+        assert (tmp_path / "features.csv").read_text() == want[0]
+        assert (tmp_path / "posteriors.csv").read_text() == want[1]
+
+    @staticmethod
+    def _fail_from_the_cut(monkeypatch, exc, worker=True):
+        """Make ``hidden_features`` raise ``exc`` on every block that starts
+        at or after the worker's first slice, so only the worker fails; or,
+        with ``worker=False``, on every block before it."""
+        real = evaluation.hidden_features
+
+        def hidden(model, block):
+            blocks = list(backbone.chunks(len(block.base)))
+            cut_row = blocks[len(blocks) // 2].start
+            start = ((block.__array_interface__["data"][0]
+                      - block.base.__array_interface__["data"][0])
+                     // block.strides[0])
+            if (start >= cut_row) == worker:
+                raise exc
+            return real(model, block)
+
+        monkeypatch.setattr(evaluation, "hidden_features", hidden)
+
+    def test_failing_worker_raises_and_is_reaped(self, monkeypatch, tmp_path,
+                                                 capfd):
+        ds, _, _ = _export_data()
+        model = init_model((8, 16, 16, 4), seed=5)
+        monkeypatch.setattr(backbone, "FORWARD_CHUNK", 9)
+        self._fail_from_the_cut(monkeypatch, RuntimeError("worker boom"))
+        with pytest.raises(RuntimeError, match="exited with status 1"):
+            export_features(model, ds, tmp_path / "features.csv")
+        _assert_no_child_left()
+        assert os.listdir(tmp_path) == ["features.csv"]
+        err = capfd.readouterr().err
+        assert "Traceback" in err and "RuntimeError: worker boom" in err
+
+    def test_failing_parent_reaps_the_worker(self, monkeypatch, tmp_path):
+        ds, _, _ = _export_data()
+        model = init_model((8, 16, 16, 4), seed=5)
+        monkeypatch.setattr(backbone, "FORWARD_CHUNK", 9)
+        self._fail_from_the_cut(monkeypatch, RuntimeError("parent boom"),
+                                worker=False)
+        with pytest.raises(RuntimeError, match="parent boom"):
+            export_features(model, ds, tmp_path / "features.csv")
+        _assert_no_child_left()
+        assert os.listdir(tmp_path) == ["features.csv"]
+
+    @pytest.mark.parametrize("exc, status, code, label", [
+        (RuntimeError("worker boom"), 1, EXIT_RUNTIME, "runtime error"),
+        (OSError(errno.ENOSPC, "No space left on device"), 3, EXIT_DATA,
+         "data error"),
+    ])
+    def test_failing_worker_fails_the_run(self, monkeypatch, tmp_path, capfd,
+                                          exc, status, code, label):
+        monkeypatch.setattr(backbone, "FORWARD_CHUNK", 9)
+        self._fail_from_the_cut(monkeypatch, exc)
+        out_dir = tmp_path / "out"
+        rc = main(["run", "--per-class", "10", "--epochs", "1",
+                   "--warmup-d", "1", "--warmup-s", "1",
+                   "--out-dir", str(out_dir)])
+        _assert_no_child_left()
+        assert rc == code
+        manifest = json.loads((out_dir / "run_manifest.json").read_text())
+        assert manifest["outcome"] == "failed"
+        assert manifest["exit_code"] == code
+        assert manifest["error"].startswith(
+            f"{label}: the worker formatting the second half of ")
+        assert manifest["error"].endswith(
+            f"features.csv exited with status {status}")
+        assert "features.csv" not in manifest["artifacts"]
+        assert str(exc) in capfd.readouterr().err
+
+    def test_run_forks_only_a_single_threaded_process(self, monkeypatch,
+                                                      tmp_path):
+        """Python 3.12 and later warn when a process with threads forks,
+        and the suite's warning filter makes that an error."""
+        monkeypatch.setattr(backbone, "FORWARD_CHUNK", 9)
+        forks = self._counting_fork(monkeypatch)
+        assert main(["run", "--per-class", "10", "--epochs", "1",
+                     "--warmup-d", "1", "--warmup-s", "1",
+                     "--out-dir", str(tmp_path / "out")]) == 0
+        _assert_no_child_left()
+        assert forks == [1, 1]  # posteriors.csv and features.csv
