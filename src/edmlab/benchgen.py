@@ -47,8 +47,9 @@ class NoiseSpec:
     """Fully determines how a clean dataset is corrupted.
 
     ``rho`` is the total noise rate, ``omega`` the closed-set share of the
-    noisy portion.  ``seed`` drives sample selection, label flips, and pool
-    vector assignment; nothing else does.  Flips always follow
+    noisy portion, both in [0, 1]; a spec outside that range cannot be
+    built.  ``seed`` drives sample selection, label flips, and pool vector
+    assignment; nothing else does.  Flips always follow
     ``FLIP_UNIFORM_EXCLUDING_TRUE``.
     """
 
@@ -57,7 +58,7 @@ class NoiseSpec:
     open_source: str = "synthetic-pool"
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not 0.0 <= self.rho <= 1.0:
             raise ValueError(f"rho must be in [0, 1], got {self.rho}")
         if not 0.0 <= self.omega <= 1.0:
@@ -237,7 +238,6 @@ def inject_noise(
     uniformly random label.  Selection, flips, and pool assignment consume a
     single generator seeded by ``spec.seed``, in that fixed order.
     """
-    spec.validate()
     if np.any(clean.provenance != Provenance.CLEAN):
         raise ValueError("inject_noise expects an all-clean input manifest")
 

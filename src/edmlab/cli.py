@@ -189,10 +189,10 @@ def parse_config(flag_values: dict, config_path: str | None,
     Returns the training configuration and the resolved value of every key
     ``command`` reads; ``run`` on a given manifest reads what ``train``
     reads, because the manifest fixes the benchmark geometry.
-    Builds and validates the TrainConfig, and the NoiseSpec when ``command``
-    reads ``rho``.  Raises ConfigError for unknown keys, for non-finite or
-    out-of-range values, naming the offending flag, and for a flag or
-    config-file key that ``command`` does not read.
+    Builds the TrainConfig, and the NoiseSpec when ``command`` reads
+    ``rho``, so their bounds are checked.  Raises ConfigError for unknown
+    keys, for non-finite or out-of-range values, naming the offending flag,
+    and for a flag or config-file key that ``command`` does not read.
     """
     resolved = {k: spec.default for k, spec in _KEYS.items()}
     explicit: dict[str, str] = {}  # key -> where it was set
@@ -266,9 +266,8 @@ def parse_config(flag_values: dict, config_path: str | None,
                           mu_min=resolved["mu_min"], mu_max=resolved["mu_max"]),
             seed=resolved["seed"],
         )
-        cfg.validate()
         if "rho" in read:
-            NoiseSpec(resolved["rho"], resolved["omega"]).validate()
+            NoiseSpec(resolved["rho"], resolved["omega"])
     return cfg, {key: resolved[key] for key in read}
 
 

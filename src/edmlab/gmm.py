@@ -43,7 +43,8 @@ _EXP_FLOOR = -700.0  # shifted log-densities at or below this get exactly 0
 
 @dataclass(frozen=True)
 class GmmConfig:
-    """Mixture size and band thresholds; EM's stopping controls are fixed.
+    """Mixture size and band thresholds, checked when built; EM's stopping
+    controls are fixed.
 
     ``tol`` is per sample: EM stops once an iteration raises the summed
     log-likelihood by less than ``tol * n``.  ``max_iters`` is a safety cap:
@@ -58,7 +59,7 @@ class GmmConfig:
     max_iters: ClassVar[int] = 100
     tol: ClassVar[float] = 1e-3
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.num_components < 1:
             raise ValueError(f"num_components must be >= 1, got {self.num_components}")
         if not 0.0 < self.mu_min < self.mu_max < 1.0:
@@ -241,7 +242,6 @@ def fit_em(losses: np.ndarray, cfg: GmmConfig) -> GmmModel:
     EM stops once an iteration raises the log-likelihood by less than
     ``cfg.tol`` per sample, or after ``cfg.max_iters`` iterations.
     """
-    cfg.validate()
     x = np.asarray(losses, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError("losses must be a 1-D vector")

@@ -81,12 +81,13 @@ LR_DROP_FACTOR = 0.1
 HIDDEN_WIDTHS = (64, 64)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     """The settable parts of a training run, seed included.
 
-    The optimiser, the learning-rate cut and the network widths are the
-    module constants above, not settings.
+    Every field is range-checked when built, ``gmm`` included; vary one with
+    ``dataclasses.replace``.  The optimiser, the learning-rate cut and the
+    network widths are the module constants above, not settings.
     """
 
     epochs: int = 30
@@ -101,7 +102,7 @@ class TrainConfig:
     gmm: GmmConfig = field(default_factory=GmmConfig)
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for name in ("learning_rate", "temperature", "mix_alpha"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
@@ -120,7 +121,6 @@ class TrainConfig:
         for name in ("warmup_epochs_netd", "warmup_epochs_nets", "seed"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-        self.gmm.validate()
         # the split needs enough mixture components to cover three bands
         if self.gmm.num_components < 3:
             raise ValueError(f"training requires num_components >= 3, "
@@ -420,7 +420,6 @@ def run(dataset: DatasetManifest, test_dataset: DatasetManifest,
     ``on_epoch(report, netd, nets)``, when given, is called after every
     epoch so callers can stream logs or snapshot the best model.
     """
-    cfg.validate()
     widths = (dataset.feature_dim, *HIDDEN_WIDTHS, dataset.num_classes)
     netd_ss, nets_ss, rng = _seed_bundle(cfg.seed)
     netd = init_model(widths, netd_ss, role=ROLE_NETD)
@@ -472,7 +471,6 @@ def run_baseline_ce(dataset: DatasetManifest, test_dataset: DatasetManifest,
     Same architecture, same classifier init seed, same schedule and epoch
     count; no split, no relabeling, no unlabeled term.
     """
-    cfg.validate()
     widths = (dataset.feature_dim, *HIDDEN_WIDTHS, dataset.num_classes)
     netd_ss, _, rng = _seed_bundle(cfg.seed)
     model = init_model(widths, netd_ss, role=ROLE_NETD)

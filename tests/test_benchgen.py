@@ -43,9 +43,9 @@ class TestNoiseSpecCounts:
 
     def test_validate_rejects_out_of_range(self):
         with pytest.raises(ValueError):
-            NoiseSpec(rho=1.5, omega=0.5).validate()
+            NoiseSpec(rho=1.5, omega=0.5)
         with pytest.raises(ValueError):
-            NoiseSpec(rho=0.5, omega=-0.1).validate()
+            NoiseSpec(rho=0.5, omega=-0.1)
 
 
 class TestSyntheticClean:

@@ -44,20 +44,20 @@ class TestNormalizeLosses:
 
 class TestGmmConfig:
     def test_defaults_are_valid(self):
-        GmmConfig().validate()
-        TrainConfig(gmm=GmmConfig()).validate()
+        GmmConfig()
+        TrainConfig(gmm=GmmConfig())
 
     def test_band_ordering_enforced(self):
         with pytest.raises(ValueError):
-            GmmConfig(mu_min=0.7, mu_max=0.3).validate()
+            GmmConfig(mu_min=0.7, mu_max=0.3)
         with pytest.raises(ValueError):
-            GmmConfig(mu_min=0.0, mu_max=0.7).validate()
+            GmmConfig(mu_min=0.0, mu_max=0.7)
 
     def test_training_needs_three_components(self):
-        GmmConfig(num_components=1).validate()  # fine for bare fitting
-        TrainConfig(gmm=GmmConfig(num_components=3)).validate()
+        GmmConfig(num_components=1)  # fine for bare fitting
+        TrainConfig(gmm=GmmConfig(num_components=3))
         with pytest.raises(ValueError, match="num_components >= 3"):
-            TrainConfig(gmm=GmmConfig(num_components=2)).validate()
+            TrainConfig(gmm=GmmConfig(num_components=2))
 
 
 class TestFitEm:

@@ -214,9 +214,8 @@ class TestErrorReporting:
         bad.write_bytes(_reframe(blob, header))
         with pytest.raises(FormatError, match="rho must be in"):
             load_manifest(bad)
-        m.noise_spec = NoiseSpec(rho=0.5, omega=-2.0)
         with pytest.raises(ValueError, match="omega must be in"):
-            save_manifest(m, tmp_path / "omega.edm")
+            NoiseSpec(rho=0.5, omega=-2.0)
 
     def test_header_body_mismatch_is_dimension_error(self, tmp_path):
         """An in-place edit of the header's n leaves a wrong-sized body."""

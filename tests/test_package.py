@@ -1,12 +1,15 @@
-"""The package's public surface: ``edmlab.__all__`` is kept by hand, and no
-module but ``__init__`` imports a name it never uses."""
+"""The package's public surface: ``edmlab.__all__`` is kept by hand, no
+module but ``__init__`` imports a name it never uses, and every config
+object checks its bounds when built."""
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import pytest
 
 import edmlab
+from edmlab import GmmConfig, LossWeights, NoiseSpec, TrainConfig
 
 SRC = Path(edmlab.__file__).resolve().parent
 
@@ -32,3 +35,14 @@ def test_every_imported_name_is_used(module):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = {name: line for name, line in imported.items() if name not in used}
     assert unused == {}
+
+
+def test_config_objects_are_frozen_and_checked_when_built():
+    """One idiom: bounds are checked in ``__post_init__``, so a config object
+    cannot exist invalid, and none offers a separate ``validate``."""
+    for cls in (NoiseSpec, GmmConfig, LossWeights, TrainConfig):
+        assert dataclasses.is_dataclass(cls)
+        assert cls.__dataclass_params__.frozen, cls.__name__
+        assert not hasattr(cls, "validate"), cls.__name__
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        TrainConfig().epochs = 5

@@ -66,7 +66,7 @@ def small_cfg(**kw):
 
 class TestTrainConfig:
     def test_defaults_validate(self):
-        TrainConfig().validate()
+        TrainConfig()
 
     def test_lr_schedule_short_run(self):
         cfg = TrainConfig(epochs=30)
@@ -89,7 +89,7 @@ class TestTrainConfig:
                    dict(learning_rate=0.0), dict(seed=-1),
                    dict(warmup_epochs_netd=-1)):
             with pytest.raises(ValueError):
-                TrainConfig(**kw).validate()
+                TrainConfig(**kw)
 
 
 class TestWarmup:
