@@ -12,12 +12,14 @@ updates that buffer in place.  The test suite checks those gradients
 against finite differences.  The training views of a batch
 (:func:`augment`) add Gaussian jitter of the fixed scale JITTER_SIGMA.
 
-Parameters live in float64 in memory; :mod:`edmlab.manifest_io` reads and
-writes them as checkpoints.
+A network's parameters are one float64 buffer that :class:`ModelParams`
+owns; :func:`param_shapes` is the only statement of its W0, b0, W1, b1, ...
+layout.  :mod:`edmlab.manifest_io` reads and writes the buffer as checkpoints.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,12 +44,30 @@ FORWARD_CHUNK = 512
 JITTER_SIGMA = 0.05
 
 
-def _views(flat: np.ndarray, arrays: list[np.ndarray]) -> list[np.ndarray]:
-    """Views of ``flat`` shaped like ``arrays``, laid end to end."""
+def param_shapes(widths) -> list[tuple[int, ...]]:
+    """Shapes of the parameter arrays W0, b0, W1, b1, ... of a network.
+
+    This is the one place the architecture rule lives: at least input and
+    output widths, and every width at least 1.
+    """
+    if len(widths) < 2 or any(w < 1 for w in widths):
+        raise ValueError(f"invalid architecture {tuple(widths)}")
+    return [s for fan_in, fan_out in zip(widths[:-1], widths[1:])
+            for s in ((fan_in, fan_out), (fan_out,))]
+
+
+def param_count(widths) -> int:
+    """How many values the parameter buffer of a network holds."""
+    return sum(map(math.prod, param_shapes(widths)))
+
+
+def _views(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    """Views of ``flat`` with these shapes, laid end to end."""
     views, offset = [], 0
-    for arr in arrays:
-        views.append(flat[offset:offset + arr.size].reshape(arr.shape))
-        offset += arr.size
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(flat[offset:offset + size].reshape(shape))
+        offset += size
     if offset != flat.size:
         raise ValueError(f"flat array of {flat.size} values does not hold "
                          f"parameters of {offset}")
@@ -56,41 +76,34 @@ def _views(flat: np.ndarray, arrays: list[np.ndarray]) -> list[np.ndarray]:
 
 @dataclass
 class ModelParams:
-    """Weights and biases of a rectifier network, plus its shape and role.
+    """A rectifier network: its layer widths, its role, and one flat float64
+    ``buffer`` that holds every parameter in the order W0, b0, W1, b1, ...
 
-    The arrays are copied into one contiguous ``buffer`` (in :meth:`flat`
-    order) and kept as views of it, so an SGD step updates every parameter
-    with a handful of array operations.  Update them in place only.
+    The model keeps its own copy of the buffer it is given, which must hold
+    exactly the parameters the widths imply, all finite.  ``weights``,
+    ``biases`` and :meth:`flat` are views of it made once, so an SGD step
+    updates every parameter with a handful of array operations.  Update
+    them in place only.  :func:`init_model` and
+    :func:`~edmlab.manifest_io.load_checkpoint` build models.
     """
 
     widths: tuple[int, ...]
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    buffer: np.ndarray
     role: str = ROLE_NETD
 
     def __post_init__(self) -> None:
         self.widths = tuple(int(w) for w in self.widths)
-        if len(self.widths) < 2:
-            raise ValueError("architecture needs at least input and output widths")
-        if any(w < 1 for w in self.widths):
-            raise ValueError(f"zero-width layer in architecture {self.widths}")
+        size = param_count(self.widths)
         if self.role not in ROLES:
             raise ValueError(f"role must be one of {ROLES}, got {self.role!r}")
-        expected = len(self.widths) - 1
-        if len(self.weights) != expected or len(self.biases) != expected:
-            raise ValueError("layer count does not match architecture")
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            if w.shape != (self.widths[i], self.widths[i + 1]):
-                raise ValueError(f"weight {i} has shape {w.shape}, "
-                                 f"expected {(self.widths[i], self.widths[i + 1])}")
-            if b.shape != (self.widths[i + 1],):
-                raise ValueError(f"bias {i} has shape {b.shape}")
-        for arr in self.weights + self.biases:
-            if not np.all(np.isfinite(arr)):
-                raise ValueError("non-finite model parameter")
-        self.buffer = np.concatenate([a.ravel() for a in self.flat()], dtype=np.float64)
-        views = _views(self.buffer, self.flat())
-        self.weights, self.biases = views[0::2], views[1::2]
+        self.buffer = np.array(self.buffer, dtype=np.float64)
+        if self.buffer.shape != (size,):
+            raise ValueError(f"buffer of shape {self.buffer.shape} does not hold "
+                             f"the {size} parameters of architecture {self.widths}")
+        if not np.isfinite(self.buffer).all():
+            raise ValueError("non-finite model parameter")
+        self._arrays = tuple(_views(self.buffer, param_shapes(self.widths)))
+        self.weights, self.biases = self._arrays[0::2], self._arrays[1::2]
 
     @property
     def input_dim(self) -> int:
@@ -101,34 +114,20 @@ class ModelParams:
         return self.widths[-1]
 
     def copy(self) -> "ModelParams":
-        return ModelParams(
-            widths=self.widths,
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-            role=self.role,
-        )
+        return ModelParams(self.widths, self.buffer, self.role)
 
-    def flat(self) -> list[np.ndarray]:
-        """Parameters in the canonical order W0, b0, W1, b1, ..."""
-        out: list[np.ndarray] = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        return out
+    def flat(self) -> tuple[np.ndarray, ...]:
+        """Views of the parameters in the canonical order W0, b0, W1, b1, ..."""
+        return self._arrays
 
 
 def init_model(widths, seed: int, role: str = ROLE_NETD) -> ModelParams:
     """Zero-mean weights with variance 1/fan_in; biases exactly zero."""
-    widths = tuple(int(w) for w in widths)
-    if len(widths) < 2 or any(w < 1 for w in widths):
-        raise ValueError(f"invalid architecture {widths}")
+    model = ModelParams(widths, np.zeros(param_count(widths)), role)
     rng = np.random.default_rng(seed)
-    weights, biases = [], []
-    for fan_in, fan_out in zip(widths[:-1], widths[1:]):
-        scale = 1.0 / np.sqrt(fan_in)
-        weights.append(rng.normal(0.0, scale, size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out, dtype=np.float64))
-    return ModelParams(widths=widths, weights=weights, biases=biases, role=role)
+    for w in model.weights:
+        w[...] = rng.normal(0.0, 1.0 / np.sqrt(w.shape[0]), size=w.shape)
+    return model
 
 
 def forward_logits(params: ModelParams, batch: np.ndarray) -> np.ndarray:
@@ -171,12 +170,13 @@ def softmax_probs(logits: np.ndarray) -> np.ndarray:
 # which perfbench/layers.py wraps to time each part of a step.
 
 
-def param_tensors(params: ModelParams) -> list[np.ndarray]:
+def param_tensors(params: ModelParams) -> tuple[np.ndarray, ...]:
     """The parameter arrays a step differentiates, in canonical flat order."""
     return params.flat()
 
 
-def forward_logits_t(arrays: list[np.ndarray], batch: np.ndarray) -> list[np.ndarray]:
+def forward_logits_t(arrays: tuple[np.ndarray, ...], batch: np.ndarray
+                     ) -> list[np.ndarray]:
     """Forward pass over the arrays from :func:`param_tensors`.
 
     Returns the input of every layer followed by the logits: ``[-1]`` is
@@ -200,7 +200,7 @@ def forward_logits_t(arrays: list[np.ndarray], batch: np.ndarray) -> list[np.nda
     return acts
 
 
-def backward(arrays: list[np.ndarray], acts: list[np.ndarray],
+def backward(arrays: tuple[np.ndarray, ...], acts: list[np.ndarray],
              grad: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Backpropagate dL/dlogits through the network of one forward pass.
 
@@ -213,7 +213,7 @@ def backward(arrays: list[np.ndarray], acts: list[np.ndarray],
     if grad.shape != acts[-1].shape:
         raise ValueError(f"gradient shape {grad.shape} does not match the "
                          f"logits {acts[-1].shape}")
-    views = _views(out, arrays)
+    views = _views(out, (a.shape for a in arrays))
     for i in range(len(arrays) // 2 - 1, -1, -1):
         np.add.reduce(grad, axis=0, out=views[2 * i + 1])
         np.matmul(acts[i].T, grad, out=views[2 * i])
@@ -263,7 +263,7 @@ def sgd_step(params: ModelParams, grad: np.ndarray, opt: OptimState) -> None:
         raise ValueError(f"gradient {grad.shape} and velocity {v.shape} must "
                          f"match the parameter buffer {theta.shape}")
     if not np.isfinite(grad).all():
-        bad = next(i for i, g in enumerate(_views(grad, params.flat()))
+        bad = next(i for i, g in enumerate(_views(grad, param_shapes(params.widths)))
                    if not np.isfinite(g).all())
         raise NumericsError(f"non-finite gradient in parameter array {bad} "
                             f"({'Wb'[bad % 2]}{bad // 2})")

@@ -17,18 +17,18 @@ see ``DatasetManifest.provenance``).  Rates are written with ``repr`` so
 float round-trips are exact.  ``flip`` is always ``UNIFORM_EXCLUDING_TRUE``.
 
 A checkpoint has magic ``EDMCKPT1`` and keys ``role arch`` (the role tag and
-the comma-separated layer widths); its body is every parameter array as
-little-endian float32, in :meth:`~edmlab.backbone.ModelParams.flat` order.
-Parameters come back as float64, so a repeated deterministic run reproduces
-checkpoint files byte for byte.
+the comma-separated layer widths); its body is the model's parameter
+buffer (:attr:`~edmlab.backbone.ModelParams.buffer`) as little-endian
+float32.  Parameters come back as float64, so a repeated deterministic run
+reproduces checkpoint files byte for byte.
 
 Errors are reported distinctly: :class:`~edmlab.errors.ChecksumError` for a
 bad or missing trailer, :class:`~edmlab.errors.DimensionError` when the body
 does not match the sizes the header declares, and
 :class:`~edmlab.errors.FormatError` for a malformed header (any other flip
-rule or role tag, or a noise rate outside [0, 1], included) or inconsistent
-body contents (a NaN or infinite value, or a provenance byte that disagrees
-with its record's labels).
+rule, architecture or role tag, or a noise rate outside [0, 1], included)
+or inconsistent body contents (a NaN or infinite value, or a provenance byte
+that disagrees with its record's labels).
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import struct
 
 import numpy as np
 
-from .backbone import ROLES, ModelParams
+from .backbone import ModelParams, param_count
 from .benchgen import (FLIP_UNIFORM_EXCLUDING_TRUE, NO_CLASS, DatasetManifest,
                        NoiseSpec)
 from .errors import ChecksumError, DimensionError, FormatError
@@ -189,37 +189,25 @@ def load_manifest(path: str | os.PathLike) -> DatasetManifest:
 
 def save_checkpoint(params: ModelParams, path: str | os.PathLike) -> None:
     """Write parameters as float32 with a header and length checksum."""
-    body = b"".join(np.ascontiguousarray(arr, dtype="<f4").tobytes()
-                    for arr in params.flat())
     fields = {"role": params.role, "arch": ",".join(map(str, params.widths))}
-    _write_framed(path, CKPT_MAGIC, fields, body)
+    _write_framed(path, CKPT_MAGIC, fields, params.buffer.astype("<f4").tobytes())
 
 
 def load_checkpoint(path: str | os.PathLike) -> ModelParams:
     """Read a checkpoint; parameters come back as float64 copies."""
     fields, body = _read_framed(path, CKPT_MAGIC, _CKPT_KEYS)
-    role = fields["role"]
-    if role not in ROLES:
-        raise FormatError(f"unknown role tag {role!r}")
     try:
         widths = tuple(int(w) for w in fields["arch"].split(","))
-    except ValueError:
-        raise FormatError("unparseable architecture descriptor") from None
-    if len(widths) < 2 or any(w < 1 for w in widths):
-        raise FormatError(f"implausible architecture {widths}")
-
-    shapes = [s for fan_in, fan_out in zip(widths[:-1], widths[1:])
-              for s in ((fan_in, fan_out), (fan_out,))]
-    sizes = [int(np.prod(s)) for s in shapes]
-    if len(body) != 4 * sum(sizes):
+        size = param_count(widths)
+    except ValueError as exc:
+        raise FormatError(f"implausible architecture {fields['arch']!r}: {exc}"
+                          ) from None
+    if len(body) != 4 * size:
         raise DimensionError(
-            f"parameter body is {len(body)} bytes, expected {4 * sum(sizes)} "
+            f"parameter body is {len(body)} bytes, expected {4 * size} "
             f"for architecture {widths}"
         )
-    values = np.frombuffer(body, dtype="<f4").astype(np.float64)
-    if not np.all(np.isfinite(values)):
-        raise FormatError("non-finite parameter value in checkpoint")
-    arrays = [a.reshape(s) for a, s in
-              zip(np.split(values, np.cumsum(sizes)[:-1]), shapes)]
-    return ModelParams(widths=widths, weights=arrays[0::2], biases=arrays[1::2],
-                       role=role)
+    try:
+        return ModelParams(widths, np.frombuffer(body, dtype="<f4"), fields["role"])
+    except ValueError as exc:
+        raise FormatError(f"bad checkpoint: {exc}") from None

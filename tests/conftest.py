@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from edmlab.backbone import ModelParams
+
 
 def central_diff_at(f, arrays, coords, h=1e-4):
     """Central finite-difference derivatives of scalar ``f`` at chosen coords.
@@ -29,3 +31,11 @@ def rel_err(a, b, floor=1e-4):
     b = np.asarray(b, dtype=np.float64)
     denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
     return np.abs(a - b) / denom
+
+
+def make_model(weights, biases, role="NetD"):
+    """A ``ModelParams`` holding these per-layer arrays, widths read off the
+    weights' shapes."""
+    widths = (len(weights[0]),) + tuple(np.shape(w)[1] for w in weights)
+    layers = [np.ravel(a) for pair in zip(weights, biases) for a in pair]
+    return ModelParams(widths, np.concatenate(layers), role)

@@ -12,10 +12,9 @@ The finite-difference checks at full network width are in
 
 import numpy as np
 import pytest
-from conftest import central_diff_at, rel_err
+from conftest import central_diff_at, make_model, rel_err
 
 from edmlab.backbone import (
-    ModelParams,
     backward,
     forward_logits,
     forward_logits_t,
@@ -166,10 +165,8 @@ class TestBackwardHandCases:
 
     def test_relu_gate(self):
         """A pre-activation or logit exactly at 0 passes no gradient."""
-        m = ModelParams(widths=(1, 2, 2),
-                        weights=[np.array([[1.0, 2.0]]),
-                                 np.array([[1.0, 2.0], [3.0, 4.0]])],
-                        biases=[np.array([-1.0, 0.0]), np.array([0.0, 0.0])])
+        m = make_model([np.array([[1.0, 2.0]]), np.array([[1.0, 2.0], [3.0, 4.0]])],
+                       [np.array([-1.0, 0.0]), np.array([0.0, 0.0])])
         arrays = param_tensors(m)
         # hidden pre-activations (0, 2): the first unit sits on the kink
         grad = _network_grad(arrays, [[1.0]], lambda z: np.ones((1, 2)))
@@ -260,8 +257,7 @@ class TestBackwardFiniteDifference:
         passes its input through, so every layer's gradient is known exactly.
         """
         depth = 3000
-        m = ModelParams(widths=(2,) * (depth + 1),
-                        weights=[np.eye(2)] * depth, biases=[np.zeros(2)] * depth)
+        m = make_model([np.eye(2)] * depth, [np.zeros(2)] * depth)
         arrays = param_tensors(m)
         x = np.array([[1.0, 2.0]])
         g = np.array([[0.5, -1.0]])

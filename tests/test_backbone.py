@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from conftest import central_diff_at, rel_err
+from conftest import central_diff_at, make_model, rel_err
 
 from edmlab.backbone import (
     JITTER_SIGMA,
@@ -47,8 +47,52 @@ class TestInit:
 
     def test_role_tag_validated(self):
         with pytest.raises(ValueError):
-            ModelParams(widths=(2, 2), weights=[np.zeros((2, 2))],
-                        biases=[np.zeros(2)], role="NetX")
+            make_model([np.zeros((2, 2))], [np.zeros(2)], role="NetX")
+
+
+class TestModelParams:
+    """The model owns one float64 buffer and the views laid over it."""
+
+    def test_wrong_buffer_length_rejected(self):
+        with pytest.raises(ValueError, match="does not hold the 6 parameters"):
+            ModelParams((2, 2), np.zeros(5))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_rejected(self, value):
+        buffer = np.zeros(6)
+        buffer[3] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            ModelParams((2, 2), buffer)
+
+    @pytest.mark.parametrize("widths", [(4,), (4, 0, 2)])
+    def test_invalid_architecture_rejected(self, widths):
+        with pytest.raises(ValueError, match="invalid architecture"):
+            ModelParams(widths, np.zeros(2))
+
+    def test_keeps_its_own_copy(self):
+        given = np.arange(6.0)
+        m = ModelParams((2, 2), given)
+        given[:] = -1.0
+        np.testing.assert_array_equal(m.buffer, np.arange(6.0))
+
+    def test_views_write_through_to_buffer(self):
+        m = ModelParams((2, 2), np.zeros(6))
+        m.weights[0][1, 0] = 5.0
+        np.testing.assert_array_equal(m.buffer, [0.0, 0.0, 5.0, 0.0, 0.0, 0.0])
+
+    def test_flat_returns_the_same_views(self):
+        m = init_model((3, 4, 2), seed=0)
+        first, second = m.flat(), m.flat()
+        assert len(first) == 4
+        assert all(a is b for a, b in zip(first, second))
+        assert all(np.shares_memory(a, m.buffer) for a in first)
+
+    def test_copy_shares_no_memory(self):
+        m = init_model((3, 4, 2), seed=0)
+        c = m.copy()
+        np.testing.assert_array_equal(c.buffer, m.buffer)
+        assert not np.shares_memory(c.buffer, m.buffer)
+        assert not any(np.shares_memory(a, m.buffer) for a in c.flat())
 
 
 class TestForward:
@@ -168,8 +212,7 @@ def _flat(*arrays):
 class TestSgdStep:
     def test_hand_iteration(self):
         """v <- 0.8v + g + wd*t, t <- t - 0.1v reproduces the worked example."""
-        m = ModelParams(widths=(1, 1), weights=[np.array([[1.0]])],
-                        biases=[np.array([0.0])], role="NetD")
+        m = make_model([np.array([[1.0]])], [np.array([0.0])])
         opt = init_optim(m, learning_rate=0.1, momentum=0.8, weight_decay=0.0)
         g = _flat([[1.0]], [0.0])
         assert sgd_step(m, g, opt) is None  # updates in place
@@ -211,8 +254,7 @@ class TestSgdStep:
         assert quad() < before
 
     def test_weight_decay_shrinks_parameters(self):
-        m = ModelParams(widths=(1, 1), weights=[np.array([[2.0]])],
-                        biases=[np.array([0.0])], role="NetD")
+        m = make_model([np.array([[2.0]])], [np.array([0.0])])
         opt = init_optim(m, 0.1, 0.0, 0.5)
         sgd_step(m, _flat([[0.0]], [0.0]), opt)
         np.testing.assert_allclose(m.weights[0], [[1.9]])  # 2 - 0.1*(0.5*2)

@@ -1,0 +1,43 @@
+"""Tests for tools/cmp_runs.py's directory diff (the runs themselves are slow
+and stay out of the suite)."""
+
+import importlib.util
+from pathlib import Path
+
+_spec = importlib.util.spec_from_file_location(
+    "cmp_runs", Path(__file__).resolve().parents[1] / "tools" / "cmp_runs.py")
+cmp_runs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(cmp_runs)
+
+
+def _tree(root, files):
+    for rel, data in files.items():
+        path = root / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(data)
+    return root
+
+
+def test_identical_trees_do_not_differ(tmp_path):
+    files = {"seed0/epochs.jsonl": b"{}\n", "seed0/netd_last.ckpt": b"\x00\x01"}
+    assert cmp_runs.diff_dirs(_tree(tmp_path / "a", files),
+                              _tree(tmp_path / "b", files)) == []
+
+
+def test_changed_and_one_sided_files_differ(tmp_path):
+    a = _tree(tmp_path / "a", {"x/same": b"1", "x/changed": b"12", "x/only_a": b""})
+    b = _tree(tmp_path / "b", {"x/same": b"1", "x/changed": b"13", "only_b": b""})
+    assert cmp_runs.diff_dirs(a, b) == ["only_b", "x/changed", "x/only_a"]
+
+
+def test_run_manifest_is_ignored_at_any_depth(tmp_path):
+    a = _tree(tmp_path / "a", {"run_manifest.json": b"1", "s/run_manifest.json": b"1"})
+    b = _tree(tmp_path / "b", {"s/run_manifest.json": b"2"})
+    assert cmp_runs.diff_dirs(a, b) == []
+    assert cmp_runs.artifacts(a) == set()
+
+
+def test_same_size_files_are_compared_by_content(tmp_path):
+    a = _tree(tmp_path / "a", {"f.csv": b"0.5,1\n"})
+    b = _tree(tmp_path / "b", {"f.csv": b"0.6,1\n"})
+    assert cmp_runs.diff_dirs(a, b) == ["f.csv"]

@@ -8,10 +8,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import make_model
 
 from edmlab import backbone, evaluation
 from edmlab.backbone import (
-    ModelParams,
     ROLE_NETD,
     forward_logits,
     hidden_features,
@@ -45,12 +45,7 @@ def _clean_blobs(per_class=50, seed=0):
 
 def _constant_logit_model(dim, k):
     """All-zero single-layer model: every sample gets identical logits."""
-    return ModelParams(
-        widths=(dim, k),
-        weights=[np.zeros((dim, k))],
-        biases=[np.zeros(k)],
-        role=ROLE_NETD,
-    )
+    return make_model([np.zeros((dim, k))], [np.zeros(k)], role=ROLE_NETD)
 
 
 def _partition_from_pred(pred_groups):
@@ -75,12 +70,8 @@ class TestTestAccuracy:
             num_classes=k,
             noise_spec=NoiseSpec(rho=0.0, omega=0.0),
         )
-        model = ModelParams(
-            widths=(k, k),
-            weights=[np.eye(k, dtype=np.float64)],
-            biases=[np.zeros(k)],
-            role=ROLE_NETD,
-        )
+        model = make_model([np.eye(k, dtype=np.float64)], [np.zeros(k)],
+                           role=ROLE_NETD)
         assert model_accuracy(model, ds) == 1.0
 
     def test_constant_logits_tiebreak_to_class_zero(self):
@@ -100,8 +91,8 @@ class TestTestAccuracy:
             num_classes=2,
             noise_spec=NoiseSpec(rho=0.0, omega=0.0),
         )
-        model = ModelParams(widths=(1, 2), weights=[np.array([[0.0, 1e-17]])],
-                            biases=[np.zeros(2)], role=ROLE_NETD)
+        model = make_model([np.array([[0.0, 1e-17]])], [np.zeros(2)],
+                           role=ROLE_NETD)
         assert model_accuracy(model, ds) == 1.0
 
     def test_sample_order_invariance(self):

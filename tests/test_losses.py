@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from conftest import central_diff_at, rel_err
+from conftest import central_diff_at, make_model, rel_err
 
 from edmlab.backbone import (
     backward,
@@ -134,13 +134,8 @@ class TestSlDatasetLoss:
     @staticmethod
     def _fixed_logit_model():
         """A linear map sending x=[1,0] to logits [2,-1]."""
-        from edmlab.backbone import ModelParams
-        return ModelParams(
-            widths=(2, 2),
-            weights=[np.array([[2.0, -1.0], [0.0, 0.0]])],
-            biases=[np.zeros(2)],
-            role="NetS",
-        )
+        return make_model([np.array([[2.0, -1.0], [0.0, 0.0]])], [np.zeros(2)],
+                          role="NetS")
 
     def test_two_sample_mean(self):
         """Confident-right and confident-wrong samples average to 0.7."""

@@ -4,10 +4,12 @@ import struct
 
 import numpy as np
 import pytest
+from conftest import make_model
 
-from edmlab.backbone import ModelParams, init_model
+from edmlab.backbone import init_model
 from edmlab.benchgen import DatasetManifest, NoiseSpec, Provenance, inject_noise, \
     make_open_pool, make_synthetic_clean
+from edmlab.cli import EXIT_DATA, main
 from edmlab.errors import ChecksumError, DimensionError, FormatError
 from edmlab.manifest_io import load_checkpoint, load_manifest, save_checkpoint, \
     save_manifest
@@ -64,8 +66,8 @@ class TestOnDiskBytes:
         assert path.read_bytes() == payload + struct.pack("<Q", len(payload))
 
     def test_checkpoint_bytes(self, tmp_path):
-        params = ModelParams(widths=(2, 1), weights=[np.array([[0.5], [-1.25]])],
-                             biases=[np.array([2.0])], role="NetS")
+        params = make_model([np.array([[0.5], [-1.25]])], [np.array([2.0])],
+                            role="NetS")
         payload = b"EDMCKPT1 role=NetS arch=2,1\n" + struct.pack("<3f", 0.5, -1.25, 2.0)
         path = tmp_path / "m.ckpt"
         save_checkpoint(params, path)
@@ -349,6 +351,23 @@ class TestCheckpoints:
             path.read_bytes()))
         with pytest.raises(FormatError, match="NetX"):
             load_checkpoint(bad)
+
+    @pytest.mark.parametrize("arch", [b"6", b"6,0,4", b"6,x,4"])
+    def test_implausible_architecture_is_format_error(self, tmp_path, capsys, arch):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(init_model((6, 16, 4), seed=5), path)
+        bad = tmp_path / "arch.ckpt"
+        bad.write_bytes(_edit_header(lambda h: h.replace(b"6,16,4", arch))(
+            path.read_bytes()))
+        with pytest.raises(FormatError, match="implausible architecture"):
+            load_checkpoint(bad)
+        data = tmp_path / "data.edm"
+        save_manifest(_noisy_manifest(), data)
+        out = tmp_path / "out"
+        assert main(["eval", "--checkpoint", str(bad), "--manifest", str(data),
+                     "--test-manifest", str(data), "--out-dir", str(out)]) == EXIT_DATA
+        assert "implausible architecture" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_weight_is_format_error(self, tmp_path, value):

@@ -6,6 +6,7 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from conftest import make_model
 
 from edmlab import train as train_mod
 from edmlab.backbone import (
@@ -421,14 +422,8 @@ class TestRelabel:
     def test_blend_follows_larger_score(self):
         """With p=(0.9,0.1) and label two: w_cl=0.5 keeps the label
         (scores 0.45 vs 0.55) while w_cl=0.9 overturns it (0.81 vs 0.19)."""
-        from edmlab.backbone import ModelParams
-
-        model = ModelParams(
-            widths=(2, 2),
-            weights=[np.array([[np.log(0.9), np.log(0.1)], [0.0, 0.0]])],
-            biases=[np.zeros(2)],
-            role=ROLE_NETD,
-        )
+        model = make_model([np.array([[np.log(0.9), np.log(0.1)], [0.0, 0.0]])],
+                           [np.zeros(2)], role=ROLE_NETD)
         feats = np.array([[1.0, 0.0], [1.0, 0.0]])
         labels = np.array([[0.0, 1.0], [0.0, 1.0]])
         split = PosteriorSplit(w=np.array([0.5, 0.1]), w_op=np.zeros(2),
