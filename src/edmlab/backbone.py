@@ -43,6 +43,10 @@ FORWARD_CHUNK = 512
 #: standard deviation of the Gaussian jitter :func:`augment` adds
 JITTER_SIGMA = 0.05
 
+#: SGD's momentum and coupled weight decay, the same in every run
+MOMENTUM = 0.8
+WEIGHT_DECAY = 5e-4
+
 
 def param_shapes(widths) -> list[tuple[int, ...]]:
     """Shapes of the parameter arrays W0, b0, W1, b1, ... of a network.
@@ -74,7 +78,7 @@ def _views(flat: np.ndarray, shapes) -> list[np.ndarray]:
     return views
 
 
-@dataclass
+@dataclass(eq=False)
 class ModelParams:
     """A rectifier network: its layer widths, its role, and one flat float64
     ``buffer`` that holds every parameter in the order W0, b0, W1, b1, ...
@@ -83,8 +87,8 @@ class ModelParams:
     exactly the parameters the widths imply, all finite.  ``weights``,
     ``biases`` and :meth:`flat` are views of it made once, so an SGD step
     updates every parameter with a handful of array operations.  Update
-    them in place only.  :func:`init_model` and
-    :func:`~edmlab.manifest_io.load_checkpoint` build models.
+    them in place only.  Models compare by identity.  :func:`init_model`
+    and :func:`~edmlab.manifest_io.load_checkpoint` build models.
     """
 
     widths: tuple[int, ...]
@@ -225,38 +229,30 @@ def backward(arrays: tuple[np.ndarray, ...], acts: list[np.ndarray],
 
 @dataclass
 class OptimState:
-    """SGD-with-momentum state: the velocity, and a scratch array each step
-    reuses, both laid out like ``ModelParams.buffer``."""
+    """SGD-with-momentum state: the learning rate, the velocity, and a
+    scratch array each step reuses, both laid out like ``ModelParams.buffer``."""
 
     learning_rate: float
-    momentum: float
-    weight_decay: float
-    velocity: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    velocity: np.ndarray
     scratch: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.learning_rate < 0 or self.momentum < 0 or self.weight_decay < 0:
-            raise ValueError("optimizer hyperparameters must be non-negative")
+        if self.learning_rate < 0:
+            raise ValueError(f"learning rate must be >= 0, got {self.learning_rate}")
         self.scratch = np.empty_like(self.velocity)
 
 
-def init_optim(params: ModelParams, learning_rate: float, momentum: float,
-               weight_decay: float) -> OptimState:
-    return OptimState(
-        learning_rate=learning_rate,
-        momentum=momentum,
-        weight_decay=weight_decay,
-        velocity=np.zeros_like(params.buffer),
-    )
+def init_optim(params: ModelParams, learning_rate: float) -> OptimState:
+    return OptimState(learning_rate, np.zeros_like(params.buffer))
 
 
 def sgd_step(params: ModelParams, grad: np.ndarray, opt: OptimState) -> None:
     """v <- m*v + g + wd*theta; theta <- theta - lr*v (in place).
 
-    ``grad`` is one flat array laid out like ``params.buffer``, as
-    :func:`backward` writes it.  Classic coupled weight decay: the decay
-    term enters the velocity.  A non-finite gradient aborts the step
-    before any parameter or velocity changes.
+    m and wd are MOMENTUM and WEIGHT_DECAY.  ``grad`` is one flat array laid
+    out like ``params.buffer``, as :func:`backward` writes it.  Classic
+    coupled weight decay: the decay term enters the velocity.  A non-finite
+    gradient aborts the step before any parameter or velocity changes.
     """
     theta, v, tmp = params.buffer, opt.velocity, opt.scratch
     if grad.shape != theta.shape or v.shape != theta.shape:
@@ -267,9 +263,9 @@ def sgd_step(params: ModelParams, grad: np.ndarray, opt: OptimState) -> None:
                    if not np.isfinite(g).all())
         raise NumericsError(f"non-finite gradient in parameter array {bad} "
                             f"({'Wb'[bad % 2]}{bad // 2})")
-    np.multiply(theta, opt.weight_decay, out=tmp)
+    np.multiply(theta, WEIGHT_DECAY, out=tmp)
     tmp += grad
-    v *= opt.momentum
+    v *= MOMENTUM
     v += tmp
     np.multiply(v, opt.learning_rate, out=tmp)
     theta -= tmp

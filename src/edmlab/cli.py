@@ -40,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .backbone import JITTER_SIGMA
+from .backbone import JITTER_SIGMA, MOMENTUM, WEIGHT_DECAY
 from .benchgen import (
     DatasetManifest,
     NoiseSpec,
@@ -60,8 +60,8 @@ from .gmm import GmmConfig, fit_em, group_posteriors, normalize_losses, partitio
 from .losses import LossWeights, sl_dataset_loss
 from .manifest_io import (load_checkpoint, load_manifest, save_checkpoint,
                           save_manifest)
-from .train import (ALGO_CE, ALGO_EDM, HIDDEN_WIDTHS, LR_DROP_FACTOR, MOMENTUM,
-                    WEIGHT_DECAY, TrainConfig, run, run_baseline_ce)
+from .train import (ALGO_CE, ALGO_EDM, HIDDEN_WIDTHS, LR_DROP_FACTOR, TrainConfig,
+                    run, run_baseline_ce)
 
 SCHEMA_VERSION = 1
 HISTOGRAM_BINS = 20

@@ -72,11 +72,9 @@ log = logging.getLogger("edmlab")
 ALGO_EDM = "edm"
 ALGO_CE = "ce"
 
-# Fixed settings of the method, the same in every run: SGD with momentum and
-# coupled weight decay, the learning rate cut by LR_DROP_FACTOR at
-# TrainConfig.resolved_lr_drop_epoch, and the hidden widths of both networks.
-MOMENTUM = 0.8
-WEIGHT_DECAY = 5e-4
+# Fixed settings of the method, the same in every run: the learning rate cut
+# by LR_DROP_FACTOR at TrainConfig.resolved_lr_drop_epoch, and the hidden
+# widths of both networks.  SGD's momentum and decay are backbone's constants.
 LR_DROP_FACTOR = 0.1
 HIDDEN_WIDTHS = (64, 64)
 
@@ -87,7 +85,7 @@ class TrainConfig:
 
     Every field is range-checked when built, ``gmm`` included; vary one with
     ``dataclasses.replace``.  The optimiser, the learning-rate cut and the
-    network widths are the module constants above, not settings.
+    network widths are module constants, not settings.
     """
 
     epochs: int = 30
@@ -153,15 +151,6 @@ class EpochReport:
     mean_reg_loss: float | None = None
     split_balanced_accuracy: float | None = None
     confusion: list[list[int]] | None = None
-
-
-@dataclass
-class RefinedBatch:
-    """A pairwise-mixed batch: inputs, soft targets, and the mix coefficients."""
-
-    inputs: np.ndarray
-    targets: np.ndarray
-    lambdas: np.ndarray  # per-pair dominant coefficient, always in [0.5, 1]
 
 
 @dataclass
@@ -232,8 +221,6 @@ def guess_unlabeled(model: ModelParams, batches: list[np.ndarray],
     train on it sharpened, labeled rows blend it with their label first
     (:func:`co_refine`).
     """
-    if num_augments < 1:
-        raise ValueError(f"num_augments must be >= 1, got {num_augments}")
     stacked = np.concatenate([b for b in batches for _ in range(num_augments)])
     views = augment(stacked, rng)
     probs = softmax_probs(forward_logits(model, views))
@@ -248,8 +235,9 @@ def guess_unlabeled(model: ModelParams, batches: list[np.ndarray],
 
 
 def mixmatch_batch(inputs: np.ndarray, targets: np.ndarray, mix_alpha: float,
-                   rng: np.random.Generator) -> RefinedBatch:
-    """Mix every row against a shuffled partner from the same pool.
+                   rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Mix every row against a shuffled partner from the same pool; returns
+    the mixed inputs and the mixed targets.
 
     Each coefficient is drawn from Beta(mix_alpha, mix_alpha) and folded to
     its upper half, so a mixed row stays closer to its own original.  Draw
@@ -260,9 +248,8 @@ def mixmatch_batch(inputs: np.ndarray, targets: np.ndarray, mix_alpha: float,
     perm = rng.permutation(n)
     lam = rng.beta(mix_alpha, mix_alpha, size=n)
     lam = np.maximum(lam, 1.0 - lam)
-    mixed_inputs = lam[:, None] * inputs + (1.0 - lam[:, None]) * inputs[perm]
-    mixed_targets = lam[:, None] * targets + (1.0 - lam[:, None]) * targets[perm]
-    return RefinedBatch(inputs=mixed_inputs, targets=mixed_targets, lambdas=lam)
+    return (lam[:, None] * inputs + (1.0 - lam[:, None]) * inputs[perm],
+            lam[:, None] * targets + (1.0 - lam[:, None]) * targets[perm])
 
 
 # -- epoch-level passes ------------------------------------------------
@@ -318,7 +305,7 @@ def warmup(netd: ModelParams, nets: ModelParams, feats: np.ndarray,
     """
     for model, one_pass, epochs in ((netd, _ce_pass, cfg.warmup_epochs_netd),
                                     (nets, _sl_pass, cfg.warmup_epochs_nets)):
-        opt = init_optim(model, cfg.learning_rate, MOMENTUM, WEIGHT_DECAY)
+        opt = init_optim(model, cfg.learning_rate)
         for epoch in range(epochs):
             with _epoch("warm-up", epoch):
                 one_pass(model, feats, labels, cfg.batch_size, opt, rng)
@@ -366,12 +353,12 @@ def train_netd_epoch(netd: ModelParams, feats: np.ndarray, labels: np.ndarray,
         targets = [co_refine(labels[xb], split.w[xb], means[0], cfg.temperature)]
         targets += [temp_sharpen(q, cfg.temperature) for q in means[1:]]
 
-        mixed = mixmatch_batch(views,
-                               np.concatenate([t for t in targets for _ in range(m)]),
-                               cfg.mix_alpha, rng)
+        mixed_inputs, mixed_targets = mixmatch_batch(
+            views, np.concatenate([t for t in targets for _ in range(m)]),
+            cfg.mix_alpha, rng)
         arrays = param_tensors(netd)
-        acts = forward_logits_t(arrays, mixed.inputs)
-        total, d_logits, comps = dm_batch_loss_t(acts[-1], mixed.targets,
+        acts = forward_logits_t(arrays, mixed_inputs)
+        total, d_logits, comps = dm_batch_loss_t(acts[-1], mixed_targets,
                                                  m * len(xb), cfg.loss_weights)
         if not math.isfinite(total):
             raise NumericsError(f"non-finite combined loss {comps} in "
@@ -428,8 +415,8 @@ def run(dataset: DatasetManifest, test_dataset: DatasetManifest,
     labels = dataset.one_hot_observed()
     warmup(netd, nets, feats, labels, cfg, rng)
 
-    opt_d = init_optim(netd, cfg.lr_at(0), MOMENTUM, WEIGHT_DECAY)
-    opt_s = init_optim(nets, cfg.lr_at(0), MOMENTUM, WEIGHT_DECAY)
+    opt_d = init_optim(netd, cfg.lr_at(0))
+    opt_s = init_optim(nets, cfg.lr_at(0))
     reports: list[EpochReport] = []
     for epoch in range(cfg.epochs):
         lr = cfg.lr_at(epoch)
@@ -477,7 +464,7 @@ def run_baseline_ce(dataset: DatasetManifest, test_dataset: DatasetManifest,
     feats = dataset.features.astype(np.float64)
     labels = dataset.one_hot_observed()
 
-    opt = init_optim(model, cfg.learning_rate, MOMENTUM, WEIGHT_DECAY)
+    opt = init_optim(model, cfg.learning_rate)
     for epoch in range(cfg.warmup_epochs_netd):
         with _epoch("warm-up", epoch):
             _ce_pass(model, feats, labels, cfg.batch_size, opt, rng)

@@ -6,6 +6,8 @@ from conftest import central_diff_at, make_model, rel_err
 
 from edmlab.backbone import (
     JITTER_SIGMA,
+    MOMENTUM,
+    WEIGHT_DECAY,
     ModelParams,
     augment,
     backward,
@@ -93,6 +95,12 @@ class TestModelParams:
         np.testing.assert_array_equal(c.buffer, m.buffer)
         assert not np.shares_memory(c.buffer, m.buffer)
         assert not any(np.shares_memory(a, m.buffer) for a in c.flat())
+
+    def test_equality_is_identity(self):
+        """Comparing models never compares their buffers elementwise."""
+        m = init_model((3, 4, 2), seed=0)
+        assert (m == m) is True
+        assert (m == m.copy()) is False
 
 
 class TestForward:
@@ -211,21 +219,24 @@ def _flat(*arrays):
 
 class TestSgdStep:
     def test_hand_iteration(self):
-        """v <- 0.8v + g + wd*t, t <- t - 0.1v reproduces the worked example."""
+        """v <- m*v + g + wd*t, t <- t - 0.1v reproduces the worked example."""
         m = make_model([np.array([[1.0]])], [np.array([0.0])])
-        opt = init_optim(m, learning_rate=0.1, momentum=0.8, weight_decay=0.0)
+        opt = init_optim(m, learning_rate=0.1)
         g = _flat([[1.0]], [0.0])
         assert sgd_step(m, g, opt) is None  # updates in place
-        np.testing.assert_allclose(opt.velocity, [1.0, 0.0])
-        np.testing.assert_allclose(m.weights[0], [[0.9]])
+        v1 = 1.0 + WEIGHT_DECAY * 1.0  # 1.0005
+        t1 = 1.0 - 0.1 * v1  # 0.89995
+        np.testing.assert_allclose(opt.velocity, [v1, 0.0])
+        np.testing.assert_allclose(m.weights[0], [[t1]])
         sgd_step(m, g, opt)
-        np.testing.assert_allclose(opt.velocity, [1.8, 0.0])
-        np.testing.assert_allclose(m.weights[0], [[0.72]])
+        v2 = MOMENTUM * v1 + 1.0 + WEIGHT_DECAY * t1  # 1.800849975
+        np.testing.assert_allclose(opt.velocity, [v2, 0.0])
+        np.testing.assert_allclose(m.weights[0], [[t1 - 0.1 * v2]])  # 0.7198650025
 
     def test_zero_learning_rate_is_identity(self):
         m = init_model((3, 4, 2), seed=0)
         before = [a.copy() for a in m.flat()]
-        opt = init_optim(m, 0.0, 0.8, 5e-4)
+        opt = init_optim(m, 0.0)
         sgd_step(m, np.ones_like(m.buffer), opt)
         for a, b in zip(m.flat(), before):
             np.testing.assert_array_equal(a, b)
@@ -233,7 +244,7 @@ class TestSgdStep:
     def test_nonfinite_gradient_aborts_before_update(self):
         m = init_model((3, 4, 2), seed=0)
         before = [a.copy() for a in m.flat()]
-        opt = init_optim(m, 0.1, 0.8, 0.0)
+        opt = init_optim(m, 0.1)
         grads = [np.ones_like(a) for a in m.flat()]
         grads[2][0, 0] = np.nan
         with pytest.raises(NumericsError):
@@ -244,7 +255,7 @@ class TestSgdStep:
     def test_step_decreases_convex_loss(self):
         """One small-lr step strictly decreases a quadratic."""
         m = init_model((4, 4), seed=3)
-        opt = init_optim(m, 1e-3, 0.0, 0.0)
+        opt = init_optim(m, 1e-3)
 
         def quad():
             return 0.5 * sum(float((a * a).sum()) for a in m.flat())
@@ -255,9 +266,15 @@ class TestSgdStep:
 
     def test_weight_decay_shrinks_parameters(self):
         m = make_model([np.array([[2.0]])], [np.array([0.0])])
-        opt = init_optim(m, 0.1, 0.0, 0.5)
+        opt = init_optim(m, 0.1)
         sgd_step(m, _flat([[0.0]], [0.0]), opt)
-        np.testing.assert_allclose(m.weights[0], [[1.9]])  # 2 - 0.1*(0.5*2)
+        # 2 - 0.1*(5e-4*2) = 1.9999
+        np.testing.assert_allclose(m.weights[0], [[2.0 - 0.1 * WEIGHT_DECAY * 2.0]])
+        assert m.weights[0][0, 0] < 2.0
+
+    def test_negative_learning_rate_rejected(self):
+        with pytest.raises(ValueError, match="learning rate"):
+            init_optim(init_model((3, 4, 2), seed=0), -0.1)
 
 
 class TestAugment:

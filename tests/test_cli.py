@@ -17,7 +17,7 @@ import pytest
 
 from edmlab import cli
 from edmlab import train as train_mod
-from edmlab.backbone import init_model
+from edmlab.backbone import MOMENTUM, WEIGHT_DECAY, init_model
 from edmlab.benchgen import DatasetManifest, NoiseSpec, Provenance
 from edmlab.cli import (
     EXIT_CONFIG,
@@ -32,7 +32,6 @@ from edmlab.evaluation import split_confusion
 from edmlab.gmm import GmmConfig, fit_em, group_posteriors, normalize_losses, partition
 from edmlab.losses import sl_dataset_loss
 from edmlab.manifest_io import load_manifest, save_checkpoint, save_manifest
-from edmlab.train import MOMENTUM, WEIGHT_DECAY
 
 REPO = Path(__file__).resolve().parents[1]
 

@@ -78,7 +78,7 @@ def test_flat_gradient_matches_central_differences(name):
 def _model_with_momentum():
     """A model whose optimiser has taken one step, so its velocity is not 0."""
     model = init_model((3, 4, 2), seed=0)
-    opt = init_optim(model, 0.1, 0.8, 5e-4)
+    opt = init_optim(model, 0.1)
     sgd_step(model, np.linspace(-1.0, 1.0, model.buffer.size), opt)
     return model, opt
 

@@ -224,9 +224,9 @@ class _FixedDraws:
 
 def _mix_pair(a, b, mix_alpha, rng):
     """Row 0 of mixmatch_batch over the two-row pool [a, b]."""
-    mixed = mixmatch_batch(np.stack([a[0], b[0]]), np.stack([a[1], b[1]]),
-                           mix_alpha, rng)
-    return mixed.inputs[0], mixed.targets[0]
+    inputs, targets = mixmatch_batch(np.stack([a[0], b[0]]),
+                                     np.stack([a[1], b[1]]), mix_alpha, rng)
+    return inputs[0], targets[0]
 
 
 class TestMixmatchPair:
@@ -256,22 +256,25 @@ class TestMixmatchPair:
 
 class TestMixmatchBatch:
     def test_lambda_always_dominant(self):
+        """With identity targets, row i's own share of its mixed target is
+        its folded coefficient (1 if paired with itself): always >= 0.5."""
         rng = np.random.default_rng(4)
         inputs = rng.normal(size=(64, 6))
-        targets = rng.dirichlet(np.ones(3), size=64)
-        mixed = mixmatch_batch(inputs, targets, 4.0, rng)
-        assert np.all(mixed.lambdas >= 0.5)
-        assert np.all(mixed.lambdas <= 1.0)
-        assert mixed.inputs.shape == inputs.shape
-        np.testing.assert_allclose(mixed.targets.sum(axis=1), 1.0, atol=1e-9)
+        targets = np.eye(64)
+        mixed_inputs, mixed_targets = mixmatch_batch(inputs, targets, 4.0, rng)
+        own = np.diag(mixed_targets)
+        assert np.all(own >= 0.5)
+        assert np.all(own <= 1.0)
+        assert mixed_inputs.shape == inputs.shape
+        np.testing.assert_allclose(mixed_targets.sum(axis=1), 1.0, atol=1e-9)
 
     def test_outputs_stay_near_first_operand(self):
         """lambda' >= 0.5 keeps each mixed row closer to its own original."""
         rng = np.random.default_rng(5)
         inputs = rng.normal(size=(32, 4)) * 5
         targets = rng.dirichlet(np.ones(3), size=32)
-        mixed = mixmatch_batch(inputs, targets, 4.0, rng)
-        d_self = np.linalg.norm(mixed.inputs - inputs, axis=1)
+        mixed_inputs, _ = mixmatch_batch(inputs, targets, 4.0, rng)
+        d_self = np.linalg.norm(mixed_inputs - inputs, axis=1)
         d_all = np.linalg.norm(inputs[:, None, :] - inputs[None, :, :], axis=2)
         # distance moved is at most half the distance to the farthest partner
         assert np.all(d_self <= 0.5 * d_all.max(axis=1) + 1e-9)
@@ -298,7 +301,7 @@ class TestTrainNetdEpoch:
         part = partition(split)
         model = init_model((8, 16, 4), seed=0)
         cfg = small_cfg()
-        opt = init_optim(model, 0.02, 0.8, 5e-4)
+        opt = init_optim(model, 0.02)
         return ds, split, part, model, cfg, opt
 
     def test_iteration_count_matches_ceiling(self):
@@ -446,7 +449,7 @@ class TestTrainNetsEpoch:
         ds = make_noisy_blobs(per_class=40)
         nets = init_model((8, 16, 4), seed=1, role=ROLE_NETS)
         before = [a.copy() for a in nets.flat()]
-        opt = init_optim(nets, 0.0, 0.8, 5e-4)
+        opt = init_optim(nets, 0.0)
         assert train_nets_epoch(nets, *arrays(ds), small_cfg(), opt,
                                 np.random.default_rng(0)) is None
         for a, b in zip(nets.flat(), before):
@@ -457,7 +460,7 @@ class TestTrainNetsEpoch:
         ds = make_noisy_blobs(per_class=20)
         nets = init_model((8, 16, 4), seed=1, role=ROLE_NETS)
         cfg = small_cfg(batch_size=len(ds))
-        opt = init_optim(nets, 1e-3, 0.0, 0.0)
+        opt = init_optim(nets, 1e-3)
         before, _ = sl_dataset_loss(nets, *arrays(ds))
         train_nets_epoch(nets, *arrays(ds), cfg, opt, np.random.default_rng(0))
         after, _ = sl_dataset_loss(nets, *arrays(ds))
@@ -466,7 +469,7 @@ class TestTrainNetsEpoch:
     def test_training_on_truth_reduces_loss_over_epochs(self):
         ds = make_noisy_blobs(per_class=50, rho=0.0)  # labels already true
         nets = init_model((8, 16, 4), seed=1, role=ROLE_NETS)
-        opt = init_optim(nets, 0.02, 0.8, 5e-4)
+        opt = init_optim(nets, 0.02)
         rng = np.random.default_rng(0)
         first, _ = sl_dataset_loss(nets, *arrays(ds))
         for _ in range(5):

@@ -10,7 +10,8 @@ the refactor proof set:
 
 * ``edmlab run --seed 0``, ``--seed 1`` and ``--seed 2`` at the defaults;
 * ``edmlab run --algo ce --per-class 5000 --seed 0``;
-* ``edmlab eval`` of seed 1's ``netd_last.ckpt`` on seed 1's manifests.
+* ``edmlab eval`` of seed 1's ``netd_last.ckpt`` on seed 1's manifests;
+* ``edmlab train`` at the defaults on seed 1's manifests.
 
 It then lists every artifact that differs between the two trees, ignoring
 ``run_manifest.json`` (which holds timestamps and paths), and exits 1 if
@@ -39,6 +40,8 @@ CASES = (
     ("eval-seed1", ["eval", "--checkpoint", "{work}/seed1/netd_last.ckpt",
                     "--manifest", "{work}/seed1/train.manifest",
                     "--test-manifest", "{work}/seed1/test.manifest"]),
+    ("train-seed1", ["train", "--manifest", "{work}/seed1/train.manifest",
+                     "--test-manifest", "{work}/seed1/test.manifest"]),
 )
 
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
