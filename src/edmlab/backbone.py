@@ -12,9 +12,11 @@ updates that buffer in place.  The test suite checks those gradients
 against finite differences.  The training views of a batch
 (:func:`augment`) add Gaussian jitter of the fixed scale JITTER_SIGMA.
 
-A network's parameters are one float64 buffer that :class:`ModelParams`
-owns; :func:`param_shapes` is the only statement of its W0, b0, W1, b1, ...
-layout.  :mod:`edmlab.manifest_io` reads and writes the buffer as checkpoints.
+A network's parameters are one buffer that :class:`ModelParams` owns;
+:func:`param_shapes` is the only statement of its W0, b0, W1, b1, ...
+layout.  :func:`init_model` builds it in PARAM_DTYPE (float32), the dtype
+:mod:`edmlab.manifest_io` stores, so a checkpoint is exactly the network
+that was saved; the gradient checks run the same code on float64 networks.
 """
 
 from __future__ import annotations
@@ -34,14 +36,18 @@ ROLES = (ROLE_NETD, ROLE_NETS)
 #: scan, relabelling, test accuracy, and the CSV exports, which also write
 #: their rows this many at a time) walks the slices of :func:`chunks`.
 #: Rule: a chunk's widest activation, FORWARD_CHUNK * max(HIDDEN_WIDTHS)
-#: float64s, stays within 256 KiB, a block size glibc keeps resident.  At
-#: 4,096 rows an n=2,000 pass allocated two 1 MiB activations, which glibc
-#: maps or trims away again on free, so every pass faulted ~500 pages back
-#: in: 36,309 minor faults per default run against 5,729 at 512 rows.
+#: values, stays within 256 KiB, a block size glibc keeps resident, even in
+#: float64 (in PARAM_DTYPE it is 128 KiB).  At 4,096 rows an n=2,000 pass
+#: allocated two 1 MiB float64 activations, which glibc maps or trims away
+#: again on free, so every pass faulted ~500 pages back in: 36,309 minor
+#: faults per default run against 5,729 at 512 rows.
 FORWARD_CHUNK = 512
 
 #: standard deviation of the Gaussian jitter :func:`augment` adds
 JITTER_SIGMA = 0.05
+
+#: dtype of every network :func:`init_model` builds, and of checkpoints
+PARAM_DTYPE = np.float32
 
 #: SGD's momentum and coupled weight decay, the same in every run
 MOMENTUM = 0.8
@@ -65,26 +71,15 @@ def param_count(widths) -> int:
     return sum(map(math.prod, param_shapes(widths)))
 
 
-def _views(flat: np.ndarray, shapes) -> list[np.ndarray]:
-    """Views of ``flat`` with these shapes, laid end to end."""
-    views, offset = [], 0
-    for shape in shapes:
-        size = math.prod(shape)
-        views.append(flat[offset:offset + size].reshape(shape))
-        offset += size
-    if offset != flat.size:
-        raise ValueError(f"flat array of {flat.size} values does not hold "
-                         f"parameters of {offset}")
-    return views
-
-
 @dataclass(eq=False)
 class ModelParams:
-    """A rectifier network: its layer widths, its role, and one flat float64
+    """A rectifier network: its layer widths, its role, and one flat
     ``buffer`` that holds every parameter in the order W0, b0, W1, b1, ...
 
     The model keeps its own copy of the buffer it is given, which must hold
-    exactly the parameters the widths imply, all finite.  ``weights``,
+    exactly the parameters the widths imply, all finite.  The copy keeps a
+    float32 or float64 buffer's dtype; any other input becomes float64.
+    Forward and backward passes compute in that dtype.  ``weights``,
     ``biases`` and :meth:`flat` are views of it made once, so an SGD step
     updates every parameter with a handful of array operations.  Update
     them in place only.  Models compare by identity.  :func:`init_model`
@@ -100,13 +95,16 @@ class ModelParams:
         size = param_count(self.widths)
         if self.role not in ROLES:
             raise ValueError(f"role must be one of {ROLES}, got {self.role!r}")
-        self.buffer = np.array(self.buffer, dtype=np.float64)
+        dtype = getattr(self.buffer, "dtype", None)
+        if dtype not in (np.float32, np.float64):
+            dtype = np.float64
+        self.buffer = np.array(self.buffer, dtype=dtype)
         if self.buffer.shape != (size,):
             raise ValueError(f"buffer of shape {self.buffer.shape} does not hold "
                              f"the {size} parameters of architecture {self.widths}")
         if not np.isfinite(self.buffer).all():
             raise ValueError("non-finite model parameter")
-        self._arrays = tuple(_views(self.buffer, param_shapes(self.widths)))
+        self._arrays = self.layout(self.buffer)
         self.weights, self.biases = self._arrays[0::2], self._arrays[1::2]
 
     @property
@@ -124,10 +122,24 @@ class ModelParams:
         """Views of the parameters in the canonical order W0, b0, W1, b1, ..."""
         return self._arrays
 
+    def layout(self, flat: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Views of ``flat``, laid out like ``buffer``, in the order of
+        :meth:`flat`: how a step's gradient (:func:`backward`) is written."""
+        views, offset = [], 0
+        for shape in param_shapes(self.widths):
+            size = math.prod(shape)
+            views.append(flat[offset:offset + size].reshape(shape))
+            offset += size
+        if offset != flat.size:
+            raise ValueError(f"flat array of {flat.size} values does not hold "
+                             f"parameters of {offset}")
+        return tuple(views)
+
 
 def init_model(widths, seed: int, role: str = ROLE_NETD) -> ModelParams:
-    """Zero-mean weights with variance 1/fan_in; biases exactly zero."""
-    model = ModelParams(widths, np.zeros(param_count(widths)), role)
+    """Zero-mean weights with variance 1/fan_in, rounded to PARAM_DTYPE;
+    biases exactly zero."""
+    model = ModelParams(widths, np.zeros(param_count(widths), PARAM_DTYPE), role)
     rng = np.random.default_rng(seed)
     for w in model.weights:
         w[...] = rng.normal(0.0, 1.0 / np.sqrt(w.shape[0]), size=w.shape)
@@ -184,10 +196,11 @@ def forward_logits_t(arrays: tuple[np.ndarray, ...], batch: np.ndarray
     """Forward pass over the arrays from :func:`param_tensors`.
 
     Returns the input of every layer followed by the logits: ``[-1]`` is
-    the logits and ``[-2]`` the last hidden layer.  A training step keeps
-    the list for :func:`backward`.
+    the logits and ``[-2]`` the last hidden layer.  The batch is cast to the
+    parameters' dtype, and every array of the list has that dtype.  A
+    training step keeps the list for :func:`backward`.
     """
-    x = np.asarray(batch, dtype=np.float64)
+    x = np.asarray(batch, dtype=arrays[0].dtype)
     if x.ndim != 2 or x.shape[1] != arrays[0].shape[0]:
         raise ValueError(f"batch shape {x.shape} incompatible with input width "
                          f"{arrays[0].shape[0]}")
@@ -205,22 +218,25 @@ def forward_logits_t(arrays: tuple[np.ndarray, ...], batch: np.ndarray
 
 
 def backward(arrays: tuple[np.ndarray, ...], acts: list[np.ndarray],
-             grad: np.ndarray, out: np.ndarray) -> np.ndarray:
+             grad: np.ndarray, out: tuple[np.ndarray, ...]
+             ) -> tuple[np.ndarray, ...]:
     """Backpropagate dL/dlogits through the network of one forward pass.
 
     ``arrays`` and ``acts`` come from :func:`param_tensors` and
     :func:`forward_logits_t`; ``grad`` is a head's gradient at
-    ``acts[-1]``.  Every weight and bias gradient is written into ``out``,
-    one flat float64 array laid out like ``ModelParams.buffer``, which is
-    returned.  The rectifier passes no gradient where its output is exactly 0.
+    ``acts[-1]``, cast here to the dtype of ``out``.  Every weight and bias
+    gradient is written into ``out``, the views :meth:`ModelParams.layout`
+    makes of one flat array, which is returned; a training pass makes them
+    once and passes the flat array to :func:`sgd_step`.  The rectifier
+    passes no gradient where its output is exactly 0.
     """
     if grad.shape != acts[-1].shape:
         raise ValueError(f"gradient shape {grad.shape} does not match the "
                          f"logits {acts[-1].shape}")
-    views = _views(out, (a.shape for a in arrays))
+    grad = grad.astype(out[0].dtype, copy=False)
     for i in range(len(arrays) // 2 - 1, -1, -1):
-        np.add.reduce(grad, axis=0, out=views[2 * i + 1])
-        np.matmul(acts[i].T, grad, out=views[2 * i])
+        np.add.reduce(grad, axis=0, out=out[2 * i + 1])
+        np.matmul(acts[i].T, grad, out=out[2 * i])
         if i:
             grad = grad @ arrays[2 * i].T
             grad *= acts[i] > 0.0
@@ -259,7 +275,7 @@ def sgd_step(params: ModelParams, grad: np.ndarray, opt: OptimState) -> None:
         raise ValueError(f"gradient {grad.shape} and velocity {v.shape} must "
                          f"match the parameter buffer {theta.shape}")
     if not np.isfinite(grad).all():
-        bad = next(i for i, g in enumerate(_views(grad, param_shapes(params.widths)))
+        bad = next(i for i, g in enumerate(params.layout(grad))
                    if not np.isfinite(g).all())
         raise NumericsError(f"non-finite gradient in parameter array {bad} "
                             f"({'Wb'[bad % 2]}{bad // 2})")

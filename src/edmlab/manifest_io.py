@@ -19,8 +19,10 @@ float round-trips are exact.  ``flip`` is always ``UNIFORM_EXCLUDING_TRUE``.
 A checkpoint has magic ``EDMCKPT1`` and keys ``role arch`` (the role tag and
 the comma-separated layer widths); its body is the model's parameter
 buffer (:attr:`~edmlab.backbone.ModelParams.buffer`) as little-endian
-float32.  Parameters come back as float64, so a repeated deterministic run
-reproduces checkpoint files byte for byte.
+float32.  Parameters come back as float32, the dtype a network trains in
+(:data:`~edmlab.backbone.PARAM_DTYPE`), so a loaded checkpoint is exactly
+the network that was saved, and a repeated deterministic run reproduces
+checkpoint files byte for byte.
 
 Errors are reported distinctly: :class:`~edmlab.errors.ChecksumError` for a
 bad or missing trailer, :class:`~edmlab.errors.DimensionError` when the body
@@ -194,7 +196,7 @@ def save_checkpoint(params: ModelParams, path: str | os.PathLike) -> None:
 
 
 def load_checkpoint(path: str | os.PathLike) -> ModelParams:
-    """Read a checkpoint; parameters come back as float64 copies."""
+    """Read a checkpoint; parameters come back as a float32 copy."""
     fields, body = _read_framed(path, CKPT_MAGIC, _CKPT_KEYS)
     try:
         widths = tuple(int(w) for w in fields["arch"].split(","))

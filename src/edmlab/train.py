@@ -264,6 +264,7 @@ def _minibatch_pass(what: str, head, model: ModelParams, feats: np.ndarray,
     order = rng.permutation(feats.shape[0])
     feats, labels = feats[order], labels[order]
     grad = np.empty_like(model.buffer)
+    grads = model.layout(grad)
     total, steps = 0.0, 0
     for start in range(0, len(order), batch_size):
         arrays = param_tensors(model)
@@ -272,7 +273,8 @@ def _minibatch_pass(what: str, head, model: ModelParams, feats: np.ndarray,
         if not math.isfinite(loss):
             raise NumericsError(f"non-finite {what} loss in {model.role} "
                                 f"at step {steps}")
-        sgd_step(model, backward(arrays, acts, d_logits, grad), opt)
+        backward(arrays, acts, d_logits, grads)
+        sgd_step(model, grad, opt)
         total += float(loss)
         steps += 1
     return total / max(steps, 1)
@@ -337,6 +339,7 @@ def train_netd_epoch(netd: ModelParams, feats: np.ndarray, labels: np.ndarray,
     num_iters = math.ceil(len(x_order) / batch)
     sums = np.zeros(3)
     grad = np.empty_like(netd.buffer)
+    grads = netd.layout(grad)
     used_u = np.zeros(feats.shape[0], dtype=bool)
 
     for it in range(num_iters):
@@ -363,7 +366,8 @@ def train_netd_epoch(netd: ModelParams, feats: np.ndarray, labels: np.ndarray,
         if not math.isfinite(total):
             raise NumericsError(f"non-finite combined loss {comps} in "
                                 f"{netd.role} at step {it}")
-        sgd_step(netd, backward(arrays, acts, d_logits, grad), opt)
+        backward(arrays, acts, d_logits, grads)
+        sgd_step(netd, grad, opt)
         sums += (comps["labeled"], comps["unlabeled"], comps["regularizer"])
 
     return NetdEpochStats(
@@ -411,7 +415,7 @@ def run(dataset: DatasetManifest, test_dataset: DatasetManifest,
     netd_ss, nets_ss, rng = _seed_bundle(cfg.seed)
     netd = init_model(widths, netd_ss, role=ROLE_NETD)
     nets = init_model(widths, nets_ss, role=ROLE_NETS)
-    feats = dataset.features.astype(np.float64)
+    feats = dataset.features
     labels = dataset.one_hot_observed()
     warmup(netd, nets, feats, labels, cfg, rng)
 
@@ -461,7 +465,7 @@ def run_baseline_ce(dataset: DatasetManifest, test_dataset: DatasetManifest,
     widths = (dataset.feature_dim, *HIDDEN_WIDTHS, dataset.num_classes)
     netd_ss, _, rng = _seed_bundle(cfg.seed)
     model = init_model(widths, netd_ss, role=ROLE_NETD)
-    feats = dataset.features.astype(np.float64)
+    feats = dataset.features
     labels = dataset.one_hot_observed()
 
     opt = init_optim(model, cfg.learning_rate)

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from edmlab.backbone import ModelParams
+from edmlab.backbone import ModelParams, backward, init_model, param_tensors
 
 
 def central_diff_at(f, arrays, coords, h=1e-4):
@@ -31,6 +31,25 @@ def rel_err(a, b, floor=1e-4):
     b = np.asarray(b, dtype=np.float64)
     denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
     return np.abs(a - b) / denom
+
+
+def float64_model(widths, seed, role="NetD"):
+    """``init_model``'s network with its parameters widened to float64.
+
+    The finite-difference checks build their networks here: their bounds
+    need float64 arithmetic, and a float64 network runs the same forward and
+    backward code that training runs in float32.
+    """
+    model = init_model(widths, seed, role)
+    return ModelParams(model.widths, model.buffer.astype(np.float64), model.role)
+
+
+def flat_gradient(model, acts, d_logits):
+    """The gradient ``backward`` writes for one forward pass of ``model``,
+    in a fresh flat array laid out like its buffer."""
+    flat = np.empty_like(model.buffer)
+    backward(param_tensors(model), acts, d_logits, model.layout(flat))
+    return flat
 
 
 def make_model(weights, biases, role="NetD"):

@@ -11,10 +11,10 @@ import time
 
 import numpy as np
 import pytest
-from conftest import central_diff_at, rel_err
+from conftest import central_diff_at, flat_gradient, float64_model, rel_err
 
 from edmlab import train
-from edmlab.backbone import backward, forward_logits_t, init_model, param_tensors
+from edmlab.backbone import forward_logits_t, param_tensors
 from edmlab.benchgen import (
     NoiseSpec,
     Provenance,
@@ -118,7 +118,7 @@ def test_02_gradient_fidelity(capsys):
     worst = 0.0
     for seed in range(5):
         rng = np.random.default_rng(1000 + seed)
-        model = init_model((6, 16, 4), seed=seed)
+        model = float64_model((6, 16, 4), seed=seed)
         arrays = param_tensors(model)
         x_lab = rng.normal(size=(12, 6))
         y_lab = rng.dirichlet(np.ones(4), size=12)
@@ -145,8 +145,7 @@ def test_02_gradient_fidelity(capsys):
                 ai = int(np.searchsorted(bounds, pick, side="right"))
                 coords.append((ai, int(pick - (bounds[ai - 1] if ai else 0))))
             acts = forward_logits_t(arrays, x)
-            grad = backward(arrays, acts, head(acts[-1])[1],
-                            np.empty_like(model.buffer))
+            grad = flat_gradient(model, acts, head(acts[-1])[1])
             analytic = grad[picks]
             numeric = central_diff_at(
                 lambda: float(head(forward_logits_t(arrays, x)[-1])[0]),

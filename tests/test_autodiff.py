@@ -12,7 +12,13 @@ The finite-difference checks at full network width are in
 
 import numpy as np
 import pytest
-from conftest import central_diff_at, make_model, rel_err
+from conftest import (
+    central_diff_at,
+    flat_gradient,
+    float64_model,
+    make_model,
+    rel_err,
+)
 
 from edmlab.backbone import (
     backward,
@@ -44,15 +50,10 @@ def _split(flat, arrays):
             for block, a in zip(np.split(flat, ends[:-1]), arrays)]
 
 
-def _buffer(arrays):
-    """A flat gradient buffer for ``arrays``, as training allocates one."""
-    return np.empty(sum(a.size for a in arrays))
-
-
-def _network_grad(arrays, x, d_logits_of):
+def _network_grad(model, x, d_logits_of):
     """The flat gradient of one step whose head gradient is ``d_logits_of``."""
-    acts = forward_logits_t(arrays, x)
-    return backward(arrays, acts, d_logits_of(acts[-1]), _buffer(arrays))
+    acts = forward_logits_t(param_tensors(model), x)
+    return flat_gradient(model, acts, d_logits_of(acts[-1]))
 
 
 class TestForwardValues:
@@ -77,8 +78,9 @@ class TestForwardValues:
             _reg(mean)[0], (np.log(1 / 3) - np.log(mean)).sum() / 3, rtol=1e-12)
 
     def test_scalar_and_array_mixing(self):
-        """The forward pass computes in float64; logits and labels may be lists."""
-        m = init_model((2, 3, 2), seed=1)
+        """A float64 network's forward pass computes in float64 whatever the
+        batch's dtype; logits and labels may be lists."""
+        m = float64_model((2, 3, 2), seed=1)
         acts = forward_logits_t(param_tensors(m), np.ones((2, 2), dtype=np.float32))
         assert all(a.dtype == np.float64 for a in acts)
         z = [[2.0, -1.0], [0.5, 0.5]]
@@ -111,8 +113,7 @@ class TestBackwardHandCases:
         squared error on x, each backpropagated on its own.
         """
         rng = np.random.default_rng(2)
-        m = init_model((4, 6, 3), seed=2)
-        arrays = param_tensors(m)
+        m = float64_model((4, 6, 3), seed=2)
         x = rng.normal(size=(6, 4))
         y = np.eye(3)[rng.integers(0, 3, size=6)]
         t = rng.dirichlet(np.ones(3), size=6)
@@ -121,10 +122,10 @@ class TestBackwardHandCases:
             p = softmax_probs(z)
             return _softmax_backprop(p, _mse(p, t)[1])
 
-        ce = _network_grad(arrays, x, lambda z: ce_batch_loss_t(softmax_t(z), y)[1])
-        mse = _network_grad(arrays, x, d_mse)
+        ce = _network_grad(m, x, lambda z: ce_batch_loss_t(softmax_t(z), y)[1])
+        mse = _network_grad(m, x, d_mse)
         w = LossWeights(lambda_u=25.0, lambda_reg=0.0)
-        mixed = _network_grad(arrays, np.concatenate([x, x]),
+        mixed = _network_grad(m, np.concatenate([x, x]),
                               lambda z: dm_batch_loss_t(z, np.concatenate([y, t]),
                                                         6, w)[1])
         np.testing.assert_allclose(mixed, ce + 25.0 * mse, rtol=1e-12, atol=1e-15)
@@ -142,22 +143,22 @@ class TestBackwardHandCases:
     def test_matmul_gradients(self):
         """dW = input^T G, carried down through W^T and the rectifier gate."""
         rng = np.random.default_rng(3)
-        m = init_model((3, 5, 2), seed=3)
+        m = float64_model((3, 5, 2), seed=3)
         arrays = param_tensors(m)
         x = rng.normal(size=(4, 3))
         g = rng.normal(size=(4, 2))
-        d_w0, _, d_w1, _ = _split(_network_grad(arrays, x, lambda z: g), arrays)
+        d_w0, _, d_w1, _ = _split(_network_grad(m, x, lambda z: g), arrays)
         h = np.maximum(x @ m.weights[0] + m.biases[0], 0.0)
         np.testing.assert_allclose(d_w1, h.T @ g, rtol=1e-12)
         np.testing.assert_allclose(d_w0, x.T @ ((g @ m.weights[1].T) * (h > 0)),
                                    rtol=1e-12)
 
     def test_broadcast_bias_gradient_sums_rows(self):
-        m = init_model((3, 5, 2), seed=4)
+        m = float64_model((3, 5, 2), seed=4)
         arrays = param_tensors(m)
         x = np.random.default_rng(4).normal(size=(4, 3))
         g = np.ones((4, 2))
-        _, d_b0, _, d_b1 = _split(_network_grad(arrays, x, lambda z: g), arrays)
+        _, d_b0, _, d_b1 = _split(_network_grad(m, x, lambda z: g), arrays)
         np.testing.assert_array_equal(d_b1, [4.0, 4.0])
         h = np.maximum(x @ m.weights[0] + m.biases[0], 0.0)
         np.testing.assert_allclose(d_b0, ((g @ m.weights[1].T) * (h > 0)).sum(axis=0),
@@ -169,7 +170,7 @@ class TestBackwardHandCases:
                        [np.array([-1.0, 0.0]), np.array([0.0, 0.0])])
         arrays = param_tensors(m)
         # hidden pre-activations (0, 2): the first unit sits on the kink
-        grad = _network_grad(arrays, [[1.0]], lambda z: np.ones((1, 2)))
+        grad = _network_grad(m, [[1.0]], lambda z: np.ones((1, 2)))
         d_w0, d_b0, d_w1, d_b1 = _split(grad, arrays)
         np.testing.assert_array_equal(d_w0, [[0.0, 7.0]])
         np.testing.assert_array_equal(d_b0, [0.0, 7.0])
@@ -216,9 +217,9 @@ class TestBackwardHandCases:
         acts = forward_logits_t(arrays, np.ones((5, 3)))
         with pytest.raises(ValueError):
             # one value per row
-            backward(arrays, acts, np.ones(5), np.empty_like(m.buffer))
-        buf = np.empty_like(m.buffer)
-        assert backward(arrays, acts, np.ones((5, 2)), buf) is buf
+            flat_gradient(m, acts, np.ones(5))
+        out = m.layout(np.empty_like(m.buffer))
+        assert backward(arrays, acts, np.ones((5, 2)), out) is out
 
     def test_grad_reset_between_backward_calls(self):
         """Each backward() overwrites its buffer: no accumulation across calls."""
@@ -228,12 +229,12 @@ class TestBackwardHandCases:
         acts = forward_logits_t(arrays, x)
         _, d_logits = ce_batch_loss_t(softmax_t(acts[-1]), np.eye(2)[[0, 1, 1, 0, 1]])
         buf = np.full_like(m.buffer, np.nan)
-        assert backward(arrays, acts, d_logits, buf) is buf
+        out = m.layout(buf)
+        assert backward(arrays, acts, d_logits, out) is out
         first = buf.copy()
-        backward(arrays, acts, d_logits, buf)
+        backward(arrays, acts, d_logits, out)
         np.testing.assert_array_equal(buf, first)
-        np.testing.assert_array_equal(
-            backward(arrays, acts, d_logits, np.empty_like(m.buffer)), first)
+        np.testing.assert_array_equal(flat_gradient(m, acts, d_logits), first)
 
 
 class TestBackwardFiniteDifference:
@@ -263,7 +264,7 @@ class TestBackwardFiniteDifference:
         g = np.array([[0.5, -1.0]])
         acts = forward_logits_t(arrays, x)
         np.testing.assert_array_equal(acts[-1], x)
-        blocks = _split(backward(arrays, acts, g, _buffer(arrays)), arrays)
+        blocks = _split(flat_gradient(m, acts, g), arrays)
         for d_w, d_b in zip(blocks[0::2], blocks[1::2]):
             np.testing.assert_array_equal(d_w, x.T @ g)
             np.testing.assert_array_equal(d_b, g[0])

@@ -2,15 +2,21 @@
 
 import numpy as np
 import pytest
-from conftest import central_diff_at, make_model, rel_err
+from conftest import (
+    central_diff_at,
+    flat_gradient,
+    float64_model,
+    make_model,
+    rel_err,
+)
 
 from edmlab.backbone import (
     JITTER_SIGMA,
     MOMENTUM,
+    PARAM_DTYPE,
     WEIGHT_DECAY,
     ModelParams,
     augment,
-    backward,
     forward_logits,
     forward_logits_t,
     hidden_features,
@@ -30,6 +36,11 @@ class TestInit:
         b = init_model((8, 64, 64, 4), seed=5)
         for wa, wb in zip(a.flat(), b.flat()):
             np.testing.assert_array_equal(wa, wb)
+
+    def test_builds_float32(self):
+        """Training runs in PARAM_DTYPE, the dtype checkpoints store."""
+        assert PARAM_DTYPE == np.float32
+        assert init_model((8, 64, 4), seed=1).buffer.dtype == np.float32
 
     def test_biases_exactly_zero(self):
         m = init_model((8, 64, 4), seed=1)
@@ -53,7 +64,7 @@ class TestInit:
 
 
 class TestModelParams:
-    """The model owns one float64 buffer and the views laid over it."""
+    """The model owns one buffer and the views laid over it."""
 
     def test_wrong_buffer_length_rejected(self):
         with pytest.raises(ValueError, match="does not hold the 6 parameters"):
@@ -75,7 +86,23 @@ class TestModelParams:
         given = np.arange(6.0)
         m = ModelParams((2, 2), given)
         given[:] = -1.0
+        assert m.buffer.dtype == np.float64
         np.testing.assert_array_equal(m.buffer, np.arange(6.0))
+
+    @pytest.mark.parametrize("given, kept", [
+        (np.zeros(6, np.float32), np.float32),
+        (np.zeros(6, np.float16), np.float64),
+        (np.zeros(6, np.int64), np.float64),
+        ([0.0] * 6, np.float64),
+    ], ids=["float32", "float16", "int64", "list"])
+    def test_keeps_float32_and_widens_the_rest(self, given, kept):
+        """float64 is kept too (test_keeps_its_own_copy)."""
+        assert ModelParams((2, 2), given).buffer.dtype == kept
+
+    def test_layout_rejects_a_flat_array_of_another_size(self):
+        m = ModelParams((2, 2), np.zeros(6))
+        with pytest.raises(ValueError, match="does not hold"):
+            m.layout(np.zeros(7))
 
     def test_views_write_through_to_buffer(self):
         m = ModelParams((2, 2), np.zeros(6))
@@ -171,9 +198,20 @@ class TestBackward:
         arrays = param_tensors(m)
         acts = forward_logits_t(arrays, x)
         _, d_logits = sl_batch_loss_t(acts[-1], np.eye(2)[[0, 1, 0, 1, 0]])
-        grad = backward(arrays, acts, d_logits, np.empty_like(m.buffer))
+        grad = flat_gradient(m, acts, d_logits)
         assert grad.shape == m.buffer.shape
         assert np.all(grad == 0.0)
+
+    @pytest.mark.parametrize("build, dtype", [(init_model, np.float32),
+                                              (float64_model, np.float64)],
+                             ids=["float32", "float64"])
+    def test_pass_runs_in_the_parameters_dtype(self, build, dtype):
+        """Activations and the gradient take the parameters' dtype, whatever
+        the batch's and the head's dtypes."""
+        m = build((3, 4, 2), seed=2)
+        acts = forward_logits_t(param_tensors(m), np.ones((5, 3), np.float16))
+        assert all(a.dtype == dtype for a in acts)
+        assert flat_gradient(m, acts, np.ones((5, 2))).dtype == dtype
 
     def test_disconnected_loss_rejected(self):
         """A gradient at logits of another batch is not this pass's."""
@@ -182,12 +220,12 @@ class TestBackward:
         acts = forward_logits_t(arrays, np.ones((5, 3)))
         _, stray = sl_batch_loss_t(np.ones((2, 2)), np.eye(2))
         with pytest.raises(ValueError):
-            backward(arrays, acts, stray, np.empty_like(m.buffer))
+            flat_gradient(m, acts, stray)
 
     def test_network_gradcheck_against_finite_differences(self):
         """Backprop through the full network matches central differences."""
         rng = np.random.default_rng(11)
-        m = init_model((4, 8, 3), seed=11)
+        m = float64_model((4, 8, 3), seed=11)
         x = rng.normal(size=(6, 4))
         labels = np.eye(3)[rng.integers(0, 3, size=6)]
 
@@ -199,7 +237,7 @@ class TestBackward:
         arrays = param_tensors(m)
         acts = forward_logits_t(arrays, x)
         _, d_logits = ce_batch_loss_t(softmax_t(acts[-1]), labels)
-        grad = backward(arrays, acts, d_logits, np.empty_like(m.buffer))
+        grad = flat_gradient(m, acts, d_logits)
 
         flat_params = m.flat()
         offsets = np.cumsum([0] + [a.size for a in flat_params])

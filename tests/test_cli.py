@@ -331,6 +331,22 @@ class TestRun:
                      "nets_last.ckpt", "train.manifest", "test.manifest"):
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
+    def test_eval_of_the_last_checkpoint_reproduces_the_run(self, tmp_path):
+        """A checkpoint is the network its run exported: ``eval`` of
+        netd_last.ckpt on the run's manifests writes the run's features.csv
+        byte for byte and scores the run's test accuracy."""
+        run_dir = self._run_once(tmp_path, "run", seed=1)
+        eval_dir = tmp_path / "eval"
+        assert run_cli("eval", "--checkpoint", run_dir / "netd_last.ckpt",
+                       "--manifest", run_dir / "train.manifest",
+                       "--test-manifest", run_dir / "test.manifest",
+                       "--out-dir", eval_dir) == EXIT_OK
+        assert (eval_dir / "features.csv").read_bytes() \
+            == (run_dir / "features.csv").read_bytes()
+        run_acc, eval_acc = (json.loads((d / "eval.json").read_text())
+                             ["test_accuracy"] for d in (run_dir, eval_dir))
+        assert eval_acc == run_acc
+
     def test_env_seed_changes_the_benchmark(self, tmp_path, monkeypatch):
         a = self._run_once(tmp_path, "a", seed=5)
         monkeypatch.setenv("EDM_SEED", "6")

@@ -2,6 +2,7 @@
 and stay out of the suite)."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 _spec = importlib.util.spec_from_file_location(
@@ -41,3 +42,30 @@ def test_same_size_files_are_compared_by_content(tmp_path):
     a = _tree(tmp_path / "a", {"f.csv": b"0.5,1\n"})
     b = _tree(tmp_path / "b", {"f.csv": b"0.6,1\n"})
     assert cmp_runs.diff_dirs(a, b) == ["f.csv"]
+
+
+def _eval_json(test_accuracy, split_ba):
+    return json.dumps({"test_accuracy": test_accuracy,
+                       "split_balanced_accuracy": split_ba,
+                       "confusion": [[1]]}).encode()
+
+
+def test_accuracies_read_each_cases_eval_json(tmp_path):
+    root = _tree(tmp_path / "a", {"seed0/eval.json": _eval_json(0.75, 0.5),
+                                  "seed0/epochs.jsonl": b"{}\n",
+                                  "train-seed1/epochs.jsonl": b"{}\n"})
+    assert cmp_runs.accuracies(root) == {
+        "seed0": {"test_accuracy": 0.75, "split_balanced_accuracy": 0.5}}
+
+
+def test_accuracy_lines_give_both_sides_per_case(tmp_path):
+    a = _tree(tmp_path / "a", {"seed0/eval.json": _eval_json(0.747, 0.25),
+                               "seed1/eval.json": _eval_json(0.994, 1.0)})
+    b = _tree(tmp_path / "b", {"seed0/eval.json": _eval_json(0.748, 0.25),
+                               "ce/eval.json": _eval_json(0.9, 0.5)})
+    assert cmp_runs.accuracy_lines(a, b) == [
+        "ce: test_accuracy - -> 0.9, split_balanced_accuracy - -> 0.5",
+        "seed0: test_accuracy 0.747 -> 0.748, "
+        "split_balanced_accuracy 0.25 -> 0.25",
+        "seed1: test_accuracy 0.994 -> -, split_balanced_accuracy 1.0 -> -",
+    ]

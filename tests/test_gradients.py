@@ -11,10 +11,9 @@ refuse.
 
 import numpy as np
 import pytest
-from conftest import central_diff_at, rel_err
+from conftest import central_diff_at, flat_gradient, float64_model, rel_err
 
 from edmlab.backbone import (
-    backward,
     forward_logits,
     forward_logits_t,
     init_model,
@@ -55,14 +54,14 @@ HEADS = {
 def test_flat_gradient_matches_central_differences(name):
     head = HEADS[name]
     rng = np.random.default_rng(sorted(HEADS).index(name))
-    model = init_model(WIDTHS, seed=3)
+    model = float64_model(WIDTHS, seed=3)
     x = rng.normal(size=(ROWS, WIDTHS[0]))
     y = _targets(rng, 10 if name == "dm-mixed" else ROWS)
 
     arrays = param_tensors(model)
     acts = forward_logits_t(arrays, x)
     value, d_logits = head(acts[-1], y)
-    grad = backward(arrays, acts, d_logits, np.empty_like(model.buffer))
+    grad = flat_gradient(model, acts, d_logits)
     assert grad.shape == model.buffer.shape
     assert value == head(forward_logits(model, x), y)[0]
 

@@ -2,10 +2,15 @@
 
 import numpy as np
 import pytest
-from conftest import central_diff_at, make_model, rel_err
+from conftest import (
+    central_diff_at,
+    flat_gradient,
+    float64_model,
+    make_model,
+    rel_err,
+)
 
 from edmlab.backbone import (
-    backward,
     forward_logits,
     forward_logits_t,
     init_model,
@@ -350,7 +355,7 @@ class TestLossGradients:
     def _check(self, make_loss, seed):
         """``make_loss(logits)`` returns a head's (value, dL/dlogits)."""
         rng = np.random.default_rng(seed)
-        m = init_model((5, 12, 4), seed=seed, role="NetS")
+        m = float64_model((5, 12, 4), seed=seed, role="NetS")
         x = rng.normal(size=(8, 5))
 
         def value():
@@ -358,8 +363,7 @@ class TestLossGradients:
 
         arrays = param_tensors(m)
         acts = forward_logits_t(arrays, x)
-        grad = backward(arrays, acts, make_loss(acts[-1])[1],
-                        np.empty_like(m.buffer))
+        grad = flat_gradient(m, acts, make_loss(acts[-1])[1])
 
         flat = m.flat()
         offsets = np.cumsum([0] + [a.size for a in flat])

@@ -323,6 +323,14 @@ class TestCheckpoints:
         for a, b in zip(loaded.flat(), m.flat()):
             np.testing.assert_array_equal(a, b.astype(np.float32).astype(np.float64))
 
+    def test_loaded_network_is_bitwise_the_saved_one(self, tmp_path):
+        m = init_model((6, 16, 4), seed=5)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(m, path)
+        loaded = load_checkpoint(path)
+        assert loaded.buffer.dtype == np.float32
+        assert loaded.buffer.tobytes() == m.buffer.tobytes()
+
     def test_save_load_save_is_byte_identical(self, tmp_path):
         m = init_model((6, 16, 4), seed=5)
         p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"

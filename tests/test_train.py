@@ -399,8 +399,9 @@ class TestTrainNetdEpoch:
             params = param_tensors(model)
             acts = forward_logits_t(params, feats)
             _, d_logits = ce_batch_loss_t(softmax_t(acts[-1]), labels)
-            sgd_step(model, backward(params, acts, d_logits,
-                                      np.empty_like(model.buffer)), opt)
+            grad = np.empty_like(model.buffer)
+            backward(params, acts, d_logits, model.layout(grad))
+            sgd_step(model, grad, opt)
             one_step_each()
             assert gc.collect() == 0
         finally:

@@ -15,7 +15,10 @@ the refactor proof set:
 
 It then lists every artifact that differs between the two trees, ignoring
 ``run_manifest.json`` (which holds timestamps and paths), and exits 1 if
-any does, 0 if none does, and 2 if a command fails.  Outputs go under
+any does, 0 if none does, and 2 if a command fails.  When some artifact
+differs, it also prints each case's test accuracy and split balanced
+accuracy from both trees' ``eval.json``, so a change to rounding reports
+its acceptance figures before and after.  Outputs go under
 ``--work`` (kept) or a temporary directory (removed).
 """
 
@@ -23,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import filecmp
+import json
 import os
 import subprocess
 import sys
@@ -30,6 +34,9 @@ import tempfile
 from pathlib import Path
 
 IGNORED = ("run_manifest.json",)
+
+#: eval.json figures printed for both trees when artifacts differ
+ACCURACY_KEYS = ("test_accuracy", "split_balanced_accuracy")
 
 #: (case name, edmlab arguments); ``{work}`` is the tree's output directory
 CASES = (
@@ -63,6 +70,24 @@ def diff_dirs(a: Path, b: Path, ignored=IGNORED) -> list[str]:
     return sorted((in_a ^ in_b) | {rel for rel in in_a & in_b
                                    if not filecmp.cmp(a / rel, b / rel,
                                                       shallow=False)})
+
+
+def accuracies(root: Path) -> dict[str, dict]:
+    """Each case's eval.json figures: case name -> {key: value}, for the
+    cases under ``root`` that wrote an eval.json."""
+    return {path.parent.name: {key: json.loads(path.read_text())[key]
+                               for key in ACCURACY_KEYS}
+            for path in root.glob("*/eval.json")}
+
+
+def accuracy_lines(parent: Path, change: Path) -> list[str]:
+    """One line per case with an eval.json on either side, giving each
+    figure as ``parent -> change`` (``-`` where a side has none)."""
+    before, after = accuracies(parent), accuracies(change)
+    return [f"{case}: " + ", ".join(
+                f"{key} {before.get(case, {}).get(key, '-')} -> "
+                f"{after.get(case, {}).get(key, '-')}" for key in ACCURACY_KEYS)
+            for case in sorted(before.keys() | after.keys())]
 
 
 def _src_dir(tree: str) -> Path:
@@ -102,8 +127,11 @@ def main(argv=None) -> int:
             run_tree(src, work / side)
         compared = len(artifacts(work / "parent"))
         differing = diff_dirs(work / "parent", work / "change")
+        figures = accuracy_lines(work / "parent", work / "change")
     for rel in differing:
         print(f"differs: {rel}")
+    if differing:
+        print(*figures, sep="\n")
     print(f"{len(CASES)} cases: {len(differing)} of {compared} artifacts differ "
           f"(ignoring {', '.join(IGNORED)})")
     return 1 if differing else 0
