@@ -393,12 +393,18 @@ def _check_shape(flag: str, path: Path, shape: tuple, train_ds: DatasetManifest
                         f"but --manifest has {want}")
 
 
+def _load_samples(flag: str, path: Path) -> DatasetManifest:
+    """Load the manifest ``flag`` names; one that holds no samples is bad data."""
+    dataset = load_manifest(path)
+    if len(dataset) == 0:
+        raise DataError(f"{flag} {path} holds no samples")
+    return dataset
+
+
 def _load_test_set(path: Path, train_ds: DatasetManifest) -> DatasetManifest:
     """Load the held-out set: samples in the training set's feature and label
     space, every one clean."""
-    test_ds = load_manifest(path)
-    if len(test_ds) == 0:
-        raise DataError(f"--test-manifest {path} holds no samples")
+    test_ds = _load_samples("--test-manifest", path)
     _check_shape("--test-manifest", path,
                  (test_ds.feature_dim, test_ds.num_classes), train_ds)
     _, closed, open_ = test_ds.counts
@@ -538,7 +544,7 @@ def cmd_train(ns: argparse.Namespace) -> int:
     test_path = _require_file(resolved["test_manifest"], "--test-manifest")
     if resolved["out_dir"] is None:
         raise ConfigError("--out-dir is required")
-    train_ds = load_manifest(train_path)
+    train_ds = _load_samples("--manifest", train_path)
     test_ds = _load_test_set(test_path, train_ds)
     if resolved["algo"] == ALGO_EDM:
         _check_fit_size(len(train_ds), cfg.gmm.num_components, "--manifest")
@@ -561,7 +567,7 @@ def cmd_eval(ns: argparse.Namespace) -> int:
     if resolved["out_dir"] is None:
         raise ConfigError("--out-dir is required")
     model = load_checkpoint(ckpt_path)
-    train_ds = load_manifest(train_path)
+    train_ds = _load_samples("--manifest", train_path)
     test_ds = _load_test_set(test_path, train_ds)
     _check_shape("--checkpoint", ckpt_path,
                  (model.input_dim, model.num_classes), train_ds)
@@ -595,7 +601,7 @@ def cmd_run(ns: argparse.Namespace) -> int:
     else:
         train_path = _require_file(resolved["manifest"], "--manifest")
         test_path = _require_file(resolved["test_manifest"], "--test-manifest")
-        train_ds = load_manifest(train_path)
+        train_ds = _load_samples("--manifest", train_path)
         test_ds = _load_test_set(test_path, train_ds)
         source = "--manifest"
     _check_fit_size(len(train_ds), cfg.gmm.num_components, source)

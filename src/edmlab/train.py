@@ -154,18 +154,6 @@ class EpochReport:
 
 
 @dataclass
-class NetdEpochStats:
-    """Audit record of one classifier epoch: what it trained on, at what loss."""
-
-    iterations: int
-    used_labeled: np.ndarray
-    used_unlabeled: np.ndarray
-    mean_labeled_loss: float | None
-    mean_unlabeled_loss: float | None
-    mean_reg_loss: float | None
-
-
-@dataclass
 class TrainOutcome:
     """Final models plus the per-epoch report trail.
 
@@ -316,7 +304,7 @@ def warmup(netd: ModelParams, nets: ModelParams, feats: np.ndarray,
 def train_netd_epoch(netd: ModelParams, feats: np.ndarray, labels: np.ndarray,
                      split: PosteriorSplit, part: Partition, cfg: TrainConfig,
                      opt: OptimState, rng: np.random.Generator
-                     ) -> NetdEpochStats:
+                     ) -> dict[str, float]:
     """One semi-supervised epoch of the classifier on X (labeled) and U.
 
     Runs ceil(|X|/batch) iterations.  Each iteration draws M views of its
@@ -324,13 +312,13 @@ def train_netd_epoch(netd: ModelParams, feats: np.ndarray, labels: np.ndarray,
     forward (:func:`guess_unlabeled`), co-refines labels and sharpens
     guesses, mixes everything against a shuffled union, and takes one
     forward pass and one SGD step over that whole mixed batch on the
-    combined objective.  Samples in O are never touched.  An empty X skips
-    the epoch with a warning.
+    combined objective.  Samples in O are never touched.  Returns the epoch
+    mean of each loss component, keyed by its :class:`EpochReport` field; an
+    empty X skips the epoch with a warning and returns ``{}``.
     """
     if len(part.x_idx) == 0:
         log.warning("labeled set X is empty this epoch; classifier update skipped")
-        empty = np.empty(0, dtype=np.int64)
-        return NetdEpochStats(0, empty, empty, None, None, None)
+        return {}
 
     batch = cfg.batch_size
     m = cfg.num_augments
@@ -340,14 +328,12 @@ def train_netd_epoch(netd: ModelParams, feats: np.ndarray, labels: np.ndarray,
     sums = np.zeros(3)
     grad = np.empty_like(netd.buffer)
     grads = netd.layout(grad)
-    used_u = np.zeros(feats.shape[0], dtype=bool)
 
     for it in range(num_iters):
         xb = x_order[it * batch:(it + 1) * batch]
         batches = [feats[xb]]
         if len(u_idx) > 0:
             ub = rng.choice(u_idx, size=batch, replace=len(u_idx) < batch)
-            used_u[ub] = True
             batches.append(feats[ub])
 
         # labeled rows (first) get co-refined, sharpened targets; unlabeled
@@ -370,14 +356,8 @@ def train_netd_epoch(netd: ModelParams, feats: np.ndarray, labels: np.ndarray,
         sgd_step(netd, grad, opt)
         sums += (comps["labeled"], comps["unlabeled"], comps["regularizer"])
 
-    return NetdEpochStats(
-        iterations=num_iters,
-        used_labeled=part.x_idx,
-        used_unlabeled=np.flatnonzero(used_u),
-        mean_labeled_loss=float(sums[0] / num_iters),
-        mean_unlabeled_loss=float(sums[1] / num_iters),
-        mean_reg_loss=float(sums[2] / num_iters),
-    )
+    return dict(zip(("mean_labeled_loss", "mean_unlabeled_loss", "mean_reg_loss"),
+                    (sums / num_iters).tolist()))
 
 
 def relabel_for_nets(netd: ModelParams, feats: np.ndarray, labels: np.ndarray,
@@ -432,7 +412,8 @@ def run(dataset: DatasetManifest, test_dataset: DatasetManifest,
         part = partition(split)
 
         with _epoch("main-loop", epoch):
-            stats = train_netd_epoch(netd, feats, labels, split, part, cfg, opt_d, rng)
+            netd_losses = train_netd_epoch(netd, feats, labels, split, part, cfg,
+                                           opt_d, rng)
             targets = relabel_for_nets(netd, feats, labels, split)
             train_nets_epoch(nets, feats, targets, cfg, opt_s, rng)
 
@@ -443,9 +424,7 @@ def run(dataset: DatasetManifest, test_dataset: DatasetManifest,
             test_accuracy=test_accuracy(netd, test_dataset),
             learning_rate=lr,
             mean_sl_loss=mean_sl,
-            mean_labeled_loss=stats.mean_labeled_loss,
-            mean_unlabeled_loss=stats.mean_unlabeled_loss,
-            mean_reg_loss=stats.mean_reg_loss,
+            **netd_losses,
             split_balanced_accuracy=conf.balanced_accuracy,
             confusion=conf.matrix.tolist(),
         )

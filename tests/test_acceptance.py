@@ -23,6 +23,7 @@ from edmlab.benchgen import (
     make_synthetic_clean,
 )
 from edmlab.cli import main as cli_main
+from edmlab.errors import NumericsError
 from edmlab.gmm import (
     GmmConfig,
     fit_em,
@@ -337,8 +338,13 @@ def test_10_structure_audits(capsys, trend_runs, monkeypatch):
         for report in edm.reports:
             ok &= report.n_x + report.n_u + report.n_o == 2000
 
-    # instrumented epochs: the training loop itself, with each epoch's split,
-    # partition and classifier stats recorded through the module globals
+    # instrumented epochs: the training loop itself, with each epoch's split
+    # and partition recorded through the module globals, and every classifier
+    # epoch reading features whose O rows are NaN; a run that never reads O
+    # trains the same NetD as a plain run, bit for bit
+    noisy, test = _benchmark(0)
+    cfg = TrainConfig(epochs=3, seed=0)
+    plain = run(noisy, test, cfg)
     splits, epochs = [], []
     real_posteriors, real_epoch = train.group_posteriors, train.train_netd_epoch
 
@@ -346,19 +352,25 @@ def test_10_structure_audits(capsys, trend_runs, monkeypatch):
         splits.append(real_posteriors(*args))
         return splits[-1]
 
-    def recorded_epoch(netd, feats, labels, split, part, *rest):
-        stats = real_epoch(netd, feats, labels, split, part, *rest)
-        epochs.append((split, part, stats))
-        return stats
+    def poisoned_epoch(netd, feats, labels, split, part, *rest):
+        epochs.append((split, part))
+        poisoned = feats.copy()
+        poisoned[part.o_idx] = np.nan
+        return real_epoch(netd, poisoned, labels, split, part, *rest)
 
     monkeypatch.setattr(train, "group_posteriors", recorded_posteriors)
-    monkeypatch.setattr(train, "train_netd_epoch", recorded_epoch)
-    noisy, test = _benchmark(0)
-    cfg = TrainConfig(epochs=3, seed=0)
-    run(noisy, test, cfg)
+    monkeypatch.setattr(train, "train_netd_epoch", poisoned_epoch)
+    exclusion = "gradient exclusion"
+    try:
+        netd = run(noisy, test, cfg).netd
+    except NumericsError as exc:
+        ok = False
+        exclusion += f" broken: {exc}"
+    else:
+        ok &= netd.buffer.tobytes() == plain.netd.buffer.tobytes()
     n = len(noisy)
     ok &= len(epochs) == cfg.epochs and len(splits) == cfg.epochs
-    for made, (split, part, stats) in zip(splits, epochs):
+    for made, (split, part) in zip(splits, epochs):
         ok &= split is made
         triple_sum = split.w + split.w_op + split.w_cl
         ok &= bool(np.all(np.abs(triple_sum - 1.0) <= 1e-6))
@@ -366,10 +378,5 @@ def test_10_structure_audits(capsys, trend_runs, monkeypatch):
         ok &= sum(sizes) == n
         all_idx = np.concatenate([part.x_idx, part.u_idx, part.o_idx])
         ok &= len(np.unique(all_idx)) == n
-        o_set = set(part.o_idx.tolist())
-        ok &= not o_set.intersection(stats.used_labeled.tolist())
-        ok &= not o_set.intersection(stats.used_unlabeled.tolist())
-        ok &= set(stats.used_labeled.tolist()) == set(part.x_idx.tolist())
-        ok &= set(stats.used_unlabeled.tolist()) <= set(part.u_idx.tolist())
     assert _verdict(capsys, 10, "structure audits", ok,
-                    "partition cover, gradient exclusion, posterior sums")
+                    f"partition cover, {exclusion}, posterior sums")

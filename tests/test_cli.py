@@ -53,6 +53,13 @@ def gen_pair(tmp_path, per_class=30, rho=0.6, omega=0.5, seed=7):
     return train, test
 
 
+def checkpoint_args(tmp_path, widths=(8, 64, 64, 4)):
+    """``--checkpoint`` and an untrained network saved for ``eval`` to read."""
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(init_model(widths, seed=0), ckpt)
+    return ["--checkpoint", ckpt]
+
+
 class TestParseConfig:
     def test_no_flags_gives_documented_defaults(self):
         cfg, resolved = parse_config({}, None, "run")
@@ -576,6 +583,20 @@ class TestBadGeometry:
         assert "--psi" in err and rule in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["train", "run", "eval"])
+    def test_manifest_smaller_than_the_mixture_exits_two(self, tmp_path, capsys,
+                                                         command):
+        train, test = gen_pair(tmp_path, per_class=4)
+        args = [command, "--manifest", train, "--test-manifest", test]
+        if command == "eval":
+            args += checkpoint_args(tmp_path)
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert run_cli(*args, "--out-dir", out) == EXIT_CONFIG
+        assert ("--manifest gives 16 training samples, fewer than the --psi 20 "
+                "mixture components" in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_non_finite_config_value_rejected_before_anything_is_written(
             self, tmp_path, capsys):
         conf = tmp_path / "exp.conf"
@@ -615,9 +636,7 @@ class TestBadInputs:
                        "--out", noisy) == EXIT_OK
         args = [command, "--manifest", noisy, "--test-manifest", noisy]
         if command == "eval":
-            ckpt = tmp_path / "model.ckpt"
-            save_checkpoint(init_model((8, 64, 64, 4), seed=0), ckpt)
-            args += ["--checkpoint", ckpt]
+            args += checkpoint_args(tmp_path)
         out = tmp_path / "out"
         capsys.readouterr()
         assert run_cli(*args, "--out-dir", out) == EXIT_DATA
@@ -641,9 +660,7 @@ class TestBadInputs:
                        *test_flags, "--out", test) == EXIT_OK
         args = [command, "--manifest", train, "--test-manifest", test]
         if ckpt_widths is not None:
-            ckpt = tmp_path / "model.ckpt"
-            save_checkpoint(init_model(ckpt_widths, seed=0), ckpt)
-            args += ["--checkpoint", ckpt]
+            args += checkpoint_args(tmp_path, ckpt_widths)
         out = tmp_path / "out"
         capsys.readouterr()
         assert run_cli(*args, "--out-dir", out) == EXIT_DATA
@@ -663,6 +680,32 @@ class TestBadInputs:
         assert run_cli("train", "--manifest", train, "--test-manifest", empty,
                        "--out-dir", out) == EXIT_DATA
         assert "--test-manifest" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--manifest", "--test-manifest"],
+                             ids=["empty-train", "empty-test"])
+    @pytest.mark.parametrize("command", [["train"], ["train", "--algo", "ce"],
+                                         ["run"], ["eval"]],
+                             ids=["train", "train-ce", "run", "eval"])
+    def test_empty_manifest_rejected_before_anything_is_written(
+            self, tmp_path, capsys, flag, command):
+        """A manifest without samples is bad data for every command and
+        algorithm, not a mixture too large for it or a run of no steps."""
+        manifests = dict(zip(("--manifest", "--test-manifest"), gen_pair(tmp_path)))
+        manifests[flag] = tmp_path / "empty.manifest"
+        save_manifest(DatasetManifest(
+            features=np.zeros((0, 8), np.float32), observed=np.zeros(0, np.int32),
+            true_class=np.zeros(0, np.int32),
+            num_classes=4, noise_spec=NoiseSpec(rho=0.0, omega=0.0)),
+            manifests[flag])
+        args = [*command, *(str(a) for item in manifests.items() for a in item)]
+        if command == ["eval"]:
+            args += checkpoint_args(tmp_path)
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert run_cli(*args, "--out-dir", out) == EXIT_DATA
+        assert (f"{flag} {manifests[flag]} holds no samples"
+                in capsys.readouterr().err)
         assert not out.exists()
 
     def test_non_finite_feature_exits_three(self, tmp_path, capsys):

@@ -69,3 +69,13 @@ def test_accuracy_lines_give_both_sides_per_case(tmp_path):
         "split_balanced_accuracy 0.25 -> 0.25",
         "seed1: test_accuracy 0.994 -> -, split_balanced_accuracy 1.0 -> -",
     ]
+
+
+def test_package_lines_count_the_modules_only(tmp_path):
+    src = _tree(tmp_path / "src", {"edmlab/a.py": b"x = 1\ny = 2\n",
+                                   "edmlab/b.py": b"z = 3",
+                                   "edmlab/notes.txt": b"1\n2\n",
+                                   "edmlab/sub/c.py": b"w = 4\n",
+                                   "other.py": b"v = 5\n"})
+    assert cmp_runs.package_lines(src) == 2
+    assert cmp_runs.package_lines(_tree(tmp_path / "empty", {"edmlab/x": b""})) == 0

@@ -368,11 +368,12 @@ class TestChunking:
 
     def test_feature_export_memory_follows_the_chunk(self, monkeypatch,
                                                      tmp_path):
-        ds = _clean_blobs(per_class=500)
+        ds = _clean_blobs(per_class=1000)
         width = 64
         model = init_model((8, width, width, 4), seed=0)
         monkeypatch.setattr(backbone, "FORWARD_CHUNK", 100)
-        whole_table = len(ds) * width * 8  # every activation as float64
+        # every activation, in the network's own dtype
+        whole_table = len(ds) * width * model.buffer.itemsize
         tracemalloc.start()
         try:
             export_features(model, ds, tmp_path / "features.csv")

@@ -25,7 +25,7 @@ from edmlab.backbone import (
 from edmlab.benchgen import NoiseSpec, inject_noise, make_open_pool, \
     make_synthetic_clean
 from edmlab.errors import NumericsError
-from edmlab.gmm import PosteriorSplit, partition
+from edmlab.gmm import Partition, PosteriorSplit, partition
 from edmlab.losses import ce_batch_loss_t, sl_dataset_loss, softmax_t, temp_sharpen
 from edmlab.train import (
     TrainConfig,
@@ -55,8 +55,8 @@ def make_test_blobs(seed=0, per_class=100):
 
 
 def arrays(ds):
-    """The float64 features and one-hot observed labels training runs on."""
-    return ds.features.astype(np.float64), ds.one_hot_observed()
+    """The float32 features and one-hot observed labels training runs on."""
+    return ds.features, ds.one_hot_observed()
 
 
 def small_cfg(**kw):
@@ -287,6 +287,20 @@ def _full_split(ds, w_cl_value=0.0):
     return PosteriorSplit(w=w, w_op=np.zeros(n), w_cl=w_cl)
 
 
+@pytest.fixture
+def sgd_steps(monkeypatch):
+    """One entry per SGD step training takes, counted through ``train``'s
+    module global."""
+    steps = []
+
+    def counting(*args):
+        steps.append(None)
+        return sgd_step(*args)
+
+    monkeypatch.setattr(train_mod, "sgd_step", counting)
+    return steps
+
+
 class TestTrainNetdEpoch:
     def _setup(self, n_x=64, n_u=30):
         ds = make_noisy_blobs(per_class=50)
@@ -304,39 +318,36 @@ class TestTrainNetdEpoch:
         opt = init_optim(model, 0.02)
         return ds, split, part, model, cfg, opt
 
-    def test_iteration_count_matches_ceiling(self):
-        ds, split, part, model, cfg, opt = self._setup(n_x=64)
-        stats = train_netd_epoch(model, *arrays(ds), split, part, cfg, opt,
-                                 np.random.default_rng(0))
-        assert stats.iterations == 1
-        ds, split, part, model, cfg, opt = self._setup(n_x=65)
-        stats = train_netd_epoch(model, *arrays(ds), split, part, cfg, opt,
-                                 np.random.default_rng(0))
-        assert stats.iterations == 2
+    def test_iteration_count_matches_ceiling(self, sgd_steps):
+        for n_x, steps in ((64, 1), (65, 2)):
+            sgd_steps.clear()
+            ds, split, part, model, cfg, opt = self._setup(n_x=n_x)
+            train_netd_epoch(model, *arrays(ds), split, part, cfg, opt,
+                             np.random.default_rng(0))
+            assert len(sgd_steps) == steps
 
     def test_empty_unlabeled_set_still_trains(self):
         ds, split, part, model, cfg, opt = self._setup(n_x=64, n_u=0)
         before = [a.copy() for a in model.flat()]
-        stats = train_netd_epoch(model, *arrays(ds), split, part, cfg, opt,
-                                 np.random.default_rng(0))
-        assert stats.mean_unlabeled_loss == 0.0
+        losses = train_netd_epoch(model, *arrays(ds), split, part, cfg, opt,
+                                  np.random.default_rng(0))
+        assert losses["mean_unlabeled_loss"] == 0.0
         assert any(np.any(a != b) for a, b in zip(model.flat(), before))
 
-    def test_empty_labeled_set_skips_with_warning(self, caplog):
+    def test_empty_labeled_set_skips_with_warning(self, caplog, sgd_steps):
         ds, split, part, model, cfg, opt = self._setup(n_x=0, n_u=64)
         before = [a.copy() for a in model.flat()]
         with caplog.at_level(logging.WARNING, logger="edmlab"):
-            stats = train_netd_epoch(model, *arrays(ds), split, part, cfg, opt,
-                                     np.random.default_rng(0))
-        assert stats.iterations == 0
+            losses = train_netd_epoch(model, *arrays(ds), split, part, cfg, opt,
+                                      np.random.default_rng(0))
+        assert losses == {}
+        assert sgd_steps == []
         assert "empty" in caplog.text
         for a, b in zip(model.flat(), before):
             np.testing.assert_array_equal(a, b)
 
-    def test_one_forward_pass_per_step(self, monkeypatch):
+    def test_one_forward_pass_per_step(self, monkeypatch, sgd_steps):
         """Each step runs the network once over the whole mixed batch."""
-        import edmlab.train as train_mod
-
         calls = []
 
         def counting(arrays, batch):
@@ -345,12 +356,12 @@ class TestTrainNetdEpoch:
 
         monkeypatch.setattr(train_mod, "forward_logits_t", counting)
         ds, split, part, model, cfg, opt = self._setup(n_x=80, n_u=40)
-        stats = train_netd_epoch(model, *arrays(ds), split, part, cfg, opt,
-                                 np.random.default_rng(0))
-        assert stats.iterations == 2
-        assert len(calls) == stats.iterations
+        train_netd_epoch(model, *arrays(ds), split, part, cfg, opt,
+                         np.random.default_rng(0))
+        assert len(sgd_steps) == 2
+        assert len(calls) == len(sgd_steps)
 
-    def test_one_label_guess_forward_per_step(self, monkeypatch):
+    def test_one_label_guess_forward_per_step(self, monkeypatch, sgd_steps):
         """Each step guesses the labels of all its views in one no-grad
         forward: the labeled rows' M views, then the unlabeled rows'."""
         calls = []
@@ -361,36 +372,54 @@ class TestTrainNetdEpoch:
 
         monkeypatch.setattr(train_mod, "forward_logits", counting)
         ds, split, part, model, cfg, opt = self._setup(n_x=80, n_u=40)
-        stats = train_netd_epoch(model, *arrays(ds), split, part, cfg, opt,
-                                 np.random.default_rng(0))
+        train_netd_epoch(model, *arrays(ds), split, part, cfg, opt,
+                         np.random.default_rng(0))
         m, b = cfg.num_augments, cfg.batch_size
-        assert stats.iterations == 2
+        assert len(sgd_steps) == 2
         # 80 labeled rows make batches of b and 80 - b; each step draws b unlabeled
         assert calls == [m * (b + b), m * ((80 - b) + b)]
 
-    def test_discarded_samples_never_used(self):
+    def test_discarded_samples_never_used(self, monkeypatch):
+        """The rows the epoch reads are X's, each once, and rows of U; with
+        every row of O set to NaN it trains bit for bit the same network."""
         ds, split, part, model, cfg, opt = self._setup(n_x=80, n_u=40)
-        stats = train_netd_epoch(model, *arrays(ds), split, part, cfg, opt,
-                                 np.random.default_rng(0))
-        o_set = set(part.o_idx.tolist())
-        assert not o_set.intersection(stats.used_labeled.tolist())
-        assert not o_set.intersection(stats.used_unlabeled.tolist())
-        assert set(stats.used_labeled.tolist()) == set(part.x_idx.tolist())
-        assert set(stats.used_unlabeled.tolist()).issubset(set(part.u_idx.tolist()))
+        feats, labels = arrays(ds)
+        index_of = {row.tobytes(): i for i, row in enumerate(feats)}
+        assert len(index_of) == len(ds)
+        read = []
 
-    def test_steps_leave_no_cyclic_garbage(self):
+        def spy(model, batches, *rest):
+            read.append([[index_of[row.tobytes()] for row in b] for b in batches])
+            return guess_unlabeled(model, batches, *rest)
+
+        monkeypatch.setattr(train_mod, "guess_unlabeled", spy)
+        train_netd_epoch(model, feats, labels, split, part, cfg, opt,
+                         np.random.default_rng(0))
+        assert all(len(batches) == 2 for batches in read)
+        labeled = [i for xb, _ in read for i in xb]
+        assert sorted(labeled) == sorted(part.x_idx.tolist())
+        assert {i for _, ub in read for i in ub} <= set(part.u_idx.tolist())
+
+        poisoned = feats.copy()
+        poisoned[part.o_idx] = np.nan
+        _, _, _, twin, _, twin_opt = self._setup(n_x=80, n_u=40)
+        train_netd_epoch(twin, poisoned, labels, split, part, cfg, twin_opt,
+                         np.random.default_rng(0))
+        assert twin.buffer.tobytes() == model.buffer.tobytes()
+
+    def test_steps_leave_no_cyclic_garbage(self, sgd_steps):
         """A step's arrays are freed by reference counting, without the collector."""
         ds, split, part, model, cfg, opt = self._setup(n_x=64)
-        feats = ds.features[:64].astype(np.float64)
+        feats = ds.features[:64]
         labels = ds.one_hot_observed()[:64]
         rng = np.random.default_rng(0)
 
         def one_step_each():
+            sgd_steps.clear()
             _ce_pass(model, feats, labels, 64, opt, rng)
             _sl_pass(model, feats, labels, 64, opt, rng)
-            stats = train_netd_epoch(model, *arrays(ds), split, part, cfg, opt,
-                                     rng)
-            assert stats.iterations == 1
+            train_netd_epoch(model, *arrays(ds), split, part, cfg, opt, rng)
+            assert len(sgd_steps) == 3
 
         one_step_each()  # first calls set up library state once
         gc.collect()
@@ -440,9 +469,10 @@ class TestRelabel:
         ds = make_noisy_blobs(per_class=40)
         model = init_model((8, 16, 4), seed=0)
         feats, labels = arrays(ds)
+        feats_before, labels_before = feats.copy(), labels.copy()
         relabel_for_nets(model, feats, labels, _full_split(ds, w_cl_value=1.0))
-        np.testing.assert_array_equal(feats, ds.features.astype(np.float64))
-        np.testing.assert_array_equal(labels, ds.one_hot_observed())
+        np.testing.assert_array_equal(feats, feats_before)
+        np.testing.assert_array_equal(labels, labels_before)
 
 
 class TestTrainNetsEpoch:
@@ -514,6 +544,29 @@ class TestRun:
             assert r.n_x + r.n_u + r.n_o == n
             assert 0.0 <= r.test_accuracy <= 1.0
             assert np.asarray(r.confusion).sum() == n
+
+    def test_reports_carry_netd_loss_means(self, monkeypatch):
+        """A report holds its NetD epoch's loss means; an epoch whose X is
+        empty trains no NetD and reports them as None."""
+        real_partition = train_mod.partition
+        parts = []
+
+        def no_x_in_epoch_one(split):
+            part = real_partition(split)
+            if len(parts) == 1:
+                part = Partition(np.empty(0, np.int64), part.u_idx,
+                                 np.sort(np.concatenate([part.x_idx, part.o_idx])))
+            parts.append(part)
+            return part
+
+        monkeypatch.setattr(train_mod, "partition", no_x_in_epoch_one)
+        out = run(make_noisy_blobs(per_class=50), make_test_blobs(per_class=50),
+                  small_cfg(epochs=2))
+        trained, skipped = (asdict(r) for r in out.reports)
+        assert skipped["n_x"] == 0
+        for key in ("mean_labeled_loss", "mean_unlabeled_loss", "mean_reg_loss"):
+            assert isinstance(trained[key], float)
+            assert skipped[key] is None
 
     def test_nan_combined_loss_names_netd_and_epoch(self, monkeypatch):
         """A non-finite NetD loss in the main loop names the network, the

@@ -18,8 +18,9 @@ It then lists every artifact that differs between the two trees, ignoring
 any does, 0 if none does, and 2 if a command fails.  When some artifact
 differs, it also prints each case's test accuracy and split balanced
 accuracy from both trees' ``eval.json``, so a change to rounding reports
-its acceptance figures before and after.  Outputs go under
-``--work`` (kept) or a temporary directory (removed).
+its acceptance figures before and after.  Its summary also gives the line
+count of ``src/edmlab/*.py`` on both trees.  Outputs go under ``--work``
+(kept) or a temporary directory (removed).
 """
 
 from __future__ import annotations
@@ -90,6 +91,12 @@ def accuracy_lines(parent: Path, change: Path) -> list[str]:
             for case in sorted(before.keys() | after.keys())]
 
 
+def package_lines(src: Path) -> int:
+    """Lines in the modules ``src/edmlab/*.py``, counted as ``wc -l`` does."""
+    return sum(path.read_bytes().count(b"\n")
+               for path in (src / "edmlab").glob("*.py"))
+
+
 def _src_dir(tree: str) -> Path:
     root = Path(tree).resolve()
     src = root / "src" if (root / "src" / "edmlab").is_dir() else root
@@ -134,6 +141,8 @@ def main(argv=None) -> int:
         print(*figures, sep="\n")
     print(f"{len(CASES)} cases: {len(differing)} of {compared} artifacts differ "
           f"(ignoring {', '.join(IGNORED)})")
+    print(f"src/edmlab: {package_lines(sides['parent'])} -> "
+          f"{package_lines(sides['change'])} lines")
     return 1 if differing else 0
 
 
