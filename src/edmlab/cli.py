@@ -20,7 +20,8 @@ command reads, input digests, timestamps, the environment, the outcome (with
 the error and exit code of a failure), and the artifact list.
 
 Exit codes: 0 success, 2 configuration error, 3 data/file error (any
-``OSError`` included), 4 runtime (numerical or unexpected) failure.
+``OSError`` included), 4 runtime (numerical or unexpected) failure, 130
+interrupted (SIGINT, or SIGTERM while ``main`` runs).
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ import json
 import math
 import os
 import platform
+import signal
 import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -70,6 +72,8 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_RUNTIME = 4
+#: the shell's code for a command that SIGINT ended
+EXIT_INTERRUPTED = 130
 
 #: exit code and message prefix of each known failure, most specific first
 _FAILURES = (
@@ -316,7 +320,8 @@ class RunManifest:
 @contextlib.contextmanager
 def _recorded(command: str, resolved: dict, cfg: TrainConfig):
     """Create the output directory and yield it with the command's manifest,
-    which is written when the block ends: as failed if the block raises."""
+    which is written when the block ends: as failed if the block raises or
+    is interrupted."""
     out_dir = Path(resolved["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest(command=command,
@@ -324,14 +329,16 @@ def _recorded(command: str, resolved: dict, cfg: TrainConfig):
                            started_at=_utc_now())
     try:
         yield out_dir, manifest
-    except Exception as exc:
+    except (Exception, KeyboardInterrupt) as exc:
         manifest.end(out_dir, *_failure(exc))
         raise
     manifest.end(out_dir, EXIT_OK)
 
 
-def _failure(exc: Exception) -> tuple[int, str]:
+def _failure(exc: BaseException) -> tuple[int, str]:
     """The exit code and the message that report ``exc``."""
+    if isinstance(exc, KeyboardInterrupt):
+        return EXIT_INTERRUPTED, "interrupted"
     for kind, code, label in _FAILURES:
         if isinstance(exc, kind):
             return code, f"{label}: {exc}"
@@ -660,12 +667,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     ns = build_parser().parse_args(argv)
+    # SIGTERM interrupts the command as SIGINT does, until it returns
+    previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
         return ns.func(ns)
-    except Exception as exc:  # every failure ends as a message and exit code
+    except (Exception, KeyboardInterrupt) as exc:
+        # every failure ends as a message and exit code
         code, message = _failure(exc)
         print(message, file=sys.stderr)
         return code
+    finally:
+        signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":

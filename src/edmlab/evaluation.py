@@ -13,6 +13,14 @@ time, :func:`export_posteriors` formats its rows slice by slice, and all
 three exports (with :func:`export_loss_histogram`) write each row to the
 open file as it is formatted instead of building the whole table first.
 
+Each export states its row as one ``%`` format string.  The loss histogram
+and the posteriors are float64 and write each float as its ``repr``, the
+shortest text that parses back to it.  ``features.csv`` holds the network's
+float32 activations at 9 significant digits (``%.9g``), float32's
+round-trip precision: parsing a value to float64 and rounding it to float32
+gives back the activation bit for bit, and ``edmlab eval`` of a run's
+``netd_last.ckpt`` rewrites the run's file byte for byte.
+
 Turning floats into text is most of an export's time, so
 :func:`export_features` and :func:`export_posteriors` split it between two
 processes when their table spans two or more slices: a forked worker
@@ -109,11 +117,10 @@ _WORKER_OS_ERROR = 3
 
 
 def _write_rows(fh, rows, blocks) -> None:
-    """Write one line per row of string fields that ``rows(block)`` yields,
-    for each of ``blocks`` in turn."""
+    """Write the finished lines that ``rows(block)`` yields, for each of
+    ``blocks`` in turn."""
     for block in blocks:
-        for row in rows(block):
-            fh.write(",".join(row) + "\n")
+        fh.writelines(rows(block))
 
 
 def _fork_writer(rows, blocks, directory: str):
@@ -121,9 +128,10 @@ def _fork_writer(rows, blocks, directory: str):
     temporary file in ``directory``.
 
     Returns the worker's pid and the file, or ``None`` where this platform
-    or the system cannot fork.  The worker ends only through ``os._exit``:
-    with 0, or after printing its traceback to stderr with a non-zero
-    status (``_WORKER_OS_ERROR`` for an ``OSError``).
+    or the system cannot fork.  The worker ends through ``os._exit``: with
+    0, or after printing its traceback to stderr with a non-zero status
+    (``_WORKER_OS_ERROR`` for an ``OSError``).  SIGINT and SIGTERM end it
+    at once, with no traceback: an interrupt is its parent's to report.
     """
     if not hasattr(os, "fork"):
         return None
@@ -136,6 +144,8 @@ def _fork_writer(rows, blocks, directory: str):
     if pid == 0:
         status = 1
         try:
+            signal.signal(signal.SIGINT, signal.SIG_DFL)
+            signal.signal(signal.SIGTERM, signal.SIG_DFL)
             with TextIOWrapper(tail, encoding="ascii") as fh:
                 _write_rows(fh, rows, blocks)
             status = 0
@@ -150,8 +160,8 @@ def _fork_writer(rows, blocks, directory: str):
 
 
 def _write_csv(path: str | os.PathLike, header: str, rows, blocks) -> None:
-    """Write ``header``, then one line per row of string fields that
-    ``rows(block)`` yields for each of ``blocks`` in turn, as ASCII.
+    """Write ``header``, then the finished lines that ``rows(block)`` yields
+    for each of ``blocks`` in turn, as ASCII.
 
     Lines go to the open file as they are formatted, so the table is never
     held whole.  With two or more blocks, a forked worker (see
@@ -204,28 +214,32 @@ def export_loss_histogram(losses: np.ndarray, provenance: np.ndarray,
     edges = np.linspace(0.0, 1.0, bins + 1).tolist()
     counts = [np.histogram(losses[provenance == int(prov)], bins=edges)[0]
               for prov in GROUP_ORDER]
+    lines = ["%r,%r,%d,%d,%d\n" % row for row in
+             zip(edges[:-1], edges[1:], *(c.tolist() for c in counts))]
     _write_csv(path, "bin_lo,bin_hi,clean,closed,open",
-               lambda block: ([repr(edges[b]), repr(edges[b + 1]),
-                               *(str(int(c[b])) for c in counts)]
-                              for b in range(block.start, block.stop)),
-               [slice(0, bins)])
+               lambda block: lines[block], [slice(0, bins)])
 
 
 def export_features(model: ModelParams, manifest: DatasetManifest,
                     path: str | os.PathLike) -> None:
-    """One row per sample: id, provenance, penultimate activation vector."""
+    """One row per sample: id, provenance, penultimate activation vector.
+
+    Each activation is written to 9 significant digits, float32's round-trip
+    precision, so its text parses back to the exact float32 the network
+    computed.
+    """
     provenance = manifest.provenance
+    width = model.widths[-2]
+    row = "%d,%d" + ",%.9g" * width + "\n"
 
     def rows(block: slice):
         feats = hidden_features(model, manifest.features[block])
         ids = range(block.start, block.start + len(feats))
         for i, prov, values in zip(ids, provenance[block].tolist(), feats):
-            # tolist() yields Python floats, whose repr is the exported text
-            yield [str(i), str(prov), *map(repr, values.tolist())]
+            yield row % (i, prov, *values.tolist())
 
     # a chunk's rows are a generator of their own, so its activations are
     # freed before the next chunk's are computed
-    width = model.widths[-2]
     _write_csv(path, "id,provenance," + ",".join(f"h{j}" for j in range(width)),
                rows, list(chunks(len(manifest))))
 
@@ -240,8 +254,9 @@ def export_posteriors(losses: np.ndarray, split: PosteriorSplit,
     columns = (losses, split.w, split.w_op, split.w_cl)
 
     def rows(block: slice):
-        return zip(*(map(repr, c[block].tolist()) for c in columns),
-                   map(str, provenance[block].tolist()))
+        return ("%r,%r,%r,%r,%d\n" % row for row in
+                zip(*(c[block].tolist() for c in columns),
+                    provenance[block].tolist()))
 
     _write_csv(path, "loss,w,w_op,w_cl,provenance", rows,
                list(chunks(len(losses))))

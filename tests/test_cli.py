@@ -7,9 +7,11 @@ import math
 import os
 import platform
 import re
+import signal
 import struct
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +24,7 @@ from edmlab.benchgen import DatasetManifest, NoiseSpec, Provenance
 from edmlab.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
+    EXIT_INTERRUPTED,
     EXIT_OK,
     EXIT_RUNTIME,
     main,
@@ -517,6 +520,56 @@ class TestRunManifest:
                             r"in NetD at step \d+ of warm-up epoch \d+",
                             manifest["error"]), manifest["error"]
         assert manifest["error"] in proc.stderr
+
+    @pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM],
+                             ids=["SIGINT", "SIGTERM"])
+    def test_interrupted_run_is_recorded(self, tmp_path, signum):
+        """A run that SIGINT or SIGTERM ends once its epoch log has a line
+        exits 130 with one stderr line, writes a failed manifest, and leaves
+        no process behind."""
+        out_dir = tmp_path / "out"
+        env = {k: v for k, v in os.environ.items() if k != "EDM_SEED"}
+        env["PYTHONPATH"] = str(REPO / "src")
+        # a shell may start a background job with SIGINT ignored; the child
+        # takes it as an interactive command does
+        proc = subprocess.Popen(
+            [sys.executable, "-c",
+             "import signal, sys; "
+             "signal.signal(signal.SIGINT, signal.default_int_handler); "
+             "from edmlab.cli import main; "
+             "sys.exit(main(['run', '--per-class', '100', '--epochs', '300', "
+             f"'--out-dir', {str(out_dir)!r}]))"],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+            text=True, start_new_session=True)
+        try:
+            log = out_dir / "epochs.jsonl"
+            deadline = time.monotonic() + 60
+            while not (log.exists() and "\n" in log.read_text()):
+                assert proc.poll() is None, proc.stderr.read()
+                assert time.monotonic() < deadline
+                time.sleep(0.005)
+            os.kill(proc.pid, signum)
+            _, err = proc.communicate(timeout=60)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        assert proc.returncode == EXIT_INTERRUPTED == 130
+        assert err == "interrupted\n"
+        manifest = json.loads((out_dir / "run_manifest.json").read_text())
+        assert (manifest["outcome"], manifest["exit_code"], manifest["error"]) \
+            == ("failed", EXIT_INTERRUPTED, "interrupted")
+        assert manifest["artifacts"] == ["run_manifest.json", "test.manifest",
+                                         "train.manifest"]
+        with pytest.raises(ProcessLookupError):  # its session is empty
+            os.killpg(proc.pid, 0)
+
+    def test_sigterm_handler_is_restored(self, tmp_path):
+        """``main`` takes SIGTERM only for its own duration."""
+        before = signal.getsignal(signal.SIGTERM)
+        assert run_cli("gen", "--per-class", 5,
+                       "--out", tmp_path / "x.manifest") == EXIT_OK
+        assert signal.getsignal(signal.SIGTERM) is before
 
     def test_run_never_imports_numpy_ma(self, tmp_path):
         """A run loads no ``numpy.ma``, which costs 10-30 ms to import and

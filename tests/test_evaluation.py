@@ -3,6 +3,7 @@
 import errno
 import json
 import os
+import signal
 import threading
 import tracemalloc
 
@@ -25,7 +26,7 @@ from edmlab.benchgen import (
     make_open_pool,
     make_synthetic_clean,
 )
-from edmlab.cli import EXIT_DATA, EXIT_RUNTIME, main
+from edmlab.cli import EXIT_DATA, EXIT_INTERRUPTED, EXIT_RUNTIME, main
 from edmlab.evaluation import (
     GROUP_ORDER,
     SplitConfusion,
@@ -245,6 +246,17 @@ class TestExports:
         assert float(body[0][2]) == 1.0
         assert float(body[1][2]) == 1.0
 
+    def test_histogram_bytes_equal_the_reference(self, tmp_path):
+        """Edges and population on the bin edges included."""
+        rng = np.random.default_rng(2)
+        losses = np.concatenate([rng.uniform(size=200),
+                                 [0.0, 0.05, 0.5, 0.95, 1.0]])
+        prov = rng.integers(0, 3, size=len(losses)).astype(np.uint8)
+        out = tmp_path / "hist.csv"
+        export_loss_histogram(losses, prov, 20, out)
+        assert out.read_bytes() == _reference_histogram(
+            losses, prov, 20).encode("ascii")
+
     def test_histogram_rejects_single_bin(self, tmp_path):
         with pytest.raises(ValueError):
             export_loss_histogram(np.array([0.5]), np.array([0], dtype=np.uint8),
@@ -258,11 +270,49 @@ class TestExports:
         rows = out.read_text().strip().splitlines()
         assert rows[0].startswith("id,provenance,h0")
         assert len(rows) == len(ds) + 1
-        first = rows[1].split(",")
-        assert len(first) == 2 + 16  # id, provenance, one column per unit
-        h0 = hidden_features(model, ds.features[:1])[0]
-        np.testing.assert_allclose(np.array(first[2:], dtype=np.float64), h0,
-                                   atol=1e-6)
+        body = np.array([r.split(",") for r in rows[1:]], dtype=np.float64)
+        assert body.shape == (len(ds), 2 + 16)  # id, provenance, each unit
+        np.testing.assert_array_equal(body[:, 0], np.arange(len(ds)))
+        np.testing.assert_array_equal(body[:, 1], ds.provenance)
+        want = hidden_features(model, ds.features)
+        assert want.dtype == np.float32
+        # each activation parses back to the float32 the network computed
+        np.testing.assert_array_equal(
+            body[:, 2:].astype(np.float32).view(np.uint32),
+            want.view(np.uint32))
+
+    def test_features_round_trip_at_the_float32_extremes(self, tmp_path):
+        """Exact zeros, values from 1e9 up (which ``%.9g`` writes in
+        exponent form) and values below 1e-30 parse back bit for bit."""
+        # 0.100931026 is a float32 that 8 significant digits do not give back
+        units = np.array(
+            [0.0, 1e9, 1234567890.0, 3.4028235e38, 1e-31, 1.2e-38,
+             1.0 / 3.0, np.nextafter(np.float32(1), np.float32(2)),
+             0.100931026], dtype=np.float32)
+        width = len(units)
+        # one input unit: x = 1 copies the weight row, x = -1 gives zeros
+        model = make_model([units[None, :], np.ones((width, 2), np.float32)],
+                           [np.zeros(width, np.float32),
+                            np.zeros(2, np.float32)])
+        assert model.buffer.dtype == np.float32
+        ds = DatasetManifest(
+            features=np.array([[1.0], [-1.0]], dtype=np.float32),
+            observed=np.array([0, 1], dtype=np.int32),
+            true_class=np.array([0, 1], dtype=np.int32),
+            num_classes=2,
+            noise_spec=NoiseSpec(rho=0.0, omega=0.0),
+        )
+        want = hidden_features(model, ds.features)
+        np.testing.assert_array_equal(want[0].view(np.uint32),
+                                      units.view(np.uint32))
+        out = tmp_path / "features.csv"
+        export_features(model, ds, out)
+        rows = out.read_text().splitlines()[1:]
+        assert "e+09" in rows[0] and "e-32" in rows[0]
+        parsed = np.array([r.split(",")[2:] for r in rows],
+                          dtype=np.float64).astype(np.float32)
+        np.testing.assert_array_equal(parsed.view(np.uint32),
+                                      want.view(np.uint32))
 
     def test_posteriors_round_trip(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -302,13 +352,14 @@ def _export_data():
 
 
 def _reference_exports(model, ds, losses, split):
-    """``features.csv`` and ``posteriors.csv`` as one ``repr`` per float."""
+    """``features.csv`` with each activation to 9 significant digits, and
+    ``posteriors.csv`` as one ``repr`` per float."""
     feats = hidden_features(model, ds.features)
     width = feats.shape[1]
     features = ["id,provenance," + ",".join(f"h{j}" for j in range(width))]
     features += [
         ",".join([str(i), str(int(ds.provenance[i])),
-                  *(repr(float(v)) for v in feats[i])])
+                  *(format(float(v), ".9g") for v in feats[i])])
         for i in range(len(ds))]
     posteriors = ["loss,w,w_op,w_cl,provenance"]
     posteriors += [
@@ -317,6 +368,22 @@ def _reference_exports(model, ds, losses, split):
                   str(int(ds.provenance[i]))])
         for i in range(len(ds))]
     return "\n".join(features) + "\n", "\n".join(posteriors) + "\n"
+
+
+def _reference_histogram(losses, prov, bins):
+    """``loss_histogram.csv`` as one ``repr`` per bin edge and one count per
+    provenance, counted bin by bin (the last bin includes its upper edge)."""
+    edges = np.linspace(0.0, 1.0, bins + 1)
+    lines = ["bin_lo,bin_hi,clean,closed,open"]
+    for b in range(bins):
+        lo, hi = edges[b], edges[b + 1]
+        last = b == bins - 1
+        inside = (losses >= lo) & ((losses < hi) | (last & (losses <= hi)))
+        counts = [int(np.count_nonzero(inside & (prov == int(p))))
+                  for p in GROUP_ORDER]
+        lines.append(",".join([repr(float(lo)), repr(float(hi)),
+                               *map(str, counts)]))
+    return "\n".join(lines) + "\n"
 
 
 def _assert_no_child_left():
@@ -443,9 +510,10 @@ class TestForkedWriter:
 
     @staticmethod
     def _fail_from_the_cut(monkeypatch, exc, worker=True):
-        """Make ``hidden_features`` raise ``exc`` on every block that starts
-        at or after the worker's first slice, so only the worker fails; or,
-        with ``worker=False``, on every block before it."""
+        """Make ``hidden_features`` raise ``exc`` (or, given a signal
+        number, send that signal to its own process) on every block that
+        starts at or after the worker's first slice, so only the worker
+        fails; or, with ``worker=False``, on every block before it."""
         real = evaluation.hidden_features
 
         def hidden(model, block):
@@ -455,7 +523,9 @@ class TestForkedWriter:
                       - block.base.__array_interface__["data"][0])
                      // block.strides[0])
             if (start >= cut_row) == worker:
-                raise exc
+                if isinstance(exc, BaseException):
+                    raise exc
+                os.kill(os.getpid(), exc)
             return real(model, block)
 
         monkeypatch.setattr(evaluation, "hidden_features", hidden)
@@ -508,6 +578,38 @@ class TestForkedWriter:
             f"features.csv exited with status {status}")
         assert "features.csv" not in manifest["artifacts"]
         assert str(exc) in capfd.readouterr().err
+
+    def test_interrupted_worker_ends_without_a_traceback(
+            self, monkeypatch, tmp_path, capfd):
+        """SIGINT reaching the worker (as Ctrl-C reaches a whole process
+        group) ends it at once; the parent names the signal."""
+        ds, _, _ = _export_data()
+        model = init_model((8, 16, 16, 4), seed=5)
+        monkeypatch.setattr(backbone, "FORWARD_CHUNK", 9)
+        self._fail_from_the_cut(monkeypatch, signal.SIGINT)
+        with pytest.raises(RuntimeError,
+                           match=f"exited with status {-signal.SIGINT}"):
+            export_features(model, ds, tmp_path / "features.csv")
+        _assert_no_child_left()
+        assert "Traceback" not in capfd.readouterr().err
+
+    def test_interrupted_export_fails_the_run(self, monkeypatch, tmp_path,
+                                              capfd):
+        """An interrupt in the parent's half kills the worker, and the run
+        records it as failed with exit 130."""
+        monkeypatch.setattr(backbone, "FORWARD_CHUNK", 9)
+        self._fail_from_the_cut(monkeypatch, KeyboardInterrupt(), worker=False)
+        out_dir = tmp_path / "out"
+        rc = main(["run", "--per-class", "10", "--epochs", "1",
+                   "--warmup-d", "1", "--warmup-s", "1",
+                   "--out-dir", str(out_dir)])
+        _assert_no_child_left()
+        assert rc == EXIT_INTERRUPTED == 130
+        manifest = json.loads((out_dir / "run_manifest.json").read_text())
+        assert (manifest["outcome"], manifest["exit_code"], manifest["error"]) \
+            == ("failed", EXIT_INTERRUPTED, "interrupted")
+        assert "features.csv" not in manifest["artifacts"]
+        assert capfd.readouterr().err == "interrupted\n"
 
     def test_run_forks_only_a_single_threaded_process(self, monkeypatch,
                                                       tmp_path):
