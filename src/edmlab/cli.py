@@ -10,10 +10,12 @@ Four subcommands share one configuration model:
 Configuration precedence is flag > config-file line > built-in default.  The
 optional config file is flat ``key=value`` text whose keys mirror the flag
 names.  The ``EDM_SEED`` environment variable, when set, overrides the seed
-of the commands that read one (gen, train, run).  The CLI only parses a
-key (a float must be finite); its range rule belongs to the library object
-or generator the key feeds, whose error exits 2 under the key's flag before
-anything is written.
+of the commands that read one (gen, train, run).  Each key names what it
+sets: a training key its ``TrainConfig`` field, a geometry key the generator
+arguments its range errors mention.  The CLI only parses a key (a float must
+be finite); its range rule belongs to the library object or generator the
+key feeds, whose error exits 2 before anything is written, under the flag of
+every key whose name the message mentions.
 Epoch logs are line-buffered JSON lines carrying a schema version field, and
 every output directory gets a run manifest snapshotting the config keys the
 command reads, input digests, timestamps, the environment, the outcome (with
@@ -29,14 +31,16 @@ from __future__ import annotations
 import argparse
 import contextlib
 import datetime
+import functools
 import hashlib
 import json
 import math
 import os
 import platform
+import re
 import signal
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -59,7 +63,7 @@ from .evaluation import (
     test_accuracy,
 )
 from .gmm import GmmConfig, fit_em, group_posteriors, normalize_losses, partition
-from .losses import LossWeights, sl_dataset_loss
+from .losses import sl_dataset_loss
 from .manifest_io import (load_checkpoint, load_manifest, save_checkpoint,
                           save_manifest)
 from .train import (ALGO_CE, ALGO_EDM, HIDDEN_WIDTHS, LR_DROP_FACTOR, TrainConfig,
@@ -84,53 +88,63 @@ _FAILURES = (
 )
 
 
-
 @dataclass
 class _Key:
-    """One configuration key: its type, default and help text.  The library
-    objects it feeds own its range rules (see ``_FIELD_FLAGS``)."""
+    """One configuration key: its type, default, help text and the names of
+    what it sets.  A training key names its ``TrainConfig`` field path, whose
+    value in ``TrainConfig()`` gives its type and default; a geometry key
+    names the generator arguments its range errors mention.  A range error
+    names the flag of every key whose name the message mentions."""
 
     cast: type
     default: object
     help: str
+    names: tuple[str, ...] = ()
 
 
-# TrainConfig, GmmConfig and LossWeights own the training defaults.
-_TRAIN = TrainConfig()
+def _training_keys(**paths: tuple[str, str]) -> dict[str, _Key]:
+    """One key per (``TrainConfig`` field path, help text)."""
+    defaults = TrainConfig()
+    keys = {}
+    for key, (path, help_text) in paths.items():
+        default = functools.reduce(getattr, path.split("."), defaults)
+        keys[key] = _Key(type(default), default, help_text, (path,))
+    return keys
+
+
+_GEOMETRY = {
+    "classes": _Key(int, 4, "number of in-distribution classes", ("num_classes",)),
+    "per_class": _Key(int, 500, "training samples per class", ("per_class",)),
+    "dim": _Key(int, 8, "feature dimension", ("feature_dim",)),
+    "spread": _Key(float, 0.5, "cluster standard deviation", ("cluster_spread",)),
+    "rho": _Key(float, 0.6, "total label-noise rate", ("rho",)),
+    "omega": _Key(float, 0.5, "closed-set share of the noisy portion", ("omega",)),
+    "pool_clusters": _Key(int, 2, "number of out-of-distribution pool clusters",
+                          ("num_clusters", "pool")),
+    "pool_offset": _Key(float, 8.0, "distance of the pool from the clean clusters",
+                        ("offset",)),
+}
+
+_TRAINING = _training_keys(
+    epochs=("epochs", "main-loop epochs"),
+    batch=("batch_size", "minibatch size"),
+    lr=("learning_rate", "initial learning rate"),
+    lambda_u=("loss_weights.lambda_u", "weight of the unlabeled consistency term"),
+    lambda_reg=("loss_weights.lambda_reg", "weight of the uniform-prior regularizer"),
+    mix_alpha=("mix_alpha", "Beta parameter of the pairwise mixing coefficient"),
+    m=("num_augments", "augmented views per sample"),
+    t=("temperature", "sharpening temperature"),
+    psi=("gmm.num_components", "mixture components of the loss-band classifier"),
+    mu_min=("gmm.mu_min", "upper mean bound of the clean band"),
+    mu_max=("gmm.mu_max", "lower mean bound of the closed-set band"),
+    warmup_d=("warmup_epochs_netd", "classifier warm-up epochs"),
+    warmup_s=("warmup_epochs_nets", "splitter warm-up epochs"),
+    seed=("seed", "master random seed"),
+)
 
 _KEYS: dict[str, _Key] = {
-    # benchmark geometry
-    "classes": _Key(int, 4, "number of in-distribution classes"),
-    "per_class": _Key(int, 500, "training samples per class"),
-    "dim": _Key(int, 8, "feature dimension"),
-    "spread": _Key(float, 0.5, "cluster standard deviation"),
-    "rho": _Key(float, 0.6, "total label-noise rate"),
-    "omega": _Key(float, 0.5, "closed-set share of the noisy portion"),
-    "pool_clusters": _Key(int, 2, "number of out-of-distribution pool clusters"),
-    "pool_offset": _Key(float, 8.0,
-                        "distance of the pool from the clean clusters"),
-    # optimization
-    "epochs": _Key(int, _TRAIN.epochs, "main-loop epochs"),
-    "batch": _Key(int, _TRAIN.batch_size, "minibatch size"),
-    "lr": _Key(float, _TRAIN.learning_rate, "initial learning rate"),
-    "lambda_u": _Key(float, _TRAIN.loss_weights.lambda_u,
-                     "weight of the unlabeled consistency term"),
-    "lambda_reg": _Key(float, _TRAIN.loss_weights.lambda_reg,
-                       "weight of the uniform-prior regularizer"),
-    "mix_alpha": _Key(float, _TRAIN.mix_alpha,
-                      "Beta parameter of the pairwise mixing coefficient"),
-    "m": _Key(int, _TRAIN.num_augments, "augmented views per sample"),
-    "t": _Key(float, _TRAIN.temperature, "sharpening temperature"),
-    "psi": _Key(int, _TRAIN.gmm.num_components,
-                "mixture components of the loss-band classifier"),
-    "mu_min": _Key(float, _TRAIN.gmm.mu_min,
-                   "upper mean bound of the clean band"),
-    "mu_max": _Key(float, _TRAIN.gmm.mu_max,
-                   "lower mean bound of the closed-set band"),
-    "warmup_d": _Key(int, _TRAIN.warmup_epochs_netd,
-                     "classifier warm-up epochs"),
-    "warmup_s": _Key(int, _TRAIN.warmup_epochs_nets, "splitter warm-up epochs"),
-    "seed": _Key(int, _TRAIN.seed, "master random seed"),
+    **_GEOMETRY,
+    **_TRAINING,
     "algo": _Key(str, ALGO_EDM, f"training procedure: {ALGO_EDM} or {ALGO_CE}"),
     # paths (no defaults; requiredness is per-subcommand)
     "manifest": _Key(str, None, "training manifest file"),
@@ -140,46 +154,32 @@ _KEYS: dict[str, _Key] = {
     "out_dir": _Key(str, None, "output directory"),
 }
 
-_GEOMETRY = ("classes", "per_class", "dim", "spread", "rho", "omega",
-             "pool_clusters", "pool_offset")
-_TRAINING = ("epochs", "batch", "lr", "lambda_u", "lambda_reg", "mix_alpha",
-             "m", "t", "psi", "mu_min", "mu_max", "warmup_d", "warmup_s",
-             "seed", "algo")
-
 #: the keys each subcommand reads: its flags, and its run manifest's config
 _COMMAND_KEYS = {
-    "gen": _GEOMETRY + ("seed", "out"),
-    "train": ("manifest", "test_manifest") + _TRAINING + ("out_dir",),
+    "gen": (*_GEOMETRY, "seed", "out"),
+    "train": ("manifest", "test_manifest", *_TRAINING, "algo", "out_dir"),
     "eval": ("checkpoint", "manifest", "test_manifest", "psi", "mu_min",
              "mu_max", "out_dir"),
-    "run": _GEOMETRY + ("manifest", "test_manifest") + _TRAINING + ("out_dir",),
-}
-
-#: the flag that sets each field or argument the library names in its range
-#: errors; an error is reported under the first entry its message contains,
-#: so an entry that contains another (warmup_epochs_netd, epochs) comes first
-_FIELD_FLAGS = {
-    "num_classes": "--classes", "per_class": "--per-class",
-    "feature_dim": "--dim", "cluster_spread": "--spread",
-    "rho": "--rho", "omega": "--omega", "num_clusters": "--pool-clusters",
-    "pool": "--pool-clusters", "offset": "--pool-offset",
-    "warmup_epochs_netd": "--warmup-d", "warmup_epochs_nets": "--warmup-s",
-    "epochs": "--epochs", "batch_size": "--batch", "learning_rate": "--lr",
-    "lambda_u": "--lambda-u", "lambda_reg": "--lambda-reg",
-    "mix_alpha": "--mix-alpha", "num_augments": "--m", "temperature": "--t",
-    "num_components": "--psi", "mu_min": "--mu-min/--mu-max", "seed": "--seed",
+    "run": (*_GEOMETRY, "manifest", "test_manifest", *_TRAINING, "algo",
+            "out_dir"),
 }
 
 
 @contextlib.contextmanager
-def _as_config_errors(flags: dict = _FIELD_FLAGS):
-    """Report a library ValueError as a ConfigError under its field's flag."""
+def _as_config_errors(seed_flag: str = "--seed"):
+    """Report a library ValueError as a ConfigError under the flag of every
+    key whose field or argument name the message has as a whole word, in
+    table order; ``seed_flag`` is what set the seed."""
     try:
         yield
     except ValueError as exc:
         message = str(exc)
-        flag = next((f for name, f in flags.items() if name in message), None)
-        raise ConfigError(f"{flag}: {message}" if flag else message) from None
+        words = set(re.findall(r"\w+", message))
+        flags = [seed_flag if key == "seed" else _flag(key)
+                 for key, spec in _KEYS.items()
+                 if any(name.rpartition(".")[2] in words for name in spec.names)]
+        raise ConfigError(f"{'/'.join(flags)}: {message}" if flags
+                          else message) from None
 
 
 def _flag(key: str) -> str:
@@ -236,7 +236,7 @@ def parse_config(flag_values: dict, config_path: str | None,
             raise ConfigError(f"{source} is not read by {command}"
                               + (" with --manifest" if on_manifest else ""))
 
-    flags = _FIELD_FLAGS
+    seed_flag = "--seed"
     env_seed = os.environ.get("EDM_SEED")
     if env_seed is not None and "seed" in read:
         try:
@@ -244,7 +244,7 @@ def parse_config(flag_values: dict, config_path: str | None,
         except ValueError:
             raise ConfigError(
                 f"EDM_SEED must be an integer, got {env_seed!r}") from None
-        flags = {**_FIELD_FLAGS, "seed": "EDM_SEED"}
+        seed_flag = "EDM_SEED"
 
     for key, spec in _KEYS.items():
         if spec.cast is float and not math.isfinite(resolved[key]):
@@ -254,22 +254,15 @@ def parse_config(flag_values: dict, config_path: str | None,
         raise ConfigError(f"--algo must be one of {{{ALGO_EDM}, {ALGO_CE}}}, "
                           f"got {resolved['algo']}")
 
-    with _as_config_errors(flags):
-        cfg = TrainConfig(
-            epochs=resolved["epochs"],
-            batch_size=resolved["batch"],
-            learning_rate=resolved["lr"],
-            warmup_epochs_netd=resolved["warmup_d"],
-            warmup_epochs_nets=resolved["warmup_s"],
-            num_augments=resolved["m"],
-            temperature=resolved["t"],
-            mix_alpha=resolved["mix_alpha"],
-            loss_weights=LossWeights(lambda_u=resolved["lambda_u"],
-                                     lambda_reg=resolved["lambda_reg"]),
-            gmm=GmmConfig(num_components=resolved["psi"],
-                          mu_min=resolved["mu_min"], mu_max=resolved["mu_max"]),
-            seed=resolved["seed"],
-        )
+    with _as_config_errors(seed_flag):
+        fields: dict[str, dict] = {}  # "" holds TrainConfig's own fields
+        for key, spec in _TRAINING.items():
+            outer, _, name = spec.names[0].rpartition(".")
+            fields.setdefault(outer, {})[name] = resolved[key]
+        defaults = TrainConfig()
+        nested = {outer: replace(getattr(defaults, outer), **inner)
+                  for outer, inner in fields.items() if outer}
+        cfg = replace(defaults, **fields[""], **nested)
         if "rho" in read:
             NoiseSpec(resolved["rho"], resolved["omega"])
     return cfg, {key: resolved[key] for key in read}
@@ -380,6 +373,15 @@ def _config_snapshot(command: str, resolved: dict, cfg: TrainConfig) -> dict:
         "jitter_sigma": JITTER_SIGMA,
     })
     return snapshot
+
+
+def _require_out(resolved: dict, key: str) -> Path:
+    """The output path ``key`` names; an empty one would name ``.``."""
+    if resolved[key] is None:
+        raise ConfigError(f"{_flag(key)} is required")
+    if not resolved[key]:
+        raise ConfigError(f"{_flag(key)} must not be empty")
+    return Path(resolved[key])
 
 
 def _require_file(path: str | None, flag: str) -> Path:
@@ -532,11 +534,9 @@ def _emit(payload: dict) -> None:
 
 def cmd_gen(ns: argparse.Namespace) -> int:
     _, resolved = parse_config(vars(ns), ns.config, ns.command)
-    if resolved["out"] is None:
-        raise ConfigError("--out is required")
+    out = _require_out(resolved, "out")
     with _as_config_errors():
         dataset = _generate_benchmark(resolved)
-    out = Path(resolved["out"])
     out.parent.mkdir(parents=True, exist_ok=True)
     save_manifest(dataset, out)
     clean, closed, open_ = dataset.counts
@@ -549,8 +549,7 @@ def cmd_train(ns: argparse.Namespace) -> int:
     cfg, resolved = parse_config(vars(ns), ns.config, ns.command)
     train_path = _require_file(resolved["manifest"], "--manifest")
     test_path = _require_file(resolved["test_manifest"], "--test-manifest")
-    if resolved["out_dir"] is None:
-        raise ConfigError("--out-dir is required")
+    _require_out(resolved, "out_dir")
     train_ds = _load_samples("--manifest", train_path)
     test_ds = _load_test_set(test_path, train_ds)
     if resolved["algo"] == ALGO_EDM:
@@ -571,8 +570,7 @@ def cmd_eval(ns: argparse.Namespace) -> int:
     ckpt_path = _require_file(resolved["checkpoint"], "--checkpoint")
     train_path = _require_file(resolved["manifest"], "--manifest")
     test_path = _require_file(resolved["test_manifest"], "--test-manifest")
-    if resolved["out_dir"] is None:
-        raise ConfigError("--out-dir is required")
+    _require_out(resolved, "out_dir")
     model = load_checkpoint(ckpt_path)
     train_ds = _load_samples("--manifest", train_path)
     test_ds = _load_test_set(test_path, train_ds)
@@ -592,8 +590,7 @@ def cmd_eval(ns: argparse.Namespace) -> int:
 
 def cmd_run(ns: argparse.Namespace) -> int:
     cfg, resolved = parse_config(vars(ns), ns.config, ns.command)
-    if resolved["out_dir"] is None:
-        raise ConfigError("--out-dir is required")
+    _require_out(resolved, "out_dir")
     if (resolved["manifest"] is None) != (resolved["test_manifest"] is None):
         raise ConfigError(
             "--manifest and --test-manifest must be given together")

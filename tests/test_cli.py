@@ -2,6 +2,9 @@
 artifact layout, exit codes, and rerun determinism."""
 
 import argparse
+import ast
+import functools
+import inspect
 import json
 import math
 import os
@@ -11,13 +14,14 @@ import signal
 import struct
 import subprocess
 import sys
+import textwrap
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from edmlab import cli
+from edmlab import benchgen, cli
 from edmlab import train as train_mod
 from edmlab.backbone import MOMENTUM, WEIGHT_DECAY, init_model
 from edmlab.benchgen import DatasetManifest, NoiseSpec, Provenance
@@ -61,6 +65,30 @@ def checkpoint_args(tmp_path, widths=(8, 64, 64, 4)):
     ckpt = tmp_path / "model.ckpt"
     save_checkpoint(init_model(widths, seed=0), ckpt)
     return ["--checkpoint", ckpt]
+
+
+def _resolved_key(node):
+    """``k`` for the expression ``resolved["k"]``, else None."""
+    if (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+            and node.value.id == "resolved"
+            and isinstance(node.slice, ast.Constant)):
+        return node.slice.value
+    return None
+
+
+def _generator_calls():
+    """Each ``benchgen`` call that ``cli`` makes to generate data, as
+    (callable, {parameter: the key whose resolved value it gets, or None})."""
+    for source in (cli._generate_benchmark, cli._generate_test_set):
+        for call in ast.walk(ast.parse(textwrap.dedent(inspect.getsource(source)))):
+            if not (isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                    and callable(getattr(benchgen, call.func.id, None))):
+                continue
+            fn = getattr(benchgen, call.func.id)
+            bound = inspect.signature(fn).bind(
+                *map(_resolved_key, call.args),
+                **{kw.arg: _resolved_key(kw.value) for kw in call.keywords})
+            yield fn, bound.arguments
 
 
 class TestParseConfig:
@@ -588,39 +616,44 @@ class TestRunManifest:
 
 
 class TestBadGeometry:
-    @pytest.mark.parametrize("args, flag", [
-        (("run", "--per-class", 2), "--per-class"),
-        (("run", "--classes", 4, "--dim", 2), "--classes"),
-        (("gen", "--classes", 4, "--dim", 2), "--classes"),
-        (("run", "--seed", -1), "--seed"),
-        (("gen", "--seed", -1), "--seed"),
-        (("run", "--lambda-u", "inf"), "--lambda-u"),
-        (("run", "--lambda-reg", "nan"), "--lambda-reg"),
-        (("run", "--t", "inf"), "--t"),
-        (("run", "--spread", "inf"), "--spread"),
-        (("gen", "--pool-offset", "inf"), "--pool-offset"),
-        (("run", "--lr", "inf"), "--lr"),
-        (("run", "--mix-alpha", "inf"), "--mix-alpha"),
-        (("run", "--pool-clusters", 0), "--pool-clusters"),
-        (("gen", "--pool-clusters", 0), "--pool-clusters"),
-    ] + [((command, flag, value), flag)
+    # each case expects the exact start of its message: a library range
+    # error under every flag whose field it names, else the CLI's own rule;
+    # a case is named by the first flag of that start
+    @pytest.mark.parametrize("args, start", [
+        (("run", "--per-class", 2), "--per-class 2 x --classes 4 gives "),
+        (("run", "--classes", 4, "--dim", 2), "--classes/--dim: "),
+        (("gen", "--classes", 4, "--dim", 2), "--classes/--dim: "),
+        (("run", "--seed", -1), "--seed: "),
+        (("gen", "--seed", -1), "--seed: "),
+        (("run", "--lambda-u", "inf"), "--lambda-u must be a finite number"),
+        (("run", "--lambda-reg", "nan"), "--lambda-reg must be a finite number"),
+        (("run", "--t", "inf"), "--t must be a finite number"),
+        (("run", "--spread", "inf"), "--spread must be a finite number"),
+        (("gen", "--pool-offset", "inf"), "--pool-offset must be a finite number"),
+        (("run", "--lr", "inf"), "--lr must be a finite number"),
+        (("run", "--mix-alpha", "inf"), "--mix-alpha must be a finite number"),
+        (("run", "--pool-clusters", 0), "--pool-clusters: "),
+        (("gen", "--pool-clusters", 0), "--pool-clusters: "),
+    ] + [((command, flag, value), f"{flag}: ")
          for command in ("run", "gen")
          for flag, value in (("--per-class", 0), ("--dim", 1), ("--spread", 0),
                              ("--pool-offset", 0), ("--rho", 1.5),
                              ("--omega", 2), ("--classes", 1),
                              ("--pool-clusters", -1))
-    ] + [(("run", flag, value), flag)
+    ] + [(("run", flag, value), f"{flag}: ")
          for flag, value in (("--epochs", -1), ("--batch", 0), ("--lr", 0),
                              ("--m", 0), ("--t", 0), ("--mix-alpha", 0),
                              ("--warmup-d", -1), ("--warmup-s", -1),
                              ("--lambda-u", -1), ("--lambda-reg", -1))
-    ])
-    def test_rejected_before_anything_is_written(self, tmp_path, capsys, args, flag):
+    ], ids=lambda value: re.match(r"--[\w-]+", value)[0]
+       if isinstance(value, str) else None)
+    def test_rejected_before_anything_is_written(self, tmp_path, capsys, args, start):
         out = tmp_path / "out"
         dest = ("--out", out / "x.manifest") if args[0] == "gen" \
             else ("--out-dir", out)
         assert run_cli(*args, *dest) == EXIT_CONFIG
-        assert flag in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {start}"), err
         assert not out.exists() or not any(out.iterdir())
 
     @pytest.mark.parametrize("command, psi, rule", [
@@ -633,7 +666,7 @@ class TestBadGeometry:
         out = tmp_path / "out"
         assert run_cli(command, "--psi", psi, "--out-dir", out) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert "--psi" in err and rule in err
+        assert err.startswith("config error: --psi: ") and rule in err, err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["train", "run", "eval"])
@@ -659,14 +692,34 @@ class TestBadGeometry:
         assert "--lambda-u must be a finite number" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_every_field_flag_is_a_parser_flag(self):
-        """Each flag a library error can be reported under exists."""
+    def test_every_key_name_resolves(self):
+        """What each key names exists.  A training key's path resolves on
+        ``TrainConfig()`` to a value of the key's type and default.  A
+        geometry key's names are parameters of the generators the generated
+        data path calls, and each parameter given ``resolved[key]`` is one
+        of them.  Every key that names something is a parser flag."""
+        defaults = train_mod.TrainConfig()
+        for key, spec in cli._TRAINING.items():
+            for path in spec.names:
+                value = functools.reduce(getattr, path.split("."), defaults)
+                assert (type(value), value) == (spec.cast, spec.default), key
+
+        calls = list(_generator_calls())
+        parameters = {name for fn, _ in calls
+                      for name in inspect.signature(fn).parameters}
+        for key, spec in cli._GEOMETRY.items():
+            assert spec.names and set(spec.names) <= parameters, key
+        for fn, arguments in calls:
+            for name, key in arguments.items():
+                if key is not None:
+                    assert name in cli._GEOMETRY[key].names, (fn, name, key)
+
         sub = next(action for action in cli.build_parser()._actions
                    if isinstance(action, argparse._SubParsersAction))
         defined = {option for parser in sub.choices.values()
                    for option in parser._option_string_actions}
-        for flags in cli._FIELD_FLAGS.values():
-            assert set(flags.split("/")) <= defined, flags
+        for key, spec in cli._KEYS.items():
+            assert not spec.names or cli._flag(key) in defined, key
 
     def test_negative_env_seed_names_the_variable(self, tmp_path, capsys,
                                                   monkeypatch):
@@ -807,6 +860,38 @@ class TestBadInputs:
         assert capsys.readouterr().err.startswith("data error: ")
         assert (tmp_path / "file").read_bytes() == b"keep"
         assert not any((tmp_path / "directory").iterdir())
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("command", ["gen", "train", "eval", "run"])
+    def test_empty_output_path_exits_two(self, tmp_path, capsys, monkeypatch,
+                                         command, source):
+        """An empty ``--out``/``--out-dir`` would name the working directory;
+        it exits 2 before anything is generated or written there."""
+        def fail(*args, **kwargs):
+            raise AssertionError("generated data")
+
+        key = "out" if command == "gen" else "out_dir"
+        args = [command]
+        if command in ("train", "eval"):
+            train, test = gen_pair(tmp_path)
+            args += ["--manifest", train, "--test-manifest", test]
+        if command == "eval":
+            args += checkpoint_args(tmp_path)
+        if source == "flag":
+            args += [cli._flag(key), ""]
+        else:
+            conf = tmp_path / "exp.conf"
+            conf.write_text(f"{key}=\n")
+            args += ["--config", conf]
+        monkeypatch.setattr(cli, "make_synthetic_clean", fail)
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        capsys.readouterr()
+        assert run_cli(*args) == EXIT_CONFIG
+        assert capsys.readouterr().err \
+            == f"config error: {cli._flag(key)} must not be empty\n"
+        assert not any(cwd.iterdir())
 
 
 class TestTracedBenchmark:

@@ -79,3 +79,45 @@ def test_package_lines_count_the_modules_only(tmp_path):
                                    "other.py": b"v = 5\n"})
     assert cmp_runs.package_lines(src) == 2
     assert cmp_runs.package_lines(_tree(tmp_path / "empty", {"edmlab/x": b""})) == 0
+
+
+def _manifest(work, **fields):
+    record = {"command": "run", "started_at": "t0", "finished_at": "t1",
+              "config": {"seed": 0, "out_dir": f"{work}/seed0"},
+              "input_digests": {f"{work}/seed0/train.manifest": "ab"}}
+    record.update(fields)
+    return json.dumps(record).encode()
+
+
+def test_run_manifests_compare_without_timestamps_or_work_paths(tmp_path):
+    a, b = tmp_path / "parent", tmp_path / "change"
+    _tree(a, {"seed0/run_manifest.json": _manifest(a)})
+    _tree(b, {"seed0/run_manifest.json": _manifest(b, started_at="t2",
+                                                   finished_at="t3")})
+    assert cmp_runs.diff_manifests(a, b) == []
+    assert cmp_runs.run_manifest(a / "seed0" / "run_manifest.json", a) == {
+        "command": "run", "config": {"seed": 0, "out_dir": "{work}/seed0"},
+        "input_digests": {"{work}/seed0/train.manifest": "ab"}}
+
+
+def test_run_manifests_name_the_fields_that_differ(tmp_path):
+    a, b = tmp_path / "parent", tmp_path / "change"
+    _tree(a, {"s/run_manifest.json": _manifest(a),
+              "only_a/run_manifest.json": _manifest(a)})
+    _tree(b, {"s/run_manifest.json": _manifest(
+        b, config={"seed": 0.0, "out_dir": f"{b}/seed0"},
+        input_digests={f"{a}/seed0/train.manifest": "ab"}, error=None)})
+    # a changed value type, a path under the other tree, and an added field
+    assert cmp_runs.diff_manifests(a, b) == [
+        "only_a/run_manifest.json (one side only)",
+        "s/run_manifest.json (config, error, input_digests)"]
+
+
+def test_only_gen_cases_write_no_out_dir(tmp_path):
+    cases = dict(cmp_runs.CASES)
+    assert cmp_runs.case_args("gen", cases["gen"], tmp_path) == [
+        "gen", "--seed", "0", "--out", f"{tmp_path}/gen/bench.manifest"]
+    assert cmp_runs.case_args("train-seed1", cases["train-seed1"], tmp_path) == [
+        "train", "--manifest", f"{tmp_path}/seed1/train.manifest",
+        "--test-manifest", f"{tmp_path}/seed1/test.manifest",
+        "--out-dir", str(tmp_path / "train-seed1")]

@@ -11,11 +11,15 @@ the refactor proof set:
 * ``edmlab run --seed 0``, ``--seed 1`` and ``--seed 2`` at the defaults;
 * ``edmlab run --algo ce --per-class 5000 --seed 0``;
 * ``edmlab eval`` of seed 1's ``netd_last.ckpt`` on seed 1's manifests;
-* ``edmlab train`` at the defaults on seed 1's manifests.
+* ``edmlab train`` at the defaults on seed 1's manifests;
+* ``edmlab gen --seed 0`` into ``gen/bench.manifest``.
 
-It then lists every artifact that differs between the two trees, ignoring
-``run_manifest.json`` (which holds timestamps and paths), and exits 1 if
-any does, 0 if none does, and 2 if a command fails.  When some artifact
+It then lists every artifact that differs between the two trees, and exits
+1 if any does, 0 if none does, and 2 if a command fails.  Each
+``run_manifest.json`` is compared field by field, less its timestamps
+(``started_at``, ``finished_at``), with each tree's output directory
+written as ``{work}`` in its paths; a differing one is listed with the
+fields that differ.  When some artifact
 differs, it also prints each case's test accuracy and split balanced
 accuracy from both trees' ``eval.json``, so a change to rounding reports
 its acceptance figures before and after.  Its summary also gives the line
@@ -34,7 +38,12 @@ import sys
 import tempfile
 from pathlib import Path
 
-IGNORED = ("run_manifest.json",)
+MANIFEST = "run_manifest.json"
+#: compared by ``diff_manifests``, not byte for byte
+IGNORED = (MANIFEST,)
+
+#: run manifest fields that differ from run to run
+TIMESTAMPS = ("started_at", "finished_at")
 
 #: eval.json figures printed for both trees when artifacts differ
 ACCURACY_KEYS = ("test_accuracy", "split_balanced_accuracy")
@@ -50,6 +59,7 @@ CASES = (
                     "--test-manifest", "{work}/seed1/test.manifest"]),
     ("train-seed1", ["train", "--manifest", "{work}/seed1/train.manifest",
                      "--test-manifest", "{work}/seed1/test.manifest"]),
+    ("gen", ["gen", "--seed", "0", "--out", "{work}/gen/bench.manifest"]),
 )
 
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
@@ -71,6 +81,50 @@ def diff_dirs(a: Path, b: Path, ignored=IGNORED) -> list[str]:
     return sorted((in_a ^ in_b) | {rel for rel in in_a & in_b
                                    if not filecmp.cmp(a / rel, b / rel,
                                                       shallow=False)})
+
+
+def _at_work(value, work: str):
+    """``value`` with each string path under ``work``, dict keys included,
+    written relative to ``{work}``."""
+    if isinstance(value, dict):
+        return {_at_work(k, work): _at_work(v, work) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_at_work(v, work) for v in value]
+    if isinstance(value, str) and (value == work or value.startswith(work + os.sep)):
+        return "{work}" + value[len(work):]
+    return value
+
+
+def run_manifest(path: Path, work: Path) -> dict:
+    """The run manifest at ``path`` less its timestamps, with the paths
+    under ``work`` written relative to ``{work}``."""
+    fields = json.loads(path.read_text())
+    for name in TIMESTAMPS:
+        fields.pop(name, None)
+    return _at_work(fields, str(work))
+
+
+def diff_manifests(a: Path, b: Path) -> list[str]:
+    """Each run manifest under ``a`` or ``b`` that differs, as
+    ``rel (field, ...)``; each side's root is its ``{work}``.
+
+    A manifest on one side only differs as a whole.  The result is sorted.
+    """
+    in_a, in_b = ({p.relative_to(root).as_posix() for p in root.rglob(MANIFEST)}
+                  for root in (a, b))
+    differing = []
+    for rel in sorted(in_a | in_b):
+        if rel not in in_a & in_b:
+            differing.append(f"{rel} (one side only)")
+            continue
+        # each field as JSON text, so that 0 and 0.0 (or 1 and true) differ
+        old, new = ({name: json.dumps(value, sort_keys=True) for name, value
+                     in run_manifest(root / rel, root).items()} for root in (a, b))
+        fields = sorted(name for name in old.keys() | new.keys()
+                        if old.get(name) != new.get(name))
+        if fields:
+            differing.append(f"{rel} ({', '.join(fields)})")
+    return differing
 
 
 def accuracies(root: Path) -> dict[str, dict]:
@@ -105,13 +159,19 @@ def _src_dir(tree: str) -> Path:
     return src
 
 
+def case_args(name: str, args: list[str], work: Path) -> list[str]:
+    """The edmlab arguments of one case on the tree whose outputs go under
+    ``work``; every command but ``gen`` writes into ``work/name``."""
+    args = [a.format(work=work) for a in args]
+    return args if args[0] == "gen" else args + ["--out-dir", str(work / name)]
+
+
 def run_tree(src: Path, work: Path) -> None:
     """Run every case of the proof set on the package under ``src``."""
     env = {k: v for k, v in os.environ.items() if k != "EDM_SEED"}
     env.update({var: "1" for var in _THREAD_VARS}, PYTHONPATH=str(src))
     for name, args in CASES:
-        cmd = [sys.executable, "-m", "edmlab.cli",
-               *(a.format(work=work) for a in args), "--out-dir", str(work / name)]
+        cmd = [sys.executable, "-m", "edmlab.cli", *case_args(name, args, work)]
         done = subprocess.run(cmd, env=env, capture_output=True, text=True)
         if done.returncode:
             print(f"{src}: {' '.join(cmd[3:])} exited {done.returncode}\n"
@@ -132,15 +192,16 @@ def main(argv=None) -> int:
         work = Path(ns.work or tmp).resolve()
         for side, src in sides.items():
             run_tree(src, work / side)
-        compared = len(artifacts(work / "parent"))
-        differing = diff_dirs(work / "parent", work / "change")
-        figures = accuracy_lines(work / "parent", work / "change")
+        parent, change = work / "parent", work / "change"
+        compared = len(artifacts(parent, ignored=()))
+        differing = diff_dirs(parent, change) + diff_manifests(parent, change)
+        figures = accuracy_lines(parent, change)
     for rel in differing:
         print(f"differs: {rel}")
     if differing:
         print(*figures, sep="\n")
     print(f"{len(CASES)} cases: {len(differing)} of {compared} artifacts differ "
-          f"(ignoring {', '.join(IGNORED)})")
+          f"({MANIFEST} without {', '.join(TIMESTAMPS)})")
     print(f"src/edmlab: {package_lines(sides['parent'])} -> "
           f"{package_lines(sides['change'])} lines")
     return 1 if differing else 0
