@@ -6,11 +6,12 @@ pass (loss scans, label guessing, relabelling) use the plain numpy forward;
 whole datasets go through it in bounded chunks.  An SGD step builds no
 graph: :func:`forward_logits_t` keeps each layer's input, a loss head in
 :mod:`edmlab.losses` returns its value and its gradient at the logits in
-closed form, :func:`backward` writes every parameter's gradient into one
-flat array laid out like ``ModelParams.buffer``, and :func:`sgd_step`
-updates that buffer in place.  The test suite checks those gradients
-against finite differences.  The training views of a batch
-(:func:`augment`) add Gaussian jitter of the fixed scale JITTER_SIGMA.
+closed form, :func:`backward` writes every parameter's gradient into the
+flat gradient :class:`OptimState` owns, and :func:`sgd_step` updates the
+parameter buffer in place; one :mod:`edmlab.train` function runs every
+step.  The tests check the gradients against finite differences.  The
+training views of a batch (:func:`augment`) add Gaussian jitter of the
+fixed scale JITTER_SIGMA.
 
 A network's parameters are one buffer that :class:`ModelParams` owns;
 :func:`param_shapes` is the only statement of its W0, b0, W1, b1, ...
@@ -226,9 +227,9 @@ def backward(arrays: tuple[np.ndarray, ...], acts: list[np.ndarray],
     :func:`forward_logits_t`; ``grad`` is a head's gradient at
     ``acts[-1]``, cast here to the dtype of ``out``.  Every weight and bias
     gradient is written into ``out``, the views :meth:`ModelParams.layout`
-    makes of one flat array, which is returned; a training pass makes them
-    once and passes the flat array to :func:`sgd_step`.  The rectifier
-    passes no gradient where its output is exactly 0.
+    makes of one flat array, which is returned; a training step passes
+    ``OptimState.grads`` here and ``OptimState.grad`` to :func:`sgd_step`.
+    The rectifier passes no gradient where its output is exactly 0.
     """
     if grad.shape != acts[-1].shape:
         raise ValueError(f"gradient shape {grad.shape} does not match the "
@@ -245,28 +246,32 @@ def backward(arrays: tuple[np.ndarray, ...], acts: list[np.ndarray],
 
 @dataclass
 class OptimState:
-    """SGD-with-momentum state: the learning rate, the velocity, and a
-    scratch array each step reuses, both laid out like ``ModelParams.buffer``."""
+    """SGD-with-momentum state: the learning rate, the velocity, the flat
+    gradient ``grad`` and its layout views ``grads`` that :func:`backward`
+    writes, and a scratch array each step reuses."""
 
     learning_rate: float
     velocity: np.ndarray
-    scratch: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.learning_rate < 0:
-            raise ValueError(f"learning rate must be >= 0, got {self.learning_rate}")
-        self.scratch = np.empty_like(self.velocity)
+    grad: np.ndarray = field(repr=False)
+    grads: tuple[np.ndarray, ...] = field(repr=False)
+    scratch: np.ndarray = field(repr=False)
 
 
 def init_optim(params: ModelParams, learning_rate: float) -> OptimState:
-    return OptimState(learning_rate, np.zeros_like(params.buffer))
+    """Zero velocity; the optimiser's arrays, laid out like ``params.buffer``,
+    are made here once, so no training pass allocates a gradient."""
+    if learning_rate < 0:
+        raise ValueError(f"learning rate must be >= 0, got {learning_rate}")
+    grad = np.empty_like(params.buffer)
+    return OptimState(learning_rate, np.zeros_like(grad), grad,
+                      params.layout(grad), np.empty_like(grad))
 
 
 def sgd_step(params: ModelParams, grad: np.ndarray, opt: OptimState) -> None:
     """v <- m*v + g + wd*theta; theta <- theta - lr*v (in place).
 
     m and wd are MOMENTUM and WEIGHT_DECAY.  ``grad`` is one flat array laid
-    out like ``params.buffer``, as :func:`backward` writes it.  Classic
+    out like ``params.buffer``, in training ``opt.grad``.  Classic
     coupled weight decay: the decay term enters the velocity.  A non-finite
     gradient aborts the step before any parameter or velocity changes.
     """

@@ -410,17 +410,23 @@ def _load_samples(flag: str, path: Path) -> DatasetManifest:
     return dataset
 
 
-def _load_test_set(path: Path, train_ds: DatasetManifest) -> DatasetManifest:
-    """Load the held-out set: samples in the training set's feature and label
-    space, every one clean."""
-    test_ds = _load_samples("--test-manifest", path)
-    _check_shape("--test-manifest", path,
+def _load_inputs(resolved: dict, checkpoint: bool = False):
+    """``[--checkpoint,] --manifest, --test-manifest``: their paths, the
+    checkpoint's network or None, and both datasets.  Every path is checked
+    before any file is loaded; the held-out set must be clean samples in the
+    training set's feature and label space."""
+    keys = ("checkpoint",) * checkpoint + ("manifest", "test_manifest")
+    paths = [_require_file(resolved[key], _flag(key)) for key in keys]
+    model = load_checkpoint(paths[0]) if checkpoint else None
+    train_ds = _load_samples("--manifest", paths[-2])
+    test_ds = _load_samples("--test-manifest", paths[-1])
+    _check_shape("--test-manifest", paths[-1],
                  (test_ds.feature_dim, test_ds.num_classes), train_ds)
     _, closed, open_ = test_ds.counts
     if closed or open_:
-        raise DataError(f"--test-manifest {path} must be all-clean, but holds "
-                        f"{closed} closed-set and {open_} open-set samples")
-    return test_ds
+        raise DataError(f"--test-manifest {paths[-1]} must be all-clean, but "
+                        f"holds {closed} closed-set and {open_} open-set samples")
+    return paths, model, train_ds, test_ds
 
 
 def _check_fit_size(n: int, psi: int, source: str) -> None:
@@ -547,16 +553,13 @@ def cmd_gen(ns: argparse.Namespace) -> int:
 
 def cmd_train(ns: argparse.Namespace) -> int:
     cfg, resolved = parse_config(vars(ns), ns.config, ns.command)
-    train_path = _require_file(resolved["manifest"], "--manifest")
-    test_path = _require_file(resolved["test_manifest"], "--test-manifest")
     _require_out(resolved, "out_dir")
-    train_ds = _load_samples("--manifest", train_path)
-    test_ds = _load_test_set(test_path, train_ds)
+    paths, _, train_ds, test_ds = _load_inputs(resolved)
     if resolved["algo"] == ALGO_EDM:
         _check_fit_size(len(train_ds), cfg.gmm.num_components, "--manifest")
 
     with _recorded("train", resolved, cfg) as (out_dir, manifest):
-        manifest.input_digests = _digests(train_path, test_path)
+        manifest.input_digests = _digests(*paths)
         outcome, manifest.artifacts = _train_into(train_ds, test_ds, cfg,
                                                   resolved["algo"], out_dir)
     _emit({"event": "train", "out_dir": str(out_dir), "algo": resolved["algo"],
@@ -567,19 +570,14 @@ def cmd_train(ns: argparse.Namespace) -> int:
 
 def cmd_eval(ns: argparse.Namespace) -> int:
     cfg, resolved = parse_config(vars(ns), ns.config, ns.command)
-    ckpt_path = _require_file(resolved["checkpoint"], "--checkpoint")
-    train_path = _require_file(resolved["manifest"], "--manifest")
-    test_path = _require_file(resolved["test_manifest"], "--test-manifest")
     _require_out(resolved, "out_dir")
-    model = load_checkpoint(ckpt_path)
-    train_ds = _load_samples("--manifest", train_path)
-    test_ds = _load_test_set(test_path, train_ds)
-    _check_shape("--checkpoint", ckpt_path,
+    paths, model, train_ds, test_ds = _load_inputs(resolved, checkpoint=True)
+    _check_shape("--checkpoint", paths[0],
                  (model.input_dim, model.num_classes), train_ds)
     _check_fit_size(len(train_ds), cfg.gmm.num_components, "--manifest")
 
     with _recorded("eval", resolved, cfg) as (out_dir, manifest):
-        manifest.input_digests = _digests(ckpt_path, train_path, test_path)
+        manifest.input_digests = _digests(*paths)
         manifest.artifacts, summary = _eval_into(model, train_ds, test_ds,
                                                  cfg.gmm, out_dir)
     _emit({"event": "eval", "out_dir": str(out_dir),
@@ -603,21 +601,17 @@ def cmd_run(ns: argparse.Namespace) -> int:
         source = (f"--per-class {resolved['per_class']} "
                   f"x --classes {resolved['classes']}")
     else:
-        train_path = _require_file(resolved["manifest"], "--manifest")
-        test_path = _require_file(resolved["test_manifest"], "--test-manifest")
-        train_ds = _load_samples("--manifest", train_path)
-        test_ds = _load_test_set(test_path, train_ds)
+        paths, _, train_ds, test_ds = _load_inputs(resolved)
         source = "--manifest"
     _check_fit_size(len(train_ds), cfg.gmm.num_components, source)
 
     with _recorded("run", resolved, cfg) as (out_dir, manifest):
         if generated:
-            train_path = out_dir / "train.manifest"
-            test_path = out_dir / "test.manifest"
-            save_manifest(train_ds, train_path)
-            save_manifest(test_ds, test_path)
+            paths = [out_dir / "train.manifest", out_dir / "test.manifest"]
+            save_manifest(train_ds, paths[0])
+            save_manifest(test_ds, paths[1])
             manifest.artifacts += ["train.manifest", "test.manifest"]
-        manifest.input_digests = _digests(train_path, test_path)
+        manifest.input_digests = _digests(*paths)
         outcome, artifacts = _train_into(train_ds, test_ds, cfg,
                                          resolved["algo"], out_dir)
         manifest.artifacts += artifacts

@@ -190,27 +190,26 @@ def _quantiles(x: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.where(g >= 0.5, b - d * (1 - g), a + d * g)
 
 
-def _loglik_resp(basis, weights, means, variances, logp, resp
+def _loglik_resp(basis, weights, means, variances, resp
                  ) -> tuple[float, np.ndarray, np.ndarray]:
     """E-step: data log-likelihood, unnormalized (psi, n) responsibilities
     and their column sums; sample i's responsibilities are resp[:, i] / norm[i].
 
     Arrays are component-major, so the per-sample max and sum run over
-    psi rows of length n.  ``logp`` and ``resp`` are the (psi, n) buffers
-    to write into; EM reuses one pair across iterations.
+    psi rows of length n.  The (psi, n) buffer ``resp`` takes the
+    log-densities, then the responsibilities; EM reuses it every iteration.
     """
-    logp = np.matmul(_log_density_coef(weights, means, variances), basis,
-                     out=logp)
-    top = logp.max(axis=0)
-    logp -= top
+    np.matmul(_log_density_coef(weights, means, variances), basis, out=resp)
+    top = resp.max(axis=0)
+    resp -= top
     # Entries at or below the floor get exactly 0: clip, plain exp, mask.
     # -700 is the lowest round floor above exp's subnormal range (inputs
     # below -708 cost ~180 ns each), and a where= mask would send exp down
     # a masked loop.  Each column's max is now exactly 0, so norm >= 1 and
     # e^-700 lies far under its rounding.
-    keep = logp > _EXP_FLOOR
-    np.maximum(logp, _EXP_FLOOR, out=logp)
-    np.exp(logp, out=resp)
+    keep = resp > _EXP_FLOOR
+    np.maximum(resp, _EXP_FLOOR, out=resp)
+    np.exp(resp, out=resp)
     resp *= keep
     norm = resp.sum(axis=0)
     ll = float((top + np.log(norm)).sum())
@@ -259,14 +258,13 @@ def fit_em(losses: np.ndarray, cfg: GmmConfig) -> GmmModel:
     means -= centre
     variances = np.full(psi, max(float(x.var()) / psi, _VARIANCE_FLOOR))
     weights = np.full(psi, 1.0 / psi)
-    logp, resp = np.empty((psi, n)), np.empty((psi, n))
-    ll, resp, norm = _loglik_resp(basis, weights, means, variances, logp, resp)
+    ll, resp, norm = _loglik_resp(basis, weights, means, variances,
+                                  np.empty((psi, n)))
     trace = [ll]
     converged = False
     for _ in range(cfg.max_iters):
         weights, means, variances = _m_step(resp, norm, basis, means, variances)
-        ll, resp, norm = _loglik_resp(basis, weights, means, variances,
-                                      logp, resp)
+        ll, resp, norm = _loglik_resp(basis, weights, means, variances, resp)
         trace.append(ll)
         if (ll - trace[-2]) / n < cfg.tol:
             converged = True

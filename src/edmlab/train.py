@@ -13,7 +13,9 @@ sharpened pseudo-labels, both are mixed pairwise against a shuffled union
 of the two batches, and one SGD step minimizes the combined objective.
 Predicted open-set samples never contribute to a NetD gradient.  Finally
 NetS retrains for one pass on labels relabeled by NetD, and the loop
-repeats.  Inference uses NetD's argmax alone.
+repeats.  Inference uses NetD's argmax alone.  One function runs every SGD
+step of every phase and of the cross-entropy baseline; it writes the
+gradient into the buffer the optimiser state owns.
 
 All randomness flows through one sequential generator derived from the
 config seed, so a run is reproducible to the byte.
@@ -243,36 +245,44 @@ def mixmatch_batch(inputs: np.ndarray, targets: np.ndarray, mix_alpha: float,
 # -- epoch-level passes ------------------------------------------------
 
 
+def _train_step(model: ModelParams, inputs: np.ndarray, targets: np.ndarray,
+                head, opt: OptimState, what: str, step: int) -> tuple:
+    """One SGD step on ``head(logits, targets)``, which returns the loss, its
+    gradient at the logits and any extras; returns the head's result.  A
+    non-finite loss raises :class:`NumericsError` naming ``what`` (formatted
+    with the head's result), the network and the step."""
+    arrays = param_tensors(model)
+    acts = forward_logits_t(arrays, inputs)
+    out = head(acts[-1], targets)
+    if not math.isfinite(out[0]):
+        raise NumericsError(f"non-finite {what.format(*out)} in {model.role} "
+                            f"at step {step}")
+    backward(arrays, acts, out[1], opt.grads)
+    sgd_step(model, opt.grad, opt)
+    return out
+
+
 def _minibatch_pass(what: str, head, model: ModelParams, feats: np.ndarray,
                     labels: np.ndarray, batch_size: int, opt: OptimState,
                     rng: np.random.Generator) -> float:
-    """One minibatch epoch of ``head(logits, labels)`` over contiguous slices
-    of the rows shuffled once; returns its mean.  A non-finite loss raises
-    :class:`NumericsError` naming the network and the step."""
+    """One minibatch epoch of ``head`` over contiguous slices of the rows
+    shuffled once; returns the mean loss."""
     order = rng.permutation(feats.shape[0])
     feats, labels = feats[order], labels[order]
-    grad = np.empty_like(model.buffer)
-    grads = model.layout(grad)
-    total, steps = 0.0, 0
-    for start in range(0, len(order), batch_size):
-        arrays = param_tensors(model)
-        acts = forward_logits_t(arrays, feats[start:start + batch_size])
-        loss, d_logits = head(acts[-1], labels[start:start + batch_size])
-        if not math.isfinite(loss):
-            raise NumericsError(f"non-finite {what} loss in {model.role} "
-                                f"at step {steps}")
-        backward(arrays, acts, d_logits, grads)
-        sgd_step(model, grad, opt)
-        total += float(loss)
-        steps += 1
-    return total / max(steps, 1)
+    starts = range(0, len(order), batch_size)
+    total = 0.0
+    for step, start in enumerate(starts):
+        rows = slice(start, start + batch_size)
+        total += float(_train_step(model, feats[rows], labels[rows], head, opt,
+                                   what, step)[0])
+    return total / max(len(starts), 1)
 
 
 # A step calls its functions, and a head its losses, through this module's
 # globals at call time, so a wrapper on one of them (perfbench's) sees every call.
-_ce_pass = partial(_minibatch_pass, "cross-entropy",
+_ce_pass = partial(_minibatch_pass, "cross-entropy loss",
                    lambda logits, y: ce_batch_loss_t(softmax_t(logits), y))
-_sl_pass = partial(_minibatch_pass, "evidence",
+_sl_pass = partial(_minibatch_pass, "evidence loss",
                    lambda logits, y: sl_batch_loss_t(logits, y))
 
 
@@ -326,8 +336,6 @@ def train_netd_epoch(netd: ModelParams, feats: np.ndarray, labels: np.ndarray,
     u_idx = part.u_idx
     num_iters = math.ceil(len(x_order) / batch)
     sums = np.zeros(3)
-    grad = np.empty_like(netd.buffer)
-    grads = netd.layout(grad)
 
     for it in range(num_iters):
         xb = x_order[it * batch:(it + 1) * batch]
@@ -345,15 +353,9 @@ def train_netd_epoch(netd: ModelParams, feats: np.ndarray, labels: np.ndarray,
         mixed_inputs, mixed_targets = mixmatch_batch(
             views, np.concatenate([t for t in targets for _ in range(m)]),
             cfg.mix_alpha, rng)
-        arrays = param_tensors(netd)
-        acts = forward_logits_t(arrays, mixed_inputs)
-        total, d_logits, comps = dm_batch_loss_t(acts[-1], mixed_targets,
-                                                 m * len(xb), cfg.loss_weights)
-        if not math.isfinite(total):
-            raise NumericsError(f"non-finite combined loss {comps} in "
-                                f"{netd.role} at step {it}")
-        backward(arrays, acts, d_logits, grads)
-        sgd_step(netd, grad, opt)
+        comps = _train_step(netd, mixed_inputs, mixed_targets, lambda z, t:
+                            dm_batch_loss_t(z, t, m * len(xb), cfg.loss_weights),
+                            opt, "combined loss {2}", it)[2]
         sums += (comps["labeled"], comps["unlabeled"], comps["regularizer"])
 
     return dict(zip(("mean_labeled_loss", "mean_unlabeled_loss", "mean_reg_loss"),

@@ -174,9 +174,8 @@ def _direct_m_step(x, resp, means, variances):
 def _kernel(x, weights, means, variances):
     """One E-step and one M-step of the fitting kernel, in x's coordinates."""
     basis, centre = _basis(x)
-    logp, resp = (np.empty((len(weights), len(x))) for _ in range(2))
     ll, resp, norm = _loglik_resp(basis, weights, means - centre, variances,
-                                  logp, resp)
+                                  np.empty((len(weights), len(x))))
     new_w, new_m, new_v = _m_step(resp, norm, basis, means - centre, variances)
     return ll, (resp / norm).T, (new_w, new_m + centre, new_v)
 
@@ -266,10 +265,9 @@ class TestEmKernel:
         tiny = np.finfo(np.float64).tiny
         assert np.all((model.resp == 0.0) | (model.resp >= tiny))
         basis, centre = _basis(x)
-        buffers = (np.empty(model.resp.shape) for _ in range(2))
         with np.errstate(under="raise"):
             _loglik_resp(basis, model.weights, model.means - centre,
-                         model.variances, *buffers)
+                         model.variances, np.empty(model.resp.shape))
 
 
 def _hand_built_model(x, weights, means, variances):

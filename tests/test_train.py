@@ -6,7 +6,7 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
-from conftest import make_model
+from conftest import flat_gradient, make_model
 
 from edmlab import train as train_mod
 from edmlab.backbone import (
@@ -31,6 +31,7 @@ from edmlab.train import (
     TrainConfig,
     _ce_pass,
     _sl_pass,
+    _train_step,
     co_refine,
     guess_unlabeled,
     mixmatch_batch,
@@ -299,6 +300,32 @@ def sgd_steps(monkeypatch):
 
     monkeypatch.setattr(train_mod, "sgd_step", counting)
     return steps
+
+
+class TestTrainStep:
+    def test_backpropagates_into_the_optimiser_buffer(self):
+        """A step writes its gradient into the buffer its optimiser owns, the
+        gradient ``backward`` gives on a fresh array, and applies it."""
+        rng = np.random.default_rng(0)
+        model = init_model((8, 16, 4), seed=0)
+        twin = model.copy()
+        opt, twin_opt = init_optim(model, 0.02), init_optim(twin, 0.02)
+        buffer = opt.grad
+        x = rng.normal(size=(5, 8))
+        y = np.eye(4)[rng.integers(0, 4, size=5)]
+
+        def head(z, t):
+            return ce_batch_loss_t(softmax_t(z), t)
+
+        loss, _ = _train_step(model, x, y, head, opt, "cross-entropy loss", 0)
+        acts = forward_logits_t(param_tensors(twin), x)
+        want_loss, d_logits = head(acts[-1], y)
+        grad = flat_gradient(twin, acts, d_logits)
+        sgd_step(twin, grad, twin_opt)
+        assert opt.grad is buffer
+        assert loss == want_loss
+        np.testing.assert_array_equal(opt.grad, grad)
+        assert model.buffer.tobytes() == twin.buffer.tobytes()
 
 
 class TestTrainNetdEpoch:
@@ -588,6 +615,30 @@ class TestRun:
                            r"in NetD at step 0 of main-loop epoch 1$"):
             run(make_noisy_blobs(per_class=50), make_test_blobs(per_class=50),
                 small_cfg(epochs=2))
+
+    def test_nan_evidence_loss_names_nets_and_epoch(self, monkeypatch):
+        """A non-finite NetS evidence loss in the main loop names the
+        network, the step, the phase and the epoch."""
+        real_epoch, real_loss = train_mod.train_nets_epoch, train_mod.sl_batch_loss_t
+        epochs, steps = [], []
+
+        def counted(*args):
+            epochs.append(len(epochs))
+            steps.clear()
+            return real_epoch(*args)
+
+        def nan_at_step_two_of_epoch_one(*args):
+            loss, d_logits = real_loss(*args)
+            steps.append(len(steps))
+            return (np.nan if epochs == [0, 1] and steps[-1] == 2 else loss), d_logits
+
+        monkeypatch.setattr(train_mod, "train_nets_epoch", counted)
+        monkeypatch.setattr(train_mod, "sl_batch_loss_t", nan_at_step_two_of_epoch_one)
+        with pytest.raises(NumericsError, match=r"^non-finite evidence loss "
+                           r"in NetS at step 2 of main-loop epoch 1$"):
+            run(make_noisy_blobs(per_class=50), make_test_blobs(per_class=50),
+                small_cfg(epochs=2))
+        assert epochs == [0, 1] and steps == [0, 1, 2]
 
 
 class TestBaseline:
