@@ -51,7 +51,7 @@ from .gmm import (
     normalize_losses,
     partition,
 )
-from .losses import LossWeights, temp_sharpen
+from .losses import temp_sharpen
 from .manifest_io import (load_checkpoint, load_manifest, save_checkpoint,
                           save_manifest)
 from .train import (
@@ -73,7 +73,6 @@ __all__ = [
     "FormatError",
     "GmmConfig",
     "GmmModel",
-    "LossWeights",
     "ModelParams",
     "NoiseSpec",
     "NumericsError",

@@ -129,8 +129,8 @@ _TRAINING = _training_keys(
     epochs=("epochs", "main-loop epochs"),
     batch=("batch_size", "minibatch size"),
     lr=("learning_rate", "initial learning rate"),
-    lambda_u=("loss_weights.lambda_u", "weight of the unlabeled consistency term"),
-    lambda_reg=("loss_weights.lambda_reg", "weight of the uniform-prior regularizer"),
+    lambda_u=("lambda_u", "weight of the unlabeled consistency term"),
+    lambda_reg=("lambda_reg", "weight of the uniform-prior regularizer"),
     mix_alpha=("mix_alpha", "Beta parameter of the pairwise mixing coefficient"),
     m=("num_augments", "augmented views per sample"),
     t=("temperature", "sharpening temperature"),
@@ -205,7 +205,12 @@ def parse_config(flag_values: dict, config_path: str | None,
         path = Path(config_path)
         if not path.is_file():
             raise ConfigError(f"config file not found: {path}")
-        for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+        try:
+            text = path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file {path} is not UTF-8 text: {exc}"
+                              ) from None
+        for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
@@ -462,9 +467,9 @@ def _generate_test_set(resolved: dict) -> DatasetManifest:
 
 def _train_into(train_ds: DatasetManifest, test_ds: DatasetManifest,
                 cfg: TrainConfig, algo: str, out_dir: Path) -> tuple:
-    """Run training, streaming the epoch log; write best/last checkpoints."""
+    """Run training, streaming the epoch log; write best/last checkpoints,
+    the best one NetD's last state after zero epochs."""
     artifacts = ["epochs.jsonl"]
-    best = {"accuracy": -1.0, "params": None}
     with open(out_dir / "epochs.jsonl", "w", buffering=1) as fh:
 
         def on_epoch(report, netd, nets):
@@ -472,9 +477,6 @@ def _train_into(train_ds: DatasetManifest, test_ds: DatasetManifest,
             record["schema_version"] = SCHEMA_VERSION
             record["algo"] = algo
             fh.write(json.dumps(record, sort_keys=True) + "\n")
-            if report.test_accuracy > best["accuracy"]:
-                best["accuracy"] = report.test_accuracy
-                best["params"] = netd.copy()
 
         if algo == ALGO_EDM:
             outcome = run(train_ds, test_ds, cfg, on_epoch=on_epoch)
@@ -483,8 +485,8 @@ def _train_into(train_ds: DatasetManifest, test_ds: DatasetManifest,
 
     save_checkpoint(outcome.netd, out_dir / "netd_last.ckpt")
     artifacts.append("netd_last.ckpt")
-    best_params = best["params"] if best["params"] is not None else outcome.netd
-    save_checkpoint(best_params, out_dir / "netd_best.ckpt")
+    best = outcome.best_netd if outcome.best_netd is not None else outcome.netd
+    save_checkpoint(best, out_dir / "netd_best.ckpt")
     artifacts.append("netd_best.ckpt")
     if outcome.nets is not None:
         save_checkpoint(outcome.nets, out_dir / "nets_last.ckpt")

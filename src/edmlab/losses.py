@@ -17,32 +17,12 @@ separation the noise classifier feeds on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .backbone import forward_logits_chunked, softmax_probs
 
 #: probability floor applied inside every logarithm
 EPS = 1e-12
-
-
-@dataclass(frozen=True)
-class LossWeights:
-    """Mixing weights of the combined objective."""
-
-    lambda_u: float = 25.0
-    lambda_reg: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not np.isfinite(self.lambda_u) or self.lambda_u < 0:
-            raise ValueError(f"lambda_u must be finite and >= 0, got {self.lambda_u}")
-        if not np.isfinite(self.lambda_reg) or self.lambda_reg < 0:
-            raise ValueError(f"lambda_reg must be finite and >= 0, got {self.lambda_reg}")
-
-    def combine(self, labeled, unlabeled, regularizer):
-        """labeled + lambda_u·unlabeled + lambda_reg·regularizer."""
-        return labeled + self.lambda_u * unlabeled + self.lambda_reg * regularizer
 
 
 # -- batched objectives (what training differentiates) -----------------
@@ -127,8 +107,10 @@ def ce_batch_loss_t(probs: np.ndarray, labels) -> tuple[np.floating, np.ndarray]
 
 
 def dm_batch_loss_t(logits: np.ndarray, targets: np.ndarray, n_x: int,
-                    weights: LossWeights) -> tuple[np.floating, np.ndarray, dict]:
-    """Combined objective over the logits of one mixed batch of n rows.
+                    lambda_u: float, lambda_reg: float
+                    ) -> tuple[np.floating, np.ndarray, dict]:
+    """Combined objective over the logits of one mixed batch of n rows:
+    labeled + lambda_u·unlabeled + lambda_reg·regularizer.
 
     The first ``n_x`` rows, ``0 < n_x <= n``, are labeled and score
     cross-entropy against their targets; the rest (none when ``n_x == n``)
@@ -147,17 +129,17 @@ def dm_batch_loss_t(logits: np.ndarray, targets: np.ndarray, n_x: int,
     l_u = 0.0
     if n_x < n:
         l_u, d_u = _mse(p[n_x:], targets[n_x:])
-        d_p[n_x:] = weights.lambda_u * d_u
+        d_p[n_x:] = lambda_u * d_u
     # every probability row feeds the mean prediction with weight ``scale``
-    d_p += (weights.lambda_reg * scale) * d_mean
+    d_p += (lambda_reg * scale) * d_mean
 
     components = {
         "labeled": float(l_x),
         "unlabeled": float(l_u),
         "regularizer": float(l_reg),
     }
-    return (weights.combine(l_x, l_u, l_reg), _softmax_backprop(p, d_p),
-            components)
+    return (l_x + lambda_u * l_u + lambda_reg * l_reg,
+            _softmax_backprop(p, d_p), components)
 
 
 # -- per-sample scan ---------------------------------------------------

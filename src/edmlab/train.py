@@ -60,7 +60,6 @@ from .gmm import (
     partition,
 )
 from .losses import (
-    LossWeights,
     ce_batch_loss_t,
     dm_batch_loss_t,
     sl_batch_loss_t,
@@ -98,11 +97,17 @@ class TrainConfig:
     num_augments: int = 2
     temperature: float = 0.5
     mix_alpha: float = 4.0
-    loss_weights: LossWeights = field(default_factory=LossWeights)
+    lambda_u: float = 25.0
+    lambda_reg: float = 1.0
     gmm: GmmConfig = field(default_factory=GmmConfig)
     seed: int = 0
 
     def __post_init__(self) -> None:
+        # first, so a loss weight's error wins over every other field's
+        for name in ("lambda_u", "lambda_reg"):
+            value = getattr(self, name)
+            if not math.isfinite(value) or value < 0:
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
         for name in ("learning_rate", "temperature", "mix_alpha"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
@@ -157,22 +162,32 @@ class EpochReport:
 
 @dataclass
 class TrainOutcome:
-    """Final models plus the per-epoch report trail.
+    """Final models, the per-epoch report trail, and NetD at its best epoch.
 
-    Best and last test accuracy are None after zero epochs.
+    ``best_netd`` is a copy of NetD taken at the first epoch of highest test
+    accuracy.  It and the best and last test accuracy are None after zero
+    epochs.
     """
 
     netd: ModelParams
-    reports: list[EpochReport]
     nets: ModelParams | None = None
-
-    @property
-    def best_accuracy(self) -> float | None:
-        return max((r.test_accuracy for r in self.reports), default=None)
+    reports: list[EpochReport] = field(default_factory=list)
+    best_netd: ModelParams | None = None
+    best_accuracy: float | None = None
 
     @property
     def last_accuracy(self) -> float | None:
         return self.reports[-1].test_accuracy if self.reports else None
+
+    def end_epoch(self, report: EpochReport, on_epoch=None) -> None:
+        """Record ``report``, copy NetD if it beats every earlier epoch, then
+        call ``on_epoch(report, netd, nets)``."""
+        self.reports.append(report)
+        if self.best_accuracy is None or report.test_accuracy > self.best_accuracy:
+            self.best_accuracy = report.test_accuracy
+            self.best_netd = self.netd.copy()
+        if on_epoch is not None:
+            on_epoch(report, self.netd, self.nets)
 
 
 def _seed_bundle(seed: int):
@@ -354,7 +369,8 @@ def train_netd_epoch(netd: ModelParams, feats: np.ndarray, labels: np.ndarray,
             views, np.concatenate([t for t in targets for _ in range(m)]),
             cfg.mix_alpha, rng)
         comps = _train_step(netd, mixed_inputs, mixed_targets, lambda z, t:
-                            dm_batch_loss_t(z, t, m * len(xb), cfg.loss_weights),
+                            dm_batch_loss_t(z, t, m * len(xb), cfg.lambda_u,
+                                            cfg.lambda_reg),
                             opt, "combined loss {2}", it)[2]
         sums += (comps["labeled"], comps["unlabeled"], comps["regularizer"])
 
@@ -391,7 +407,7 @@ def run(dataset: DatasetManifest, test_dataset: DatasetManifest,
     """Warm-up, then the full split/refine/relabel loop for cfg.epochs.
 
     ``on_epoch(report, netd, nets)``, when given, is called after every
-    epoch so callers can stream logs or snapshot the best model.
+    epoch so callers can stream logs.
     """
     widths = (dataset.feature_dim, *HIDDEN_WIDTHS, dataset.num_classes)
     netd_ss, nets_ss, rng = _seed_bundle(cfg.seed)
@@ -403,7 +419,7 @@ def run(dataset: DatasetManifest, test_dataset: DatasetManifest,
 
     opt_d = init_optim(netd, cfg.lr_at(0))
     opt_s = init_optim(nets, cfg.lr_at(0))
-    reports: list[EpochReport] = []
+    outcome = TrainOutcome(netd=netd, nets=nets)
     for epoch in range(cfg.epochs):
         lr = cfg.lr_at(epoch)
         opt_d.learning_rate = lr
@@ -420,7 +436,7 @@ def run(dataset: DatasetManifest, test_dataset: DatasetManifest,
             train_nets_epoch(nets, feats, targets, cfg, opt_s, rng)
 
         conf = split_confusion(part, dataset)
-        report = EpochReport(
+        outcome.end_epoch(EpochReport(
             epoch=epoch,
             n_x=len(part.x_idx), n_u=len(part.u_idx), n_o=len(part.o_idx),
             test_accuracy=test_accuracy(netd, test_dataset),
@@ -429,11 +445,8 @@ def run(dataset: DatasetManifest, test_dataset: DatasetManifest,
             **netd_losses,
             split_balanced_accuracy=conf.balanced_accuracy,
             confusion=conf.matrix.tolist(),
-        )
-        reports.append(report)
-        if on_epoch is not None:
-            on_epoch(report, netd, nets)
-    return TrainOutcome(netd=netd, reports=reports, nets=nets)
+        ), on_epoch)
+    return outcome
 
 
 def run_baseline_ce(dataset: DatasetManifest, test_dataset: DatasetManifest,
@@ -455,19 +468,16 @@ def run_baseline_ce(dataset: DatasetManifest, test_dataset: DatasetManifest,
             _ce_pass(model, feats, labels, cfg.batch_size, opt, rng)
 
     n = len(dataset)
-    reports: list[EpochReport] = []
+    outcome = TrainOutcome(netd=model)
     for epoch in range(cfg.epochs):
         opt.learning_rate = cfg.lr_at(epoch)
         with _epoch("main-loop", epoch):
             mean_ce = _ce_pass(model, feats, labels, cfg.batch_size, opt, rng)
-        report = EpochReport(
+        outcome.end_epoch(EpochReport(
             epoch=epoch,
             n_x=n, n_u=0, n_o=0,
             test_accuracy=test_accuracy(model, test_dataset),
             learning_rate=cfg.lr_at(epoch),
             mean_labeled_loss=mean_ce,
-        )
-        reports.append(report)
-        if on_epoch is not None:
-            on_epoch(report, model, None)
-    return TrainOutcome(netd=model, reports=reports, nets=None)
+        ), on_epoch)
+    return outcome

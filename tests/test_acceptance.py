@@ -32,7 +32,6 @@ from edmlab.gmm import (
     partition,
 )
 from edmlab.losses import (
-    LossWeights,
     _mse,
     _reg,
     ce_batch_loss_t,
@@ -55,7 +54,14 @@ def _verdict(capsys, num, name, ok, detail=""):
 
 
 def _benchmark(seed):
-    """The standard desk-scale benchmark: 4-class blobs, rho=0.6, omega=0.5."""
+    """The acceptance fixture: 4-class blobs, rho=0.6, omega=0.5.
+
+    Its open pool is 2 clusters of 350 samples; ``edmlab run`` builds 2 of
+    300 (``cli._generate_benchmark``), so this is not the CLI's benchmark.
+    It cannot switch to that builder before ROADMAP item 1's mend: on the
+    CLI's data seed 0 ends at 0.748, below CE's 0.973, so acceptance 07
+    would fail on that known defect.
+    """
     clean = make_synthetic_clean(4, 500, 8, 0.5, seed=seed)
     pool = make_open_pool(2, 350, 8, 0.5, 8.0, seed=seed + 1000)
     noisy = inject_noise(clean, pool,
@@ -89,6 +95,13 @@ def test_01_loss_unit_values(capsys):
 
     sl = sl_losses_from_logits([[0.0, 0.0], [2.0, -1.0], [2.0, -1.0]],
                                [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    # both rows predict (3/4, 1/4): cross-entropy ln 4 on the labeled row,
+    # squared error 1/2 on the unlabeled one, and the mean prediction's
+    # uniformity penalty; weighted by the default lambda_u = 25, lambda_reg = 1
+    cfg = TrainConfig()
+    combined = dm_batch_loss_t(np.log([[3.0, 1.0], [3.0, 1.0]]),
+                               np.array([[0.0, 1.0], [0.25, 0.75]]), 1,
+                               cfg.lambda_u, cfg.lambda_reg)[0]
     checks = [
         (sl[0], 2 / 3),
         (sl[1], 0.2),
@@ -101,7 +114,7 @@ def test_01_loss_unit_values(capsys):
         (one_row(_mse, [0.3, 0.7], [0.3, 0.7]), 0.0),
         (reg(np.full(4, 0.25)), 0.0),
         (reg([0.75, 0.25]), 0.5 * np.log(4.0 / 3.0)),
-        (LossWeights().combine(1.0, 0.1, reg(np.full(4, 0.25))), 3.5),
+        (combined, np.log(4.0) + 25 * 0.5 + 0.5 * np.log(4.0 / 3.0)),
     ]
     worst = max(abs(got - want) for got, want in checks)
     sharpened = temp_sharpen(np.array([0.8, 0.2]), 0.5)
@@ -115,7 +128,7 @@ def test_01_loss_unit_values(capsys):
 def test_02_gradient_fidelity(capsys):
     """Backbone-composed loss gradients match central differences."""
     start = time.monotonic()
-    weights = LossWeights()
+    cfg = TrainConfig()
     worst = 0.0
     for seed in range(5):
         rng = np.random.default_rng(1000 + seed)
@@ -136,7 +149,8 @@ def test_02_gradient_fidelity(capsys):
             return ce_batch_loss_t(softmax_t(logits), y_lab)
 
         def dm_head(logits):
-            return dm_batch_loss_t(logits, y_mix, len(x_lab), weights)[:2]
+            return dm_batch_loss_t(logits, y_mix, len(x_lab), cfg.lambda_u,
+                                   cfg.lambda_reg)[:2]
 
         bounds = np.cumsum([a.size for a in arrays])
         for head, x in ((sl_head, x_lab), (ce_head, x_lab), (dm_head, x_mix)):

@@ -5,6 +5,7 @@ import argparse
 import ast
 import functools
 import inspect
+import itertools
 import json
 import math
 import os
@@ -38,7 +39,8 @@ from edmlab.errors import ConfigError, NumericsError
 from edmlab.evaluation import split_confusion
 from edmlab.gmm import GmmConfig, fit_em, group_posteriors, normalize_losses, partition
 from edmlab.losses import sl_dataset_loss
-from edmlab.manifest_io import load_manifest, save_checkpoint, save_manifest
+from edmlab.manifest_io import (load_checkpoint, load_manifest, save_checkpoint,
+                                save_manifest)
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -91,14 +93,21 @@ def _generator_calls():
             yield fn, bound.arguments
 
 
+#: one out-of-range value per key, in the order their errors win
+_FAULTS = {"psi": 0, "mu_min": 0.9, "mu_max": 0.1, "lambda_u": -1.0,
+           "lambda_reg": -1.0, "epochs": -1, "batch": 0, "m": 0, "t": 0.0,
+           "mix_alpha": 0.0, "lr": 0.0, "warmup_d": -1, "warmup_s": -1,
+           "seed": -1, "rho": 1.5, "omega": 2.0}
+
+
 class TestParseConfig:
     def test_no_flags_gives_documented_defaults(self):
         cfg, resolved = parse_config({}, None, "run")
         assert cfg.num_augments == 2
         assert cfg.temperature == 0.5
         assert cfg.mix_alpha == 4.0
-        assert cfg.loss_weights.lambda_u == 25.0
-        assert cfg.loss_weights.lambda_reg == 1.0
+        assert cfg.lambda_u == 25.0
+        assert cfg.lambda_reg == 1.0
         assert cfg.gmm.num_components == 20
         assert cfg.gmm.mu_min == 0.3
         assert cfg.gmm.mu_max == 0.7
@@ -124,7 +133,7 @@ class TestParseConfig:
         conf.write_text("# temperature\nmix-alpha = 2.0\n\nlambda-u=10\n")
         cfg, _ = parse_config({}, str(conf), "run")
         assert cfg.mix_alpha == 2.0
-        assert cfg.loss_weights.lambda_u == 10.0
+        assert cfg.lambda_u == 10.0
 
     def test_unknown_file_key_rejected(self, tmp_path):
         conf = tmp_path / "exp.conf"
@@ -173,6 +182,20 @@ class TestParseConfig:
     def test_band_bounds_must_lie_inside_the_unit_interval(self, bounds):
         with pytest.raises(ConfigError, match="--mu-min/--mu-max"):
             parse_config(bounds, None, "run")
+
+    @pytest.mark.parametrize("first,second", [
+        pair for pair in itertools.combinations(_FAULTS, 2)
+        if set(pair) != {"mu_min", "mu_max"}])
+    def test_of_two_faults_the_earlier_key_wins(self, first, second):
+        """With two out-of-range keys, the error is the one ``first`` alone
+        raises: the ``GmmConfig`` keys, then the loss weights, then the rest
+        of ``TrainConfig`` in the order its checks run, then the noise rates.
+        (``--mu-min`` and ``--mu-max`` share one check and one message.)"""
+        with pytest.raises(ConfigError) as alone:
+            parse_config({first: _FAULTS[first]}, None, "run")
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(alone.value))}$"):
+            parse_config({first: _FAULTS[first], second: _FAULTS[second]},
+                         None, "run")
 
 
 class TestGen:
@@ -384,6 +407,39 @@ class TestRun:
         run_acc, eval_acc = (json.loads((d / "eval.json").read_text())
                              ["test_accuracy"] for d in (run_dir, eval_dir))
         assert eval_acc == run_acc
+
+    def test_best_checkpoint_is_the_first_best_epoch(self, tmp_path,
+                                                     monkeypatch):
+        """netd_best.ckpt is NetD at the first epoch of highest test accuracy
+        in epochs.jsonl, which ``eval`` scores.  Seed 7 ties epochs 1 and 2
+        at the best accuracy and ends lower."""
+        snapshots = []
+        real_run = cli.run
+
+        def recording_run(*args, on_epoch, **kwargs):
+            def chained(report, netd, nets):
+                on_epoch(report, netd, nets)
+                snapshots.append(netd.buffer.copy())
+            return real_run(*args, on_epoch=chained, **kwargs)
+
+        monkeypatch.setattr(cli, "run", recording_run)
+        out_dir = tmp_path / "run"
+        assert run_cli("run", "--per-class", 30, "--epochs", 4, "--warmup-d", 1,
+                       "--warmup-s", 2, "--seed", 7, "--out-dir", out_dir) == EXIT_OK
+        accuracies = [json.loads(line)["test_accuracy"] for line in
+                      (out_dir / "epochs.jsonl").read_text().splitlines()]
+        best = accuracies.index(max(accuracies))
+        assert accuracies.count(max(accuracies)) > 1 and best < 3
+        saved = load_checkpoint(out_dir / "netd_best.ckpt")
+        assert saved.buffer.tobytes() == snapshots[best].tobytes()
+        assert saved.buffer.tobytes() != snapshots[best + 1].tobytes()
+        eval_dir = tmp_path / "eval"
+        assert run_cli("eval", "--checkpoint", out_dir / "netd_best.ckpt",
+                       "--manifest", out_dir / "train.manifest",
+                       "--test-manifest", out_dir / "test.manifest",
+                       "--out-dir", eval_dir) == EXIT_OK
+        assert json.loads((eval_dir / "eval.json").read_text())[
+            "test_accuracy"] == accuracies[best]
 
     def test_env_seed_changes_the_benchmark(self, tmp_path, monkeypatch):
         a = self._run_once(tmp_path, "a", seed=5)
@@ -681,6 +737,16 @@ class TestBadGeometry:
         assert run_cli(*args, "--out-dir", out) == EXIT_CONFIG
         assert ("--manifest gives 16 training samples, fewer than the --psi 20 "
                 "mixture components" in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_non_utf8_config_file_rejected_before_anything_is_written(
+            self, tmp_path, capsys):
+        conf = tmp_path / "bad.conf"
+        conf.write_bytes(b"epochs=\xff\xfe\n")
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", conf, "--out-dir", out) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: config file {conf} is not UTF-8")
         assert not out.exists()
 
     def test_non_finite_config_value_rejected_before_anything_is_written(

@@ -1,14 +1,9 @@
 """Tests for tools/cmp_runs.py's directory diff (the runs themselves are slow
 and stay out of the suite)."""
 
-import importlib.util
 import json
-from pathlib import Path
 
-_spec = importlib.util.spec_from_file_location(
-    "cmp_runs", Path(__file__).resolve().parents[1] / "tools" / "cmp_runs.py")
-cmp_runs = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(cmp_runs)
+import cmp_runs
 
 
 def _tree(root, files):

@@ -194,14 +194,26 @@ class TestSplitConfusion:
 
 
 class TestAccuracyReport:
-    """A run's best and last test accuracy, read from its epoch reports."""
+    """A run's best and last test accuracy and its best network, kept as
+    each epoch ends."""
 
     @staticmethod
     def _outcome(accuracies):
-        reports = [EpochReport(epoch=e, n_x=0, n_u=0, n_o=0, test_accuracy=a,
-                               learning_rate=0.1)
-                   for e, a in enumerate(accuracies)]
-        return TrainOutcome(netd=init_model((2, 2), seed=0), reports=reports)
+        """An outcome whose NetD's first weight is set to the epoch number
+        before each epoch ends."""
+        outcome = TrainOutcome(netd=init_model((2, 2), seed=0))
+        for e, a in enumerate(accuracies):
+            outcome.netd.weights[0][0, 0] = e
+            outcome.end_epoch(EpochReport(epoch=e, n_x=0, n_u=0, n_o=0,
+                                          test_accuracy=a, learning_rate=0.1))
+        return outcome
+
+    def test_tied_epochs_keep_the_earlier_network(self):
+        rep = self._outcome([0.5, 0.9, 0.7, 0.9, 0.8])
+        assert rep.best_accuracy == 0.9
+        assert rep.best_netd.weights[0][0, 0] == 1
+        assert rep.best_netd is not rep.netd
+        assert rep.netd.weights[0][0, 0] == 4
 
     def test_best_last_gap(self):
         rep = self._outcome([0.5, 0.9, 0.8])
@@ -209,6 +221,7 @@ class TestAccuracyReport:
         assert rep.last_accuracy == 0.8
         empty = self._outcome([])
         assert empty.best_accuracy is None and empty.last_accuracy is None
+        assert empty.best_netd is None
 
     def test_monotone_run_has_zero_gap(self):
         rep = self._outcome([0.5, 0.6, 0.7])

@@ -36,7 +36,6 @@ from edmlab.backbone import (
 from edmlab.errors import NumericsError
 from edmlab.losses import (
     EPS,
-    LossWeights,
     _ce,
     _mse,
     _reg,
@@ -47,6 +46,7 @@ from edmlab.losses import (
     sl_losses_from_logits,
     softmax_t,
 )
+from edmlab.train import TrainConfig
 
 
 def _split(flat, arrays):
@@ -130,10 +130,9 @@ class TestBackwardHandCases:
 
         ce = _network_grad(m, x, lambda z: ce_batch_loss_t(softmax_t(z), y)[1])
         mse = _network_grad(m, x, d_mse)
-        w = LossWeights(lambda_u=25.0, lambda_reg=0.0)
         mixed = _network_grad(m, np.concatenate([x, x]),
                               lambda z: dm_batch_loss_t(z, np.concatenate([y, t]),
-                                                        6, w)[1])
+                                                        6, 25.0, 0.0)[1])
         np.testing.assert_allclose(mixed, ce + 25.0 * mse, rtol=1e-12, atol=1e-15)
 
     def test_division_gradients(self):
@@ -250,10 +249,10 @@ class TestBackwardFiniteDifference:
         z = np.concatenate([rng.normal(size=(4, 5)), rng.normal(size=(3, 5))])
         targets = np.concatenate([rng.dirichlet(np.ones(5), size=4),
                                   rng.dirichlet(np.ones(5), size=3)])
-        w = LossWeights(lambda_u=3.0, lambda_reg=2.0)
+        w = (3.0, 2.0)  # lambda_u, lambda_reg
 
-        analytic = dm_batch_loss_t(z, targets, 4, w)[1].reshape(-1)
-        numeric = central_diff_at(lambda: float(dm_batch_loss_t(z, targets, 4, w)[0]),
+        analytic = dm_batch_loss_t(z, targets, 4, *w)[1].reshape(-1)
+        numeric = central_diff_at(lambda: float(dm_batch_loss_t(z, targets, 4, *w)[0]),
                                   [z], [(0, i) for i in range(z.size)])
         assert rel_err(analytic, numeric).max() < 1e-6
 
@@ -287,12 +286,14 @@ def _targets(rng, n_x):
     return np.concatenate([labels, guesses])
 
 
+DEFAULT_WEIGHTS = (TrainConfig().lambda_u, TrainConfig().lambda_reg)
+
 # each head maps the logits and the targets to (value, dL/dlogits)
 HEADS = {
     "ce": lambda z, y: ce_batch_loss_t(softmax_t(z), y),
     "sl": sl_batch_loss_t,
-    "dm-mixed": lambda z, y: dm_batch_loss_t(z, y, 10, LossWeights())[:2],
-    "dm-labeled": lambda z, y: dm_batch_loss_t(z, y, ROWS, LossWeights())[:2],
+    "dm-mixed": lambda z, y: dm_batch_loss_t(z, y, 10, *DEFAULT_WEIGHTS)[:2],
+    "dm-labeled": lambda z, y: dm_batch_loss_t(z, y, ROWS, *DEFAULT_WEIGHTS)[:2],
 }
 
 

@@ -19,7 +19,6 @@ from edmlab.backbone import (
 )
 from edmlab.losses import (
     EPS,
-    LossWeights,
     _mse,
     _reg,
     ce_batch_loss_t,
@@ -30,6 +29,7 @@ from edmlab.losses import (
     softmax_t,
     temp_sharpen,
 )
+from edmlab.train import TrainConfig
 
 
 def _one_row(head, probs, target):
@@ -227,26 +227,39 @@ class TestRegLoss:
 
 
 class TestDmLoss:
-    """LossWeights.combine: the weighted sum the combined head returns."""
+    """The combined head's total is its components' weighted sum, and
+    ``TrainConfig`` rejects a negative weight."""
+
+    @staticmethod
+    def _total(lambda_u, lambda_reg):
+        """(total, components) on a fixed 6-row batch, 2 rows labeled."""
+        rng = np.random.default_rng(9)
+        logits = rng.normal(size=(6, 4))
+        targets = np.concatenate([np.eye(4)[[1, 3]],
+                                  rng.dirichlet(np.ones(4), size=4)])
+        total, _, comps = dm_batch_loss_t(logits, targets, 2, lambda_u,
+                                          lambda_reg)
+        return float(total), comps
 
     def test_weighted_sum(self):
-        w = LossWeights(lambda_u=25.0, lambda_reg=1.0)
-        val = w.combine(1.0, 0.1, _reg_value(np.full(4, 0.25)))
-        assert abs(val - 3.5) <= 1e-9
+        val, comps = self._total(25.0, 1.0)
+        assert comps["unlabeled"] > 0.0 and comps["regularizer"] > 0.0
+        want = comps["labeled"] + 25.0 * comps["unlabeled"] + comps["regularizer"]
+        assert abs(val - want) <= 1e-9
 
     def test_zero_weights_leave_labeled_term(self):
-        w = LossWeights(lambda_u=0.0, lambda_reg=0.0)
-        assert abs(w.combine(1.25, 9.9, _reg_value([0.9, 0.1])) - 1.25) <= 1e-12
+        val, comps = self._total(0.0, 0.0)
+        assert abs(val - comps["labeled"]) <= 1e-12
 
     def test_reg_contribution_linear(self):
-        reg = _reg_value([0.7, 0.3])
-        base = LossWeights(lambda_u=0.0, lambda_reg=1.0).combine(0.0, 0.0, reg)
-        double = LossWeights(lambda_u=0.0, lambda_reg=2.0).combine(0.0, 0.0, reg)
-        assert abs(double - 2 * base) <= 1e-12
+        base, comps = self._total(0.0, 1.0)
+        double, _ = self._total(0.0, 2.0)
+        x = comps["labeled"]
+        assert abs((double - x) - 2 * (base - x)) <= 1e-12
 
     def test_negative_weight_rejected(self):
-        with pytest.raises(ValueError):
-            LossWeights(lambda_u=-1.0, lambda_reg=0.0)
+        with pytest.raises(ValueError, match="lambda_u must be finite and >= 0"):
+            TrainConfig(lambda_u=-1.0)
 
 
 class TestTempSharpen:
@@ -320,9 +333,8 @@ class TestTensorVersionsAgree:
         np.testing.assert_allclose(got, _reg_ref(probs.mean(axis=0)), rtol=1e-12)
 
     def test_dm_batch_combination(self):
-        w = LossWeights(lambda_u=25.0, lambda_reg=1.0)
         targets = np.concatenate([self.labels[:10], self.soft[10:]])
-        total, _, comps = dm_batch_loss_t(self.logits, targets, 10, w)
+        total, _, comps = dm_batch_loss_t(self.logits, targets, 10, 25.0, 1.0)
         probs = softmax_probs(self.logits)
         want_x = _ce_mean(probs[:10], self.labels[:10])
         want_u = _mse_mean(probs[10:], self.soft[10:])
@@ -335,8 +347,8 @@ class TestTensorVersionsAgree:
 
     def test_dm_batch_without_unlabeled_part(self):
         """n_x equal to the row count: every row is labeled."""
-        w = LossWeights(lambda_u=25.0, lambda_reg=1.0)
-        total, _, comps = dm_batch_loss_t(self.logits, self.labels, 16, w)
+        total, _, comps = dm_batch_loss_t(self.logits, self.labels, 16, 25.0,
+                                          1.0)
         assert comps["unlabeled"] == 0.0
         probs = softmax_probs(self.logits)
         want = _ce_mean(probs, self.labels) + _reg_ref(probs.mean(axis=0))
@@ -344,9 +356,8 @@ class TestTensorVersionsAgree:
 
     @pytest.mark.parametrize("n_x", [0, -1, 17])
     def test_dm_batch_rejects_labeled_count_outside_rows(self, n_x):
-        w = LossWeights()
         with pytest.raises(ValueError, match="n_x"):
-            dm_batch_loss_t(self.logits, self.labels, n_x, w)
+            dm_batch_loss_t(self.logits, self.labels, n_x, 25.0, 1.0)
 
 
 class TestLossGradients:
@@ -384,8 +395,8 @@ class TestLossGradients:
         labels = np.eye(4)[rng.integers(0, 4, size=5)]
         guesses = rng.dirichlet(np.ones(4), size=3)
         targets = np.concatenate([labels, guesses])
-        w = LossWeights(lambda_u=25.0, lambda_reg=1.0)
-        self._check(lambda lg: dm_batch_loss_t(lg, targets, 5, w)[:2], seed=8)
+        self._check(lambda lg: dm_batch_loss_t(lg, targets, 5, 25.0, 1.0)[:2],
+                    seed=8)
 
     def test_dm_gradient_without_unlabeled_part(self):
         """n_x equal to the one row, logits (ln 3, 0), label (0, 1), by hand.
@@ -395,7 +406,7 @@ class TestLossGradients:
         the softmax maps to (1/4, -1/4), doubled by lambda_reg = 2.
         """
         z = np.array([[np.log(3.0), 0.0]])
-        w = LossWeights(lambda_u=25.0, lambda_reg=2.0)
-        _, grad, comps = dm_batch_loss_t(z, np.array([[0.0, 1.0]]), 1, w)
+        _, grad, comps = dm_batch_loss_t(z, np.array([[0.0, 1.0]]), 1, 25.0,
+                                         2.0)
         assert comps["unlabeled"] == 0.0
         np.testing.assert_allclose(grad, [[1.25, -1.25]], atol=1e-15)

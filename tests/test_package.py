@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import edmlab
-from edmlab import GmmConfig, LossWeights, NoiseSpec, TrainConfig
+from edmlab import GmmConfig, NoiseSpec, TrainConfig
 
 SRC = Path(edmlab.__file__).resolve().parent
 
@@ -40,7 +40,7 @@ def test_every_imported_name_is_used(module):
 def test_config_objects_are_frozen_and_checked_when_built():
     """One idiom: bounds are checked in ``__post_init__``, so a config object
     cannot exist invalid, and none offers a separate ``validate``."""
-    for cls in (NoiseSpec, GmmConfig, LossWeights, TrainConfig):
+    for cls in (NoiseSpec, GmmConfig, TrainConfig):
         assert dataclasses.is_dataclass(cls)
         assert cls.__dataclass_params__.frozen, cls.__name__
         assert not hasattr(cls, "validate"), cls.__name__

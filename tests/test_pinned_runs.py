@@ -3,16 +3,10 @@ compared with the digests ``tools/pin_runs.py`` recorded for this
 environment.  On an environment without digests the comparison is skipped,
 saying so: bytes are only reproducible within one environment."""
 
-import importlib.util
 import json
-from pathlib import Path
 
+import pin_runs
 import pytest
-
-_spec = importlib.util.spec_from_file_location(
-    "pin_runs", Path(__file__).resolve().parents[1] / "tools" / "pin_runs.py")
-pin_runs = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(pin_runs)
 
 
 @pytest.mark.parametrize("case", sorted(pin_runs.CASES))

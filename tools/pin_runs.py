@@ -20,7 +20,6 @@ say which artifacts moved and why.
 from __future__ import annotations
 
 import hashlib
-import importlib.util
 import json
 import os
 import sys
@@ -28,10 +27,7 @@ import tempfile
 from pathlib import Path
 
 # run manifests are hashed in the form cmp_runs compares them
-_spec = importlib.util.spec_from_file_location(
-    "cmp_runs", Path(__file__).with_name("cmp_runs.py"))
-cmp_runs = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(cmp_runs)
+import cmp_runs
 
 REPO = Path(__file__).resolve().parents[1]
 PINNED = REPO / "tests" / "pinned_runs.json"
