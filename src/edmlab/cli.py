@@ -196,7 +196,8 @@ def parse_config(flag_values: dict, config_path: str | None,
     Builds the TrainConfig, and the NoiseSpec when ``command`` reads
     ``rho``, so their bounds are checked.  Raises ConfigError for unknown
     keys, for non-finite or out-of-range values, naming the offending flag,
-    and for a flag or config-file key that ``command`` does not read.
+    for a config-file key set twice, and for a flag or config-file key that
+    ``command`` does not read.
     """
     resolved = {k: spec.default for k, spec in _KEYS.items()}
     explicit: dict[str, str] = {}  # key -> where it was set
@@ -206,7 +207,8 @@ def parse_config(flag_values: dict, config_path: str | None,
         if not path.is_file():
             raise ConfigError(f"config file not found: {path}")
         try:
-            text = path.read_text(encoding="utf-8")
+            # utf-8-sig: a byte-order mark is not part of the first key
+            text = path.read_text(encoding="utf-8-sig")
         except UnicodeDecodeError as exc:
             raise ConfigError(f"config file {path} is not UTF-8 text: {exc}"
                               ) from None
@@ -221,6 +223,8 @@ def parse_config(flag_values: dict, config_path: str | None,
             key = key.strip().replace("-", "_")
             if key not in _KEYS:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+            if key in explicit:
+                raise ConfigError(f"{explicit[key]} is set again on line {lineno}")
             try:
                 resolved[key] = _KEYS[key].cast(value.strip())
             except ValueError:
@@ -418,8 +422,8 @@ def _load_samples(flag: str, path: Path) -> DatasetManifest:
 def _load_inputs(resolved: dict, checkpoint: bool = False):
     """``[--checkpoint,] --manifest, --test-manifest``: their paths, the
     checkpoint's network or None, and both datasets.  Every path is checked
-    before any file is loaded; the held-out set must be clean samples in the
-    training set's feature and label space."""
+    before any file is loaded; the held-out set must be clean samples, and
+    it and the checkpoint in the training set's feature and label space."""
     keys = ("checkpoint",) * checkpoint + ("manifest", "test_manifest")
     paths = [_require_file(resolved[key], _flag(key)) for key in keys]
     model = load_checkpoint(paths[0]) if checkpoint else None
@@ -431,6 +435,9 @@ def _load_inputs(resolved: dict, checkpoint: bool = False):
     if closed or open_:
         raise DataError(f"--test-manifest {paths[-1]} must be all-clean, but "
                         f"holds {closed} closed-set and {open_} open-set samples")
+    if checkpoint:
+        _check_shape("--checkpoint", paths[0],
+                     (model.input_dim, model.num_classes), train_ds)
     return paths, model, train_ds, test_ds
 
 
@@ -553,49 +560,20 @@ def cmd_gen(ns: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_train(ns: argparse.Namespace) -> int:
-    cfg, resolved = parse_config(vars(ns), ns.config, ns.command)
+def cmd_pipeline(ns: argparse.Namespace) -> int:
+    """``train``, ``eval`` and ``run``, which is ``train`` then ``eval`` on
+    generated data unless manifests are given: ``eval`` scores NetD with
+    NetS's noise split, or a checkpoint with its own."""
+    command = ns.command
+    trains, evals = command != "eval", command != "train"
+    cfg, resolved = parse_config(vars(ns), ns.config, command)
     _require_out(resolved, "out_dir")
-    paths, _, train_ds, test_ds = _load_inputs(resolved)
-    if resolved["algo"] == ALGO_EDM:
-        _check_fit_size(len(train_ds), cfg.gmm.num_components, "--manifest")
-
-    with _recorded("train", resolved, cfg) as (out_dir, manifest):
-        manifest.input_digests = _digests(*paths)
-        outcome, manifest.artifacts = _train_into(train_ds, test_ds, cfg,
-                                                  resolved["algo"], out_dir)
-    _emit({"event": "train", "out_dir": str(out_dir), "algo": resolved["algo"],
-           "epochs": cfg.epochs, "best_accuracy": outcome.best_accuracy,
-           "last_accuracy": outcome.last_accuracy})
-    return EXIT_OK
-
-
-def cmd_eval(ns: argparse.Namespace) -> int:
-    cfg, resolved = parse_config(vars(ns), ns.config, ns.command)
-    _require_out(resolved, "out_dir")
-    paths, model, train_ds, test_ds = _load_inputs(resolved, checkpoint=True)
-    _check_shape("--checkpoint", paths[0],
-                 (model.input_dim, model.num_classes), train_ds)
-    _check_fit_size(len(train_ds), cfg.gmm.num_components, "--manifest")
-
-    with _recorded("eval", resolved, cfg) as (out_dir, manifest):
-        manifest.input_digests = _digests(*paths)
-        manifest.artifacts, summary = _eval_into(model, train_ds, test_ds,
-                                                 cfg.gmm, out_dir)
-    _emit({"event": "eval", "out_dir": str(out_dir),
-           "test_accuracy": summary["test_accuracy"],
-           "split_balanced_accuracy": summary["split_balanced_accuracy"]})
-    return EXIT_OK
-
-
-def cmd_run(ns: argparse.Namespace) -> int:
-    cfg, resolved = parse_config(vars(ns), ns.config, ns.command)
-    _require_out(resolved, "out_dir")
-    if (resolved["manifest"] is None) != (resolved["test_manifest"] is None):
+    if command == "run" and ((resolved["manifest"] is None)
+                             != (resolved["test_manifest"] is None)):
         raise ConfigError(
             "--manifest and --test-manifest must be given together")
 
-    generated = resolved["manifest"] is None
+    generated = command == "run" and resolved["manifest"] is None
     if generated:
         with _as_config_errors():
             train_ds = _generate_benchmark(resolved)
@@ -603,29 +581,39 @@ def cmd_run(ns: argparse.Namespace) -> int:
         source = (f"--per-class {resolved['per_class']} "
                   f"x --classes {resolved['classes']}")
     else:
-        paths, _, train_ds, test_ds = _load_inputs(resolved)
+        paths, model, train_ds, test_ds = _load_inputs(resolved,
+                                                       checkpoint=not trains)
         source = "--manifest"
-    _check_fit_size(len(train_ds), cfg.gmm.num_components, source)
+    if evals or resolved["algo"] == ALGO_EDM:
+        _check_fit_size(len(train_ds), cfg.gmm.num_components, source)
 
-    with _recorded("run", resolved, cfg) as (out_dir, manifest):
+    with _recorded(command, resolved, cfg) as (out_dir, manifest):
         if generated:
             paths = [out_dir / "train.manifest", out_dir / "test.manifest"]
             save_manifest(train_ds, paths[0])
             save_manifest(test_ds, paths[1])
             manifest.artifacts += ["train.manifest", "test.manifest"]
         manifest.input_digests = _digests(*paths)
-        outcome, artifacts = _train_into(train_ds, test_ds, cfg,
-                                         resolved["algo"], out_dir)
-        manifest.artifacts += artifacts
-        artifacts, summary = _eval_into(outcome.netd, train_ds, test_ds,
-                                        cfg.gmm, out_dir, splitter=outcome.nets)
-        manifest.artifacts += artifacts
-    _emit({"event": "run", "out_dir": str(out_dir), "algo": resolved["algo"],
-           "generated_benchmark": generated, "epochs": cfg.epochs,
-           "best_accuracy": outcome.best_accuracy,
-           "last_accuracy": outcome.last_accuracy,
-           "test_accuracy": summary["test_accuracy"],
-           "split_balanced_accuracy": summary["split_balanced_accuracy"]})
+        payload = {"event": command, "out_dir": str(out_dir)}
+        splitter = None
+        if trains:
+            outcome, artifacts = _train_into(train_ds, test_ds, cfg,
+                                             resolved["algo"], out_dir)
+            manifest.artifacts += artifacts
+            model, splitter = outcome.netd, outcome.nets
+            payload.update(algo=resolved["algo"], epochs=cfg.epochs,
+                           best_accuracy=outcome.best_accuracy,
+                           last_accuracy=outcome.last_accuracy)
+        if evals:
+            artifacts, summary = _eval_into(model, train_ds, test_ds, cfg.gmm,
+                                            out_dir, splitter=splitter)
+            manifest.artifacts += artifacts
+            payload.update(
+                test_accuracy=summary["test_accuracy"],
+                split_balanced_accuracy=summary["split_balanced_accuracy"])
+    if command == "run":
+        payload["generated_benchmark"] = generated
+    _emit(payload)
     return EXIT_OK
 
 
@@ -643,9 +631,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for command, func, help_text in (
             ("gen", cmd_gen, "generate a benchmark manifest"),
-            ("train", cmd_train, "train on existing manifests"),
-            ("eval", cmd_eval, "score a checkpoint and export tables"),
-            ("run", cmd_run,
+            ("train", cmd_pipeline, "train on existing manifests"),
+            ("eval", cmd_pipeline, "score a checkpoint and export tables"),
+            ("run", cmd_pipeline,
              "generate (unless manifests are given), train, evaluate")):
         sp = sub.add_parser(command, help=help_text)
         for key in _COMMAND_KEYS[command]:

@@ -172,6 +172,11 @@ def temp_sharpen(p: np.ndarray, temperature: float) -> np.ndarray:
     p = np.asarray(p, dtype=np.float64)
     powered = p ** (1.0 / temperature)
     total = powered.sum(axis=-1, keepdims=True)
-    if np.any(total == 0.0):
-        raise ValueError("cannot sharpen an all-zero distribution")
+    underflow = total < np.finfo(np.float64).tiny
+    if np.any(underflow):
+        # a low T: sharpen such a row from p / max(p), equal in exact arithmetic
+        peak = np.where(underflow, p.max(axis=-1, keepdims=True), 1.0)
+        if np.any(peak == 0.0):
+            raise ValueError("cannot sharpen an all-zero distribution")
+        return temp_sharpen(p / peak, temperature)
     return powered / total

@@ -210,6 +210,8 @@ def co_refine(labels: np.ndarray, clean_weight: np.ndarray, mean_probs: np.ndarr
     # posterior masses are sums of responsibilities and may pass 1 by rounding
     if np.any(w < 0.0) or np.any(w > 1.0 + 1e-9):
         raise ValueError("clean weights must lie in [0, 1]")
+    # a weight past 1 would give the prediction a negative share
+    w = np.minimum(w, 1.0)
     return temp_sharpen(w * labels + (1.0 - w) * mean_probs, temperature)
 
 

@@ -154,6 +154,30 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=r"exp.conf:3: key 'epochs'"):
             parse_config({}, str(conf), "gen")
 
+    def test_file_may_start_with_a_byte_order_mark(self, tmp_path):
+        conf = tmp_path / "bom.conf"
+        conf.write_bytes(b"\xef\xbb\xbfepochs=5\n")
+        cfg, _ = parse_config({}, str(conf), "run")
+        assert cfg.epochs == 5
+
+    @pytest.mark.parametrize("second", ["epochs=7", "lambda_u=10"])
+    def test_key_set_twice_rejected(self, tmp_path, capsys, second):
+        """A second line for a key, however it spells the key, exits 2
+        naming the file, the first line and the second."""
+        first = "epochs=5" if second.startswith("epochs") else "lambda-u=25"
+        conf = tmp_path / "twice.conf"
+        conf.write_text(f"{first}\n# again\n{second}\n")
+        key = second.partition("=")[0]
+        with pytest.raises(ConfigError) as exc:
+            parse_config({}, str(conf), "run")
+        assert str(exc.value) == f"{conf}:1: key {key!r} is set again on line 3"
+        out_dir = tmp_path / "out"
+        assert run_cli("run", "--config", conf, "--out-dir", out_dir) \
+            == EXIT_CONFIG
+        assert capsys.readouterr().err \
+            == f"config error: {conf}:1: key {key!r} is set again on line 3\n"
+        assert not out_dir.exists()
+
     def test_missing_config_file_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             parse_config({}, str(tmp_path / "absent.conf"), "run")
@@ -523,6 +547,53 @@ class TestRun:
         summary = json.loads((out_dir / "eval.json").read_text())
         assert summary["confusion"] \
             == split_confusion(partition(split), train_ds).matrix.tolist()
+
+
+#: the keys of the line that ``train`` and ``eval`` print; ``run`` prints
+#: both and ``generated_benchmark``
+_TRAIN_LINE = {"schema_version", "event", "out_dir", "algo", "epochs",
+               "best_accuracy", "last_accuracy"}
+_EVAL_LINE = {"schema_version", "event", "out_dir", "test_accuracy",
+              "split_balanced_accuracy"}
+
+
+class TestPrintedLine:
+    """Each command prints one JSON line, which agrees with its files."""
+
+    @pytest.mark.parametrize("command", ["train", "eval", "run",
+                                         "run --manifest"])
+    def test_line_matches_the_artifacts(self, tmp_path, capsys, command):
+        train, test = gen_pair(tmp_path)
+        out_dir = tmp_path / "out"
+        inputs = ["--manifest", train, "--test-manifest", test]
+        schedule = ["--epochs", 2, "--warmup-d", 1, "--warmup-s", 1]
+        args = {"train": ["train", *inputs, *schedule],
+                "eval": ["eval", *checkpoint_args(tmp_path), *inputs],
+                "run": ["run", "--per-class", 30, "--seed", 7, *schedule],
+                "run --manifest": ["run", *inputs, *schedule]}[command]
+        capsys.readouterr()
+        assert run_cli(*args, "--out-dir", out_dir) == EXIT_OK
+        (line,) = capsys.readouterr().out.splitlines()
+        printed = json.loads(line)
+
+        trains, evals = command != "eval", command != "train"
+        keys = (_TRAIN_LINE if trains else set()) | (_EVAL_LINE if evals else set())
+        if command.startswith("run"):
+            keys.add("generated_benchmark")
+            assert printed["generated_benchmark"] is (command == "run")
+        assert set(printed) == keys
+        assert printed["event"] == args[0]
+        assert printed["out_dir"] == str(out_dir)
+        if trains:
+            accuracies = [json.loads(rec)["test_accuracy"] for rec in
+                          (out_dir / "epochs.jsonl").read_text().splitlines()]
+            assert (printed["algo"], printed["epochs"]) == ("edm", 2)
+            assert printed["best_accuracy"] == max(accuracies)
+            assert printed["last_accuracy"] == accuracies[-1]
+        if evals:
+            summary = json.loads((out_dir / "eval.json").read_text())
+            for key in ("test_accuracy", "split_balanced_accuracy"):
+                assert printed[key] == summary[key]
 
 
 class TestRunManifest:

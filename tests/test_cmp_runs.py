@@ -116,3 +116,23 @@ def test_only_gen_cases_write_no_out_dir(tmp_path):
         "train", "--manifest", f"{tmp_path}/seed1/train.manifest",
         "--test-manifest", f"{tmp_path}/seed1/test.manifest",
         "--out-dir", str(tmp_path / "train-seed1")]
+
+
+def test_printed_lines_compare_without_work_paths(tmp_path):
+    a, b = tmp_path / "parent", tmp_path / "change"
+
+    def line(work, **fields):
+        record = {"event": "run", "out_dir": f"{work}/seed0", "epochs": 30}
+        record.update(fields)
+        return json.dumps(record) + "\n"
+
+    assert cmp_runs.printed_line(line(a), a) \
+        == '{"epochs": 30, "event": "run", "out_dir": "{work}/seed0"}'
+    parent = {"seed0": cmp_runs.printed_line(line(a), a),
+              "seed1": cmp_runs.printed_line(line(a), a),
+              "only_a": cmp_runs.printed_line(line(a), a)}
+    change = {"seed0": cmp_runs.printed_line(line(b), b),
+              # a changed value type, and a path under the other tree
+              "seed1": cmp_runs.printed_line(line(b, epochs=30.0), b),
+              "gen": cmp_runs.printed_line(line(b, out_dir=f"{a}/gen"), b)}
+    assert cmp_runs.diff_lines(parent, change) == ["gen", "only_a", "seed1"]

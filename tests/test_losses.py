@@ -296,6 +296,20 @@ class TestTempSharpen:
         with pytest.raises(ValueError):
             temp_sharpen(np.array([0.0, 0.0]), 0.5)
 
+    def test_low_temperature_sharpens_rows_whose_powers_underflow(self):
+        """At T = 0.001 every power of these rows underflows to 0; each is
+        sharpened from ``p / max(p)``, as exact arithmetic would give.  An
+        all-zero row still has nothing to sharpen."""
+        p = np.array([[0.25, 0.25, 0.25, 0.25], [0.3, 0.3, 0.2, 0.2],
+                      [0.9, 0.1, 0.0, 0.0]])
+        with np.errstate(invalid="raise", divide="raise"):
+            out = temp_sharpen(p, 0.001)
+        np.testing.assert_allclose(out[0], np.full(4, 0.25), atol=1e-12)
+        np.testing.assert_allclose(out[1], [0.5, 0.5, 0.0, 0.0], atol=1e-12)
+        np.testing.assert_allclose(out[2], [1.0, 0.0, 0.0, 0.0], atol=1e-12)
+        with pytest.raises(ValueError, match="all-zero"):
+            temp_sharpen(np.array([[0.5, 0.5], [0.0, 0.0]]), 0.001)
+
 
 class TestTensorVersionsAgree:
     """The loss heads equal the plain numpy formulas of their definitions."""

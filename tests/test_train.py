@@ -156,6 +156,13 @@ class TestCoRefine:
         with pytest.raises(ValueError):
             _refine_row(np.array([1.0, 0.0]), 1.5, np.array([0.5, 0.5]), 1.0)
 
+    def test_weight_rounded_past_one_trusts_the_label(self):
+        """A clean mass one ulp above 1 (a sum of responsibilities) gives the
+        prediction no negative share, which 1/T = 10/3 would turn into NaN."""
+        out = _refine_row(np.array([1.0, 0.0]), np.nextafter(1.0, 2.0),
+                          np.array([0.3, 0.7]), 0.3)
+        assert out.tolist() == [1.0, 0.0]
+
 
 def _guess_row(model, sample, num_augments, temperature, rng):
     """The loop's unlabeled target for a one-row batch: sharpened mean of views."""

@@ -19,8 +19,10 @@ It then lists every artifact that differs between the two trees, and exits
 ``run_manifest.json`` is compared field by field, less its timestamps
 (``started_at``, ``finished_at``), with each tree's output directory
 written as ``{work}`` in its paths; a differing one is listed with the
-fields that differ.  When some artifact
-differs, it also prints each case's test accuracy and split balanced
+fields that differ.  Each case's printed JSON line is compared the same
+way, with ``{work}`` in its paths; each case whose line differs is listed,
+and also makes the script exit 1.  When some artifact differs, it also
+prints each case's test accuracy and split balanced
 accuracy from both trees' ``eval.json``, so a change to rounding reports
 its acceptance figures before and after.  Its summary also gives the line
 count of ``src/edmlab/*.py`` on both trees.  Outputs go under ``--work``
@@ -127,6 +129,19 @@ def diff_manifests(a: Path, b: Path) -> list[str]:
     return differing
 
 
+def printed_line(stdout: str, work: Path) -> str:
+    """The JSON line a command printed, as sorted-key JSON text with the
+    paths under ``work`` written relative to ``{work}``."""
+    return json.dumps(_at_work(json.loads(stdout), str(work)), sort_keys=True)
+
+
+def diff_lines(a: dict[str, str], b: dict[str, str]) -> list[str]:
+    """The cases whose printed lines differ between ``a`` and ``b``
+    (case name -> ``printed_line``); a case on one side only differs."""
+    return sorted(case for case in a.keys() | b.keys()
+                  if a.get(case) != b.get(case))
+
+
 def accuracies(root: Path) -> dict[str, dict]:
     """Each case's eval.json figures: case name -> {key: value}, for the
     cases under ``root`` that wrote an eval.json."""
@@ -166,10 +181,12 @@ def case_args(name: str, args: list[str], work: Path) -> list[str]:
     return args if args[0] == "gen" else args + ["--out-dir", str(work / name)]
 
 
-def run_tree(src: Path, work: Path) -> None:
-    """Run every case of the proof set on the package under ``src``."""
+def run_tree(src: Path, work: Path) -> dict[str, str]:
+    """Run every case of the proof set on the package under ``src``; returns
+    each case's ``printed_line``."""
     env = {k: v for k, v in os.environ.items() if k != "EDM_SEED"}
     env.update({var: "1" for var in _THREAD_VARS}, PYTHONPATH=str(src))
+    lines = {}
     for name, args in CASES:
         cmd = [sys.executable, "-m", "edmlab.cli", *case_args(name, args, work)]
         done = subprocess.run(cmd, env=env, capture_output=True, text=True)
@@ -177,6 +194,8 @@ def run_tree(src: Path, work: Path) -> None:
             print(f"{src}: {' '.join(cmd[3:])} exited {done.returncode}\n"
                   f"{done.stderr}", file=sys.stderr)
             raise SystemExit(2)
+        lines[name] = printed_line(done.stdout, work)
+    return lines
 
 
 def main(argv=None) -> int:
@@ -190,21 +209,24 @@ def main(argv=None) -> int:
         raise SystemExit(f"--work {ns.work} must be empty or not exist")
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(ns.work or tmp).resolve()
-        for side, src in sides.items():
-            run_tree(src, work / side)
+        lines = {side: run_tree(src, work / side) for side, src in sides.items()}
         parent, change = work / "parent", work / "change"
         compared = len(artifacts(parent, ignored=()))
         differing = diff_dirs(parent, change) + diff_manifests(parent, change)
         figures = accuracy_lines(parent, change)
+    line_diffs = diff_lines(lines["parent"], lines["change"])
     for rel in differing:
         print(f"differs: {rel}")
+    for case in line_diffs:
+        print(f"printed line differs: {case}")
     if differing:
         print(*figures, sep="\n")
     print(f"{len(CASES)} cases: {len(differing)} of {compared} artifacts differ "
-          f"({MANIFEST} without {', '.join(TIMESTAMPS)})")
+          f"({MANIFEST} without {', '.join(TIMESTAMPS)}), "
+          f"{len(line_diffs)} printed lines differ")
     print(f"src/edmlab: {package_lines(sides['parent'])} -> "
           f"{package_lines(sides['change'])} lines")
-    return 1 if differing else 0
+    return 1 if differing or line_diffs else 0
 
 
 if __name__ == "__main__":
