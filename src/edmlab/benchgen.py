@@ -178,10 +178,12 @@ def make_synthetic_clean(
     labels = np.repeat(np.arange(num_classes, dtype=np.int32), per_class)
 
     rng = np.random.default_rng(seed)
-    features = centers[labels] + rng.normal(0.0, cluster_spread, size=(n, feature_dim))
+    with np.errstate(over="ignore", invalid="ignore"):  # _as_float32 checks
+        features = centers[labels] + rng.normal(0.0, cluster_spread,
+                                                size=(n, feature_dim))
 
     return DatasetManifest(
-        features=features.astype(np.float32),
+        features=_as_float32(features, f"cluster_spread={cluster_spread}"),
         observed=labels,
         true_class=labels.copy(),
         num_classes=num_classes,
@@ -218,12 +220,21 @@ def make_open_pool(
     direction = -np.ones(feature_dim, dtype=np.float64) / np.sqrt(feature_dim)
     rng = np.random.default_rng(seed)
     clusters = []
-    for j in range(num_clusters):
-        center = (offset + CENTER_SCALE * cluster_spread * j) * direction
-        clusters.append(
-            center + rng.normal(0.0, cluster_spread, size=(per_cluster, feature_dim))
-        )
-    return np.concatenate(clusters, axis=0).astype(np.float32)
+    with np.errstate(over="ignore", invalid="ignore"):  # _as_float32 checks
+        for j in range(num_clusters):
+            center = (offset + CENTER_SCALE * cluster_spread * j) * direction
+            clusters.append(center + rng.normal(0.0, cluster_spread,
+                                                size=(per_cluster, feature_dim)))
+    return _as_float32(np.concatenate(clusters, axis=0),
+                       f"cluster_spread={cluster_spread} and offset={offset}")
+
+
+def _as_float32(features: np.ndarray, cause: str) -> np.ndarray:
+    """Float64 ``features`` as float32; a value float32 cannot hold is a
+    ValueError naming ``cause``, the arguments that produced it."""
+    if not np.all(np.abs(features) <= np.finfo(np.float32).max):
+        raise ValueError(f"features from {cause} exceed float32's range")
+    return features.astype(np.float32)
 
 
 def inject_noise(

@@ -9,13 +9,12 @@ Four subcommands share one configuration model:
 
 Configuration precedence is flag > config-file line > built-in default.  The
 optional config file is flat ``key=value`` text whose keys mirror the flag
-names.  The ``EDM_SEED`` environment variable, when set, overrides the seed
-of the commands that read one (gen, train, run).  Each key names what it
-sets: a training key its ``TrainConfig`` field, a geometry key the generator
-arguments its range errors mention.  The CLI only parses a key (a float must
-be finite); its range rule belongs to the library object or generator the
-key feeds, whose error exits 2 before anything is written, under the flag of
-every key whose name the message mentions.
+names.  Each key names what it sets: a training key its ``TrainConfig``
+field, a geometry key the generator arguments its range errors mention.  The
+CLI only parses a key (a float must be finite); its range rule belongs to
+the library object or generator the key feeds, whose error exits 2 before
+anything is written, under the flag of every key whose name the message
+mentions.
 Epoch logs are line-buffered JSON lines carrying a schema version field, and
 every output directory gets a run manifest snapshotting the config keys the
 command reads, input digests, timestamps, the environment, the outcome (with
@@ -166,17 +165,16 @@ _COMMAND_KEYS = {
 
 
 @contextlib.contextmanager
-def _as_config_errors(seed_flag: str = "--seed"):
+def _as_config_errors():
     """Report a library ValueError as a ConfigError under the flag of every
     key whose field or argument name the message has as a whole word, in
-    table order; ``seed_flag`` is what set the seed."""
+    table order."""
     try:
         yield
     except ValueError as exc:
         message = str(exc)
         words = set(re.findall(r"\w+", message))
-        flags = [seed_flag if key == "seed" else _flag(key)
-                 for key, spec in _KEYS.items()
+        flags = [_flag(key) for key, spec in _KEYS.items()
                  if any(name.rpartition(".")[2] in words for name in spec.names)]
         raise ConfigError(f"{'/'.join(flags)}: {message}" if flags
                           else message) from None
@@ -245,16 +243,6 @@ def parse_config(flag_values: dict, config_path: str | None,
             raise ConfigError(f"{source} is not read by {command}"
                               + (" with --manifest" if on_manifest else ""))
 
-    seed_flag = "--seed"
-    env_seed = os.environ.get("EDM_SEED")
-    if env_seed is not None and "seed" in read:
-        try:
-            resolved["seed"] = int(env_seed)
-        except ValueError:
-            raise ConfigError(
-                f"EDM_SEED must be an integer, got {env_seed!r}") from None
-        seed_flag = "EDM_SEED"
-
     for key, spec in _KEYS.items():
         if spec.cast is float and not math.isfinite(resolved[key]):
             raise ConfigError(
@@ -263,7 +251,7 @@ def parse_config(flag_values: dict, config_path: str | None,
         raise ConfigError(f"--algo must be one of {{{ALGO_EDM}, {ALGO_CE}}}, "
                           f"got {resolved['algo']}")
 
-    with _as_config_errors(seed_flag):
+    with _as_config_errors():
         fields: dict[str, dict] = {}  # "" holds TrainConfig's own fields
         for key, spec in _TRAINING.items():
             outer, _, name = spec.names[0].rpartition(".")
@@ -279,13 +267,21 @@ def parse_config(flag_values: dict, config_path: str | None,
 
 def _environment() -> dict:
     """What a run's bytes depend on beyond its config: bitwise determinism
-    holds only within one Python, numpy, platform and BLAS thread setting."""
-    u = platform.uname()
+    holds only within one Python, numpy, machine architecture, C library,
+    set of SIMD targets numpy dispatches to (None where numpy does not say)
+    and BLAS thread setting."""
+    try:  # numpy's private record; NPY_DISABLE_CPU_FEATURES turns targets off
+        from numpy._core._multiarray_umath import (__cpu_dispatch__,
+                                                   __cpu_features__)
+        simd = {target: __cpu_features__[target] for target in __cpu_dispatch__}
+    except ImportError:
+        simd = None
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
-        # not platform.platform(): it reads the interpreter binary (8 ms)
-        "platform": f"{u.system}-{u.release}-{u.machine}",
+        "machine": platform.machine(),
+        "libc": list(platform.libc_ver()),
+        "simd": simd,
         "threads": {name: os.environ.get(name) for name in
                     ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
     }

@@ -118,7 +118,10 @@ def _record_dtype(d: int) -> np.dtype:
 
 
 def save_manifest(m: DatasetManifest, path: str | os.PathLike) -> None:
-    """Write a manifest; the result reloads bit-identically."""
+    """Write a manifest; the result reloads bit-identically.  A non-finite
+    feature, which the loader rejects, is a ValueError before the file opens."""
+    if not np.all(np.isfinite(m.features)):
+        raise ValueError("non-finite feature value in a record")
     n = len(m)
     records = np.zeros(n, dtype=_record_dtype(m.feature_dim))
     records["id"] = np.arange(n, dtype=np.uint32)

@@ -318,7 +318,8 @@ def test_08_split_quality_trend(capsys, trend_runs):
 
 
 def test_09_bitwise_determinism(capsys, tmp_path):
-    """Two identical CLI runs produce byte-identical logs and checkpoints."""
+    """Two identical CLI runs produce byte-identical manifests, logs and
+    checkpoints."""
     start = time.monotonic()
     args = ["run", "--per-class", "30", "--rho", "0.6", "--omega", "0.5",
             "--epochs", "2", "--warmup-d", "1", "--warmup-s", "2",
@@ -330,7 +331,7 @@ def test_09_bitwise_determinism(capsys, tmp_path):
         dirs.append(out_dir)
     ok = True
     compared = ("epochs.jsonl", "netd_best.ckpt", "netd_last.ckpt",
-                "nets_last.ckpt")
+                "nets_last.ckpt", "train.manifest", "test.manifest")
     for name in compared:
         ok &= (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
     records = (dirs[0] / "epochs.jsonl").read_text().splitlines()

@@ -98,6 +98,13 @@ class TestSyntheticClean:
             make_synthetic_clean(num_classes=3, per_class=5, feature_dim=4,
                                  cluster_spread=0.0, seed=0)
 
+    @pytest.mark.parametrize("spread", [1e38, 1e300, 1e308])
+    def test_features_beyond_float32_rejected(self, spread):
+        """A spread whose features float32 cannot hold is a ValueError
+        naming it, raised without an overflow warning."""
+        with pytest.raises(ValueError, match=r"^features from cluster_spread="):
+            make_synthetic_clean(4, 5, 8, spread, seed=0)
+
 
 class TestOpenPool:
     def test_shape_and_dtype(self):
@@ -122,6 +129,15 @@ class TestOpenPool:
         a = make_open_pool(2, 30, 8, 0.5, 8.0, seed=1)
         b = make_open_pool(2, 30, 8, 0.5, 8.0, seed=1)
         np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("spread, offset", [(0.5, 1e300), (1e38, 8.0),
+                                                (1e307, 1.7e308)])
+    def test_features_beyond_float32_rejected(self, spread, offset):
+        """An offset or spread whose vectors float32 cannot hold is a
+        ValueError naming both, raised without an overflow warning."""
+        with pytest.raises(ValueError, match=r"^features from cluster_spread="
+                                             r"\S+ and offset="):
+            make_open_pool(2, 5, 8, spread, offset, seed=0)
 
 
 def _blobs(seed=0, per_class=100):

@@ -311,6 +311,17 @@ class TestErrorReporting:
         with pytest.raises(FormatError, match="non-finite"):
             load_manifest(bad)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_feature_is_not_saved(self, tmp_path, value):
+        """A manifest the loader would reject is refused before its file
+        is opened."""
+        m = _noisy_manifest()
+        m.features[3, 1] = value
+        path = tmp_path / "data.edm"
+        with pytest.raises(ValueError, match="non-finite"):
+            save_manifest(m, path)
+        assert not path.exists()
+
 
 class TestCheckpoints:
     def test_round_trip_preserves_float32_values(self, tmp_path):

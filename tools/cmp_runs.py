@@ -184,8 +184,8 @@ def case_args(name: str, args: list[str], work: Path) -> list[str]:
 def run_tree(src: Path, work: Path) -> dict[str, str]:
     """Run every case of the proof set on the package under ``src``; returns
     each case's ``printed_line``."""
-    env = {k: v for k, v in os.environ.items() if k != "EDM_SEED"}
-    env.update({var: "1" for var in _THREAD_VARS}, PYTHONPATH=str(src))
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.update({var: "1" for var in _THREAD_VARS})
     lines = {}
     for name, args in CASES:
         cmd = [sys.executable, "-m", "edmlab.cli", *case_args(name, args, work)]

@@ -11,8 +11,9 @@ the same run with ``--algo ce``, in this process on this checkout's
 ``tools/cmp_runs.py`` compares it: without its timestamps, and with the
 output directory written as ``{work}``.  The digests are keyed by the
 environment that the runs' ``run_manifest.json`` records (Python, numpy,
-platform, BLAS thread variables): this environment's entry is replaced, the
-others are kept.  ``tests/test_pinned_runs.py`` reruns both runs and
+machine architecture, C library, the SIMD targets numpy dispatches to, BLAS
+thread variables): this environment's entry is replaced, the others are
+kept.  ``tests/test_pinned_runs.py`` reruns both runs and
 compares.  Run it after a change that moves a run's bytes on purpose, and
 say which artifacts moved and why.
 """
@@ -21,7 +22,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import sys
 import tempfile
 from pathlib import Path
@@ -65,7 +65,6 @@ def recorded(environment: dict, path: Path = PINNED) -> dict | None:
 
 def main() -> int:
     sys.path.insert(0, str(REPO / "src"))
-    os.environ.pop("EDM_SEED", None)
     runs = {}
     with tempfile.TemporaryDirectory() as tmp:
         for case, args in CASES.items():
