@@ -394,6 +394,13 @@ class TestRun:
         manifest = json.loads((out_dir / "run_manifest.json").read_text())
         assert sorted(expected) == manifest["artifacts"]
 
+    def test_rerun_is_byte_identical(self, tmp_path):
+        a = self._run_once(tmp_path, "a")
+        b = self._run_once(tmp_path, "b")
+        for name in ("epochs.jsonl", "netd_best.ckpt", "netd_last.ckpt",
+                     "nets_last.ckpt", "train.manifest", "test.manifest"):
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
     def test_eval_of_the_last_checkpoint_reproduces_the_run(self, tmp_path):
         """A checkpoint is the network its run exported: ``eval`` of
         netd_last.ckpt on the run's manifests writes the run's features.csv
