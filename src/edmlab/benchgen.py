@@ -31,9 +31,6 @@ class Provenance(IntEnum):
     OPEN = 2
 
 
-#: the one closed-set flip rule: a new label uniform over the wrong classes
-FLIP_UNIFORM_EXCLUDING_TRUE = "UNIFORM_EXCLUDING_TRUE"
-
 #: true_class value used for open-set samples, whose class is outside the label set
 NO_CLASS = -1
 
@@ -47,15 +44,14 @@ class NoiseSpec:
     """Fully determines how a clean dataset is corrupted.
 
     ``rho`` is the total noise rate, ``omega`` the closed-set share of the
-    noisy portion, both in [0, 1]; a spec outside that range cannot be
-    built.  ``seed`` drives sample selection, label flips, and pool vector
-    assignment; nothing else does.  Flips always follow
-    ``FLIP_UNIFORM_EXCLUDING_TRUE``.
+    noisy portion, both in [0, 1]; a spec outside that range, or with a
+    negative ``seed``, cannot be built.  ``seed`` drives sample selection,
+    label flips, and pool vector assignment; nothing else does.  The flip
+    rule and the open-set source are fixed (see :mod:`~edmlab.manifest_io`).
     """
 
     rho: float
     omega: float
-    open_source: str = "synthetic-pool"
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -63,6 +59,8 @@ class NoiseSpec:
             raise ValueError(f"rho must be in [0, 1], got {self.rho}")
         if not 0.0 <= self.omega <= 1.0:
             raise ValueError(f"omega must be in [0, 1], got {self.omega}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     def counts(self, n: int) -> tuple[int, int]:
         """Exact (n_closed, n_open) for a dataset of ``n`` samples.
@@ -187,7 +185,7 @@ def make_synthetic_clean(
         observed=labels,
         true_class=labels.copy(),
         num_classes=num_classes,
-        noise_spec=NoiseSpec(rho=0.0, omega=0.0, open_source="none", seed=seed),
+        noise_spec=NoiseSpec(rho=0.0, omega=0.0, seed=seed),
     )
 
 
@@ -254,13 +252,8 @@ def inject_noise(
 
     if spec.rho == 0.0:
         # Nothing to inject: the output is the input, original metadata included.
-        return DatasetManifest(
-            features=clean.features.copy(),
-            observed=clean.observed.copy(),
-            true_class=clean.true_class.copy(),
-            num_classes=clean.num_classes,
-            noise_spec=replace(clean.noise_spec),
-        )
+        return replace(clean, features=clean.features.copy(),
+                       observed=clean.observed.copy(), true_class=clean.true_class.copy())
 
     n = len(clean)
     k = clean.num_classes
@@ -305,5 +298,5 @@ def inject_noise(
         observed=observed,
         true_class=true_class,
         num_classes=k,
-        noise_spec=replace(spec),
+        noise_spec=spec,
     )

@@ -14,7 +14,9 @@ little-endian records, each
 ``id:u32  provenance:u8  true_class:i32  observed:i32  features:f32[d]``.
 The provenance byte is the tag the record's labels give (it is derived,
 see ``DatasetManifest.provenance``).  Rates are written with ``repr`` so
-float round-trips are exact.  ``flip`` is always ``UNIFORM_EXCLUDING_TRUE``.
+float round-trips are exact.  Every open-set sample comes from the synthetic
+pool, so ``open_source`` is ``none`` at ``rho == 0`` and ``synthetic-pool``
+otherwise; ``flip`` is always ``UNIFORM_EXCLUDING_TRUE``.
 
 A checkpoint has magic ``EDMCKPT1`` and keys ``role arch`` (the role tag and
 the comma-separated layer widths); its body is the model's parameter
@@ -27,10 +29,10 @@ checkpoint files byte for byte.
 Errors are reported distinctly: :class:`~edmlab.errors.ChecksumError` for a
 bad or missing trailer, :class:`~edmlab.errors.DimensionError` when the body
 does not match the sizes the header declares, and
-:class:`~edmlab.errors.FormatError` for a malformed header (any other flip
-rule, architecture or role tag, or a noise rate outside [0, 1], included)
-or inconsistent body contents (a NaN or infinite value, or a provenance byte
-that disagrees with its record's labels).
+:class:`~edmlab.errors.FormatError` for a malformed header (any other
+``open_source`` or flip rule, architecture or role tag, a noise rate outside
+[0, 1] or a negative seed, included) or inconsistent body contents (a NaN or
+infinite value, or a provenance byte that disagrees with its record's labels).
 """
 
 from __future__ import annotations
@@ -41,8 +43,7 @@ import struct
 import numpy as np
 
 from .backbone import ModelParams, param_count
-from .benchgen import (FLIP_UNIFORM_EXCLUDING_TRUE, NO_CLASS, DatasetManifest,
-                       NoiseSpec)
+from .benchgen import NO_CLASS, DatasetManifest, NoiseSpec
 from .errors import ChecksumError, DimensionError, FormatError
 
 MAGIC = "EDMv1"
@@ -105,6 +106,12 @@ def _read_framed(path: str | os.PathLike, magic: str, keys: tuple[str, ...]
     return {key: value for key, _, value in pairs}, body
 
 
+def _fixed_fields(spec: NoiseSpec) -> dict[str, str]:
+    """The ``open_source`` and ``flip`` header values that ``spec`` gives."""
+    return {"open_source": "synthetic-pool" if spec.rho else "none",
+            "flip": "UNIFORM_EXCLUDING_TRUE"}
+
+
 def _record_dtype(d: int) -> np.dtype:
     return np.dtype(
         [
@@ -137,8 +144,7 @@ def save_manifest(m: DatasetManifest, path: str | os.PathLike) -> None:
         "classes": m.num_classes,
         "rho": repr(float(spec.rho)),
         "omega": repr(float(spec.omega)),
-        "open_source": spec.open_source,
-        "flip": FLIP_UNIFORM_EXCLUDING_TRUE,
+        **_fixed_fields(spec),
         "seed": int(spec.seed),
     }
     _write_framed(path, MAGIC, fields, records.tobytes())
@@ -147,15 +153,16 @@ def save_manifest(m: DatasetManifest, path: str | os.PathLike) -> None:
 def load_manifest(path: str | os.PathLike) -> DatasetManifest:
     """Read a manifest, validating checksum, sizes, and record consistency."""
     fields, body = _read_framed(path, MAGIC, _HEADER_KEYS)
-    if fields["flip"] != FLIP_UNIFORM_EXCLUDING_TRUE:
-        raise FormatError(f"unsupported flip rule {fields['flip']!r}")
     try:
         n, d, k = int(fields["n"]), int(fields["d"]), int(fields["classes"])
         spec = NoiseSpec(rho=float(fields["rho"]), omega=float(fields["omega"]),
-                         open_source=fields["open_source"],
                          seed=int(fields["seed"]))
     except ValueError as exc:
         raise FormatError(f"bad header value: {exc}") from None
+    for key, value in _fixed_fields(spec).items():
+        if fields[key] != value:
+            raise FormatError(f"bad header value {key}={fields[key]!r} at "
+                              f"rho={spec.rho}: expected {value!r}")
     if n < 0 or d < 1 or k < 1:
         raise FormatError(f"implausible header sizes: n={n} d={d} classes={k}")
 

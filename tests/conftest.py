@@ -1,5 +1,7 @@
 """Shared helpers for the test suite."""
 
+import struct
+
 import numpy as np
 
 from edmlab.backbone import ModelParams, backward, init_model, param_tensors
@@ -58,3 +60,10 @@ def make_model(weights, biases, role="NetD"):
     widths = (len(weights[0]),) + tuple(np.shape(w)[1] for w in weights)
     layers = [np.ravel(a) for pair in zip(weights, biases) for a in pair]
     return ModelParams(widths, np.concatenate(layers), role)
+
+
+def reframe(blob, header):
+    """The file ``blob`` with a new header line and a length trailer that
+    matches it."""
+    payload = header + blob[blob.index(b"\n"):-8]
+    return payload + struct.pack("<Q", len(payload))

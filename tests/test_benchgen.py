@@ -1,5 +1,7 @@
 """Tests for synthetic benchmark generation and noise injection."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,12 @@ class TestNoiseSpecCounts:
             NoiseSpec(rho=1.5, omega=0.5)
         with pytest.raises(ValueError):
             NoiseSpec(rho=0.5, omega=-0.1)
+        # a negative seed would fail only later, inside numpy's generator
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            NoiseSpec(0.6, 0.5, seed=-1)
+
+    def test_fields_are_the_rates_and_the_seed(self):
+        assert [f.name for f in fields(NoiseSpec)] == ["rho", "omega", "seed"]
 
 
 class TestSyntheticClean:

@@ -21,11 +21,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import reframe
 from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
 from edmlab import benchgen, cli
 from edmlab import train as train_mod
-from edmlab.backbone import MOMENTUM, WEIGHT_DECAY, init_model
+from edmlab.backbone import (MOMENTUM, ROLE_NETD, ROLE_NETS, WEIGHT_DECAY,
+                             forward_logits, init_model)
 from edmlab.benchgen import DatasetManifest, NoiseSpec, Provenance
 from edmlab.cli import (
     EXIT_CONFIG,
@@ -400,6 +402,30 @@ class TestRun:
         for name in ("epochs.jsonl", "netd_best.ckpt", "netd_last.ckpt",
                      "nets_last.ckpt", "train.manifest", "test.manifest"):
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+    def test_separate_stages_and_library_cell_reproduce_its_data(self, tmp_path):
+        """README's two ``gen`` commands write ``run``'s manifests byte for
+        byte, and its library cell builds manifests equal to both.  The test
+        set's ``gen --rho 0`` matches only because ``inject_noise`` at rho=0
+        keeps the clean set's spec, not the omega and seed it was given."""
+        out = tmp_path / "run"
+        assert run_cli("run", "--per-class", 30, "--epochs", 0, "--seed", 0,
+                       "--out-dir", out) == EXIT_OK
+        train, test = tmp_path / "train.manifest", tmp_path / "test.manifest"
+        assert run_cli("gen", "--classes", 4, "--per-class", 30, "--rho", 0.6,
+                       "--omega", 0.5, "--seed", 0, "--out", train) == EXIT_OK
+        assert run_cli("gen", "--classes", 4, "--per-class", 15, "--rho", 0,
+                       "--seed", 3000, "--out", test) == EXIT_OK
+        for path in (train, test):
+            assert path.read_bytes() == (out / path.name).read_bytes(), path.name
+
+        clean = benchgen.make_synthetic_clean(4, 30, 8, 0.5, seed=0)
+        pool = benchgen.make_open_pool(2, 18, 8, 0.5, 8.0, seed=1000)  # 36 open
+        noisy = benchgen.inject_noise(clean, pool,
+                                      NoiseSpec(rho=0.6, omega=0.5, seed=2000))
+        assert noisy == load_manifest(train)
+        assert benchgen.make_synthetic_clean(4, 15, 8, 0.5, seed=3000) \
+            == load_manifest(test)
 
     def test_eval_of_the_last_checkpoint_reproduces_the_run(self, tmp_path):
         """A checkpoint is the network its run exported: ``eval`` of
@@ -934,6 +960,29 @@ class TestBadInputs:
                 in capsys.readouterr().err)
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, old, new", [
+        ("--manifest", b"open_source=synthetic-pool", b"open_source=none"),
+        ("--test-manifest", b"open_source=none", b"open_source=synthetic-pool"),
+        ("--manifest", b"flip=UNIFORM_EXCLUDING_TRUE", b"flip=PAIRWISE"),
+    ], ids=["none-at-rho-0.6", "pool-at-rho-0", "flip"])
+    @pytest.mark.parametrize("command", ["train", "eval", "run"])
+    def test_disagreeing_fixed_header_value_rejected_before_anything_is_written(
+            self, tmp_path, capsys, command, flag, old, new):
+        manifests = dict(zip(("--manifest", "--test-manifest"), gen_pair(tmp_path)))
+        blob = manifests[flag].read_bytes()
+        header = blob[:blob.index(b"\n")]
+        assert old in header
+        manifests[flag].write_bytes(reframe(blob, header.replace(old, new)))
+        args = [command, *(str(a) for item in manifests.items() for a in item)]
+        if command == "eval":
+            args += checkpoint_args(tmp_path)
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert run_cli(*args, "--out-dir", out) == EXIT_DATA
+        key, _, value = new.decode().partition("=")
+        assert f"bad header value {key}={value!r}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_finite_feature_exits_three(self, tmp_path, capsys):
         train, test = gen_pair(tmp_path)
         blob = bytearray(train.read_bytes())
@@ -1012,6 +1061,30 @@ class TestBadInputs:
         assert capsys.readouterr().err \
             == f"config error: {cli._flag(key)} must not be empty\n"
         assert not any(cwd.iterdir())
+
+
+class TestDeadEvidence:
+    """ROADMAP item 1: after warm-up, NetS's evidence for a sample's own
+    label is ``max(z, 0) + 1``, so a sample whose labelled logit is <= 0
+    gives that class no evidence and no gradient."""
+
+    @pytest.mark.parametrize("seed", [
+        pytest.param(0, marks=pytest.mark.xfail(
+            strict=True, reason="ROADMAP item 1: seed 0 warms up with every "
+                                "sample labelled 3 dead")),
+        1, 2])
+    def test_no_class_warms_up_dead(self, seed):
+        cfg, resolved = parse_config({"seed": seed}, None, "run")
+        ds = cli._generate_benchmark(resolved)
+        widths = (ds.feature_dim, *train_mod.HIDDEN_WIDTHS, ds.num_classes)
+        netd_ss, nets_ss, rng = train_mod._seed_bundle(cfg.seed)
+        netd = init_model(widths, netd_ss, role=ROLE_NETD)
+        nets = init_model(widths, nets_ss, role=ROLE_NETS)
+        train_mod.warmup(netd, nets, ds.features, ds.one_hot_observed(), cfg, rng)
+        logits = forward_logits(nets, ds.features)
+        dead = [float(np.mean(logits[ds.observed == c, c] <= 0.0))
+                for c in range(ds.num_classes)]
+        assert max(dead) <= 0.1, dead
 
 
 class TestTracedBenchmark:

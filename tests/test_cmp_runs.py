@@ -112,6 +112,9 @@ def test_only_gen_cases_write_no_out_dir(tmp_path):
     cases = dict(cmp_runs.CASES)
     assert cmp_runs.case_args("gen", cases["gen"], tmp_path) == [
         "gen", "--seed", "0", "--out", f"{tmp_path}/gen/bench.manifest"]
+    assert cmp_runs.case_args("gen-test", cases["gen-test"], tmp_path) == [
+        "gen", "--per-class", "250", "--rho", "0", "--seed", "3000",
+        "--out", f"{tmp_path}/gen/test.manifest"]
     assert cmp_runs.case_args("train-seed1", cases["train-seed1"], tmp_path) == [
         "train", "--manifest", f"{tmp_path}/seed1/train.manifest",
         "--test-manifest", f"{tmp_path}/seed1/test.manifest",

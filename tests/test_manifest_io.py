@@ -1,16 +1,17 @@
 """Tests for binary manifests and checkpoints: exact bytes, round trips, errors."""
 
+import re
 import struct
 
 import numpy as np
 import pytest
-from conftest import make_model
+from conftest import make_model, reframe
 
 from edmlab.backbone import init_model
 from edmlab.benchgen import DatasetManifest, NoiseSpec, Provenance, inject_noise, \
     make_open_pool, make_synthetic_clean
 from edmlab.cli import EXIT_DATA, main
-from edmlab.errors import ChecksumError, DimensionError, FormatError
+from edmlab.errors import ChecksumError, DataError, DimensionError, FormatError
 from edmlab.manifest_io import load_checkpoint, load_manifest, save_checkpoint, \
     save_manifest
 
@@ -22,14 +23,8 @@ def _noisy_manifest():
     return inject_noise(clean, pool, NoiseSpec(rho=0.6, omega=0.5, seed=4))
 
 
-def _reframe(blob, header):
-    """``blob`` with a new header line and a trailer that matches it."""
-    payload = header + blob[blob.index(b"\n"):-8]
-    return payload + struct.pack("<Q", len(payload))
-
-
 def _edit_header(edit):
-    return lambda blob: _reframe(blob, edit(blob[:blob.index(b"\n")]))
+    return lambda blob: reframe(blob, edit(blob[:blob.index(b"\n")]))
 
 
 def _retagged(m, tmp_path, record, tag):
@@ -73,12 +68,26 @@ class TestOnDiskBytes:
         save_checkpoint(params, path)
         assert path.read_bytes() == payload + struct.pack("<Q", len(payload))
 
-    @pytest.mark.parametrize("source", ["two words", ""], ids=["spaced", "empty"])
-    def test_empty_or_spaced_header_value_rejected(self, tmp_path, source):
+    @pytest.mark.parametrize("role", ["two words", ""], ids=["spaced", "empty"])
+    def test_empty_or_spaced_header_value_rejected(self, tmp_path, role):
+        """``ModelParams`` checks its role when built; one reassigned after
+        that still cannot reach a header line."""
+        params = init_model((6, 16, 4), seed=5)
+        params.role = role
+        path = tmp_path / "bad.ckpt"
+        with pytest.raises(ValueError, match="role"):
+            save_checkpoint(params, path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("rho, source", [(0.0, b"none"), (1e-9, b"synthetic-pool"),
+                                             (0.6, b"synthetic-pool")])
+    def test_open_source_follows_rho(self, tmp_path, rho, source):
         m = _noisy_manifest()
-        m.noise_spec = NoiseSpec(rho=0.6, omega=0.5, open_source=source)
-        with pytest.raises(ValueError, match="open_source"):
-            save_manifest(m, tmp_path / "bad.edm")
+        m.noise_spec = NoiseSpec(rho=rho, omega=0.5, seed=4)
+        path = tmp_path / "data.edm"
+        save_manifest(m, path)
+        assert b" open_source=" + source + b" " in path.read_bytes()
+        assert load_manifest(path) == m
 
 
 _FORMATS = {
@@ -202,7 +211,7 @@ class TestErrorReporting:
         blob = path.read_bytes()
         header = blob[:blob.index(b"\n")].replace(b"seed=", b"sead=")
         bad = tmp_path / "field.edm"
-        bad.write_bytes(_reframe(blob, header))
+        bad.write_bytes(reframe(blob, header))
         with pytest.raises(FormatError):
             load_manifest(bad)
 
@@ -213,7 +222,7 @@ class TestErrorReporting:
         blob = path.read_bytes()
         header = blob[:blob.index(b"\n")].replace(b"rho=0.6", b"rho=1.6")
         bad = tmp_path / "rho.edm"
-        bad.write_bytes(_reframe(blob, header))
+        bad.write_bytes(reframe(blob, header))
         with pytest.raises(FormatError, match="rho must be in"):
             load_manifest(bad)
         with pytest.raises(ValueError, match="omega must be in"):
@@ -247,6 +256,34 @@ class TestErrorReporting:
         bad = tmp_path / "flip.edm"
         bad.write_bytes(payload + struct.pack("<Q", len(payload)))
         with pytest.raises(FormatError, match="PAIRWISE"):
+            load_manifest(bad)
+
+    @pytest.mark.parametrize("clean, stored", [(False, b"none"), (True, b"synthetic-pool")],
+                             ids=["none-at-rho-0.6", "pool-at-rho-0"])
+    def test_open_source_disagreeing_with_rho_is_format_error(self, tmp_path,
+                                                              clean, stored):
+        """The second case is also a v1 file built by hand at rho=0 with
+        the tag ``NoiseSpec`` once gave by default."""
+        m = make_synthetic_clean(4, 25, 6, 0.5, seed=2) if clean else _noisy_manifest()
+        path = tmp_path / "data.edm"
+        save_manifest(m, path)
+        blob = path.read_bytes()
+        header = re.sub(rb"open_source=\S+", b"open_source=" + stored,
+                        blob[:blob.index(b"\n")])
+        bad = tmp_path / "source.edm"
+        bad.write_bytes(reframe(blob, header))
+        with pytest.raises(FormatError, match=f"open_source='{stored.decode()}' at "
+                                              f"rho={m.noise_spec.rho}"):
+            load_manifest(bad)
+
+    def test_negative_seed_is_format_error(self, tmp_path):
+        path = tmp_path / "data.edm"
+        save_manifest(_noisy_manifest(), path)
+        blob = path.read_bytes()
+        bad = tmp_path / "seed.edm"
+        bad.write_bytes(reframe(blob, blob[:blob.index(b"\n")].replace(b"seed=4",
+                                                                       b"seed=-7")))
+        with pytest.raises(FormatError, match="seed must be >= 0, got -7"):
             load_manifest(bad)
 
     def test_sparse_ids_are_format_error(self, tmp_path):
@@ -321,6 +358,38 @@ class TestErrorReporting:
         with pytest.raises(ValueError, match="non-finite"):
             save_manifest(m, path)
         assert not path.exists()
+
+
+class TestHeaderFuzz:
+    def test_no_replaced_byte_in_a_fixed_value_loads(self, tmp_path):
+        """1,000 single-byte replacements at random positions of a noisy
+        manifest's header line, each a printable non-space byte other than
+        the original.  Every file that fails to load fails with a
+        ``DataError`` (exit 3), and none whose replaced byte lies in the
+        ``open_source`` or ``flip`` value loads."""
+        path = tmp_path / "train.edm"
+        save_manifest(_noisy_manifest(), path)
+        blob = path.read_bytes()
+        header = blob[:blob.index(b"\n")]
+        fixed = {pos for key in (b" open_source=", b" flip=")
+                 for pos in range(header.index(key) + len(key),
+                                  header.index(b" ", header.index(key) + 1))}
+        printable = np.arange(0x21, 0x7F)
+        rng = np.random.default_rng(0)
+        bad = tmp_path / "bad.edm"
+        hits = 0
+        for _ in range(1000):
+            pos = int(rng.integers(len(header)))
+            corrupt = bytearray(blob)
+            corrupt[pos] = int(rng.choice(printable[printable != blob[pos]]))
+            bad.write_bytes(bytes(corrupt))
+            hits += pos in fixed
+            try:
+                load_manifest(bad)
+            except DataError:
+                continue
+            assert pos not in fixed, header[:pos] + b"^" + header[pos:]
+        assert hits > 200
 
 
 class TestCheckpoints:

@@ -12,7 +12,9 @@ the refactor proof set:
 * ``edmlab run --algo ce --per-class 5000 --seed 0``;
 * ``edmlab eval`` of seed 1's ``netd_last.ckpt`` on seed 1's manifests;
 * ``edmlab train`` at the defaults on seed 1's manifests;
-* ``edmlab gen --seed 0`` into ``gen/bench.manifest``.
+* ``edmlab gen --seed 0`` into ``gen/bench.manifest``;
+* ``edmlab gen --per-class 250 --rho 0 --seed 3000`` into
+  ``gen/test.manifest``, README's clean test set (``open_source=none``).
 
 It then lists every artifact that differs between the two trees, and exits
 1 if any does, 0 if none does, and 2 if a command fails.  Each
@@ -62,6 +64,8 @@ CASES = (
     ("train-seed1", ["train", "--manifest", "{work}/seed1/train.manifest",
                      "--test-manifest", "{work}/seed1/test.manifest"]),
     ("gen", ["gen", "--seed", "0", "--out", "{work}/gen/bench.manifest"]),
+    ("gen-test", ["gen", "--per-class", "250", "--rho", "0", "--seed", "3000",
+                  "--out", "{work}/gen/test.manifest"]),
 )
 
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
